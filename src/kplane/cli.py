@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 import warnings
@@ -525,17 +524,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, help="override the config's frame seed")
     parser.add_argument(
         "--threads", type=int,
-        default=int(os.environ.get("KPLANE_THREADS", "1") or 1),
-        help="worker threads for frame loops (env KPLANE_THREADS)",
+        help="worker threads for frame loops (default: env KPLANE_THREADS, else 1)",
     )
     args = parser.parse_args(argv)
 
     try:
+        try:
+            threads = transform._thread_count(args.threads)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if args.command == "verify":
             cfg = _load_config(args.config) if args.config else None
-            return cmd_verify(cfg, args.out, args.seed, args.threads)
+            return cmd_verify(cfg, args.out, args.seed, threads)
         cfg = _load_config(args.config)
-        return COMMANDS[args.command](cfg, args.out, args.seed, args.threads)
+        return COMMANDS[args.command](cfg, args.out, args.seed, threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

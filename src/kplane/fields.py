@@ -268,18 +268,6 @@ class Sinogram:
     def n_frames(self) -> int:
         return len(self.frames)
 
-    @property
-    def t_origin(self) -> np.ndarray:
-        return self.t_grid.origin
-
-    @property
-    def t_spacing(self) -> float:
-        return self.t_grid.spacing
-
-    @property
-    def t_shape(self) -> tuple[int, ...]:
-        return self.t_grid.shape
-
     def copy_with(self, values: np.ndarray, generator=None) -> "Sinogram":
         return Sinogram(self.d, self.k, list(self.frames), self.t_grid, values, generator)
 

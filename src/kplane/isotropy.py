@@ -22,7 +22,6 @@ from .geometry import (
     Frame,
     RngSeed,
     align_rotation,
-    frobenius_distance,
     haar_orthogonal_sample,
     stiefel_total_mass,
 )
@@ -38,14 +37,16 @@ def _t_grid_symmetric(t_grid: TGrid) -> bool:
 
 
 def _lookup_eval(sino: Sinogram, rows: np.ndarray, t_pts: np.ndarray,
-                 tol: float) -> np.ndarray:
+                 tol: float, frame_rows: np.ndarray) -> np.ndarray:
     """Evaluate a free-standing sinogram at an arbitrary frame by proximity.
 
     Uses the nearest stored frame in the embedded (Frobenius) metric, then
     interpolates its t-block; valid when the stored frames sample the
     manifold densely enough that the nearest frame is within ``tol``.
+    frame_rows stacks the stored frames' rows, shape (n_frames, d-k, d); on
+    a tie the first stored frame wins.
     """
-    dists = [frobenius_distance(rows, fr.rows) for fr in sino.frames]
+    dists = np.linalg.norm(frame_rows - rows, axis=(1, 2))
     j = int(np.argmin(dists))
     if dists[j] > tol:
         raise DomainError(
@@ -55,10 +56,11 @@ def _lookup_eval(sino: Sinogram, rows: np.ndarray, t_pts: np.ndarray,
     return interp_t_block(sino.values[j], sino.t_grid, t_pts)
 
 
-def _eval_at(sino: Sinogram, rows: np.ndarray, t_pts: np.ndarray, tol: float) -> np.ndarray:
+def _eval_at(sino: Sinogram, rows: np.ndarray, t_pts: np.ndarray, tol: float,
+             frame_rows: np.ndarray) -> np.ndarray:
     if sino.generator is not None:
         return sino.generator(rows, t_pts)
-    return _lookup_eval(sino, rows, t_pts, tol)
+    return _lookup_eval(sino, rows, t_pts, tol, frame_rows)
 
 
 def project_iso(
@@ -78,11 +80,12 @@ def project_iso(
         raise DomainError("project_iso needs a t-grid symmetric about 0")
     m = sino.m
     t_pts = sino.t_grid.points()
+    frame_rows = np.stack([fr.rows for fr in sino.frames])
 
     if m == 1:
         flipped = np.empty_like(sino.values)
         for i, fr in enumerate(sino.frames):
-            vals = _eval_at(sino, -fr.rows, -t_pts, chordal_tol)
+            vals = _eval_at(sino, -fr.rows, -t_pts, chordal_tol, frame_rows)
             flipped[i] = vals.reshape(sino.t_grid.shape)
         out = 0.5 * (sino.values + flipped)
         base_gen = sino.generator
@@ -103,7 +106,7 @@ def project_iso(
     for u in rotations:
         rotated_t = t_pts @ u.T
         for i, fr in enumerate(sino.frames):
-            vals = _eval_at(sino, u @ fr.rows, rotated_t, chordal_tol)
+            vals = _eval_at(sino, u @ fr.rows, rotated_t, chordal_tol, frame_rows)
             acc[i] += vals.reshape(sino.t_grid.shape)
     acc /= n_rotations
     base_gen = sino.generator

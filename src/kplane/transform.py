@@ -1,7 +1,8 @@
 """Discrete k-plane transform, backprojection, and filtered backprojection.
 
 forward() integrates a grid field over the planes {x : A x = t} by tensor
-trapezoid quadrature in the plane coordinates; backproject() averages a
+trapezoid quadrature in the plane coordinates, interpolating only the nodes
+inside the grid box: the rest contribute exact zeros.  backproject() averages a
 sinogram over its frames at t = A x and scales by the total Haar mass of
 the Stiefel manifold, so that ramp-filtered backprojection inverts the
 forward map.  Everything is pure and parallelizes over frames.
@@ -84,10 +85,19 @@ def frameset_haar(d: int, k: int, n: int, seed: RngSeed) -> FrameSet:
 
 
 def _thread_count(threads: int | None) -> int:
+    """An explicit count >= 1, else KPLANE_THREADS; unset, empty or < 1 means 1.
+
+    A KPLANE_THREADS value that is not an integer raises ValueError.
+    """
     if threads is not None and threads >= 1:
         return int(threads)
-    env = os.environ.get("KPLANE_THREADS", "")
-    return max(1, int(env)) if env.isdigit() and env != "0" else 1
+    env = os.environ.get("KPLANE_THREADS", "").strip()
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(f"KPLANE_THREADS must be an integer, got {env!r}") from None
 
 
 def _support_radius(fld: GridField, rel_floor: float = 1e-6) -> float:
@@ -110,18 +120,59 @@ def forward_at(
     rows is the (d-k) x d frame matrix; t_pts has shape (..., d-k).  The
     plane is parameterized as x = B y + A^T t with B the orthonormal
     completion of A, and y running over tensor trapezoid nodes in [-L, L]^k.
+
+    Only nodes whose point can lie inside the field's bounding box are
+    interpolated; the rest contribute exact zeros by the interpolator's
+    compact-support convention.  Each row (one t point and one node of the
+    leading k-1 plane axes) is a line along the last column b of B, and the
+    box cuts that line in an interval of y found analytically, widened by a
+    rounding slack and padded by one node on each side.  Every point that is
+    interpolated is bit-identical to the dense rule's; only zero terms are
+    left out of the sum.
     """
     d = rows.shape[1]
     k = d - rows.shape[0]
     frame = Frame(d, k, rows)
     b = complete_frame(frame)
     nodes, weights = quad.nodes_weights(k)
+    n = quad.nodes_per_axis
     t_pts = np.asarray(t_pts, dtype=float)
     lead = t_pts.shape[:-1]
     base = t_pts.reshape(-1, rows.shape[0]) @ rows  # A^T t for each t
-    pts = base[None, :, :] + (nodes @ b.T)[:, None, :]
-    vals = interp(pts)
-    return (weights[:, None] * vals).sum(axis=0).reshape(lead)
+    n_t, n_lead = base.shape[0], n ** (k - 1)
+
+    # row starts x_r = A^T t + (leading node) . B[:, :-1], rows ordered (t, lead)
+    row_x = (base[:, None, :] + nodes[::n, :-1] @ b[:, :-1].T).reshape(-1, d)
+    fld = interp.field
+    lo = fld.origin
+    hi = fld.origin + fld.spacing * (np.array(fld.shape) - 1)
+    scale = np.abs(lo).max() + np.abs(hi).max() + np.abs(row_x).max(initial=0.0)
+    slack = 1e-9 * (scale + quad.halfwidth)  # far above rounding in the node points
+    lo, hi = lo - slack, hi + slack
+    last = b[:, -1]
+    moving, fixed = last != 0.0, last == 0.0
+    # a box axis the line runs parallel to either holds the whole row or none of it
+    flat = np.all((row_x[:, fixed] >= lo[fixed]) & (row_x[:, fixed] <= hi[fixed]), axis=1)
+    s_lo = (lo[moving] - row_x[:, moving]) / last[moving]
+    s_hi = (hi[moving] - row_x[:, moving]) / last[moving]
+    y_lo = np.minimum(s_lo, s_hi).max(axis=1, initial=-np.inf)
+    y_hi = np.maximum(s_lo, s_hi).min(axis=1, initial=np.inf)
+    y = nodes[:n, -1]
+    j_lo = np.maximum(np.searchsorted(y, y_lo, side="left") - 1, 0)
+    j_hi = np.minimum(np.searchsorted(y, y_hi, side="right"), n - 1)
+    count = np.where(flat & (y_lo <= y_hi), np.maximum(j_hi - j_lo + 1, 0), 0)
+
+    # gather the candidate nodes, row by row, and sum them per t point
+    row = np.repeat(np.arange(n_t * n_lead), count)
+    j = np.arange(row.size) - np.repeat(np.cumsum(count) - count - j_lo, count)
+    t_idx, node = np.divmod(row, n_lead)
+    node = node * n + j
+    offsets = (nodes @ b.T).T
+    pts = np.empty((d, row.size))
+    for i in range(d):  # one 1-D take per coordinate; row gathers of (N, d) are slower
+        np.add(base[:, i].take(t_idx), offsets[i].take(node), out=pts[i])
+    vals = interp(pts.T)
+    return np.bincount(t_idx, weights=weights[node] * vals, minlength=n_t).reshape(lead)
 
 
 def forward(

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kplane import integrate, read_kpt
+from kplane import integrate, read_kpt, transform
 from kplane.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
 
 
@@ -257,3 +257,28 @@ def test_forward_rejects_wrong_input_kind(tmp_path):
     cfg = base_config(out)
     path = write_config(tmp_path, cfg)
     assert main(["forward", "--config", path]) == EXIT_IO
+
+
+def test_help_ignores_bad_threads_env(monkeypatch):
+    monkeypatch.setenv("KPLANE_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+def test_bad_threads_env_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("KPLANE_THREADS", "abc")
+    assert main(["verify"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "KPLANE_THREADS" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value,expected", [(None, 1), ("", 1), (" ", 1), ("0", 1), ("3", 3)])
+def test_threads_env_default(monkeypatch, value, expected):
+    if value is None:
+        monkeypatch.delenv("KPLANE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("KPLANE_THREADS", value)
+    assert transform._thread_count(None) == expected
+    assert transform._thread_count(2) == 2

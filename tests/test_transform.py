@@ -4,6 +4,8 @@ import pytest
 from kplane.transform import sino_dot
 from kplane import (
     DomainError,
+    FieldInterpolator,
+    Frame,
     GridField,
     GridSpec,
     MollifiedAtom,
@@ -16,9 +18,11 @@ from kplane import (
     TruncationWarning,
     backproject,
     calibrate_gain,
+    complete_frame,
     fbp,
     field_dot,
     forward,
+    forward_at,
     frameset_circle,
     frameset_haar,
     gaussian_field,
@@ -370,3 +374,67 @@ def test_sino_dot_requires_matching_grids():
     b = Sinogram(2, 1, list(frames.frames), tgrid_1d(16, 0.25), np.ones((4, 16)))
     with pytest.raises(DomainError):
         sino_dot(a, b)
+
+
+def _dense_forward_at(interp, rows, t_pts, quad):
+    """The unclipped rule: interpolate every tensor node, then a weighted sum."""
+    m, d = rows.shape
+    b = complete_frame(Frame(d, d - m, rows))
+    nodes, weights = quad.nodes_weights(d - m)
+    t_pts = np.asarray(t_pts, dtype=float)
+    base = t_pts.reshape(-1, m) @ rows
+    pts = base[None, :, :] + (nodes @ b.T)[:, None, :]
+    return (weights[:, None] * interp(pts)).sum(axis=0).reshape(t_pts.shape[:-1])
+
+
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
+def test_forward_at_matches_dense_quadrature(d, k, order):
+    n = {2: 24, 3: 10, 4: 6}[d]
+    spec = GridSpec.centered(d, n, 0.3)
+    rng = np.random.default_rng(10 * d + k)
+    fld = GridField(spec.origin, spec.spacing, spec.shape, rng.random(spec.shape) + 0.5)
+    interp = FieldInterpolator(fld, order=order)
+    quad = QuadSpec.default_for(spec)
+    m = d - k
+    frames = [fr.rows for fr in frameset_haar(d, k, 4, RngSeed(d, k))]
+    frames.append(np.eye(d)[:m])  # axis aligned: the completion B has zero components
+    if d == 2:
+        frames += [fr.rows for fr in frameset_circle(4)]  # cos(pi/2) is not exactly 0
+    half = -spec.origin[0]
+    t_pts = rng.uniform(-1.2 * half, 1.2 * half, size=(2, 5, m))
+    t_pts[0, 0] = 10.0 * half  # this plane misses the box
+    t_pts[0, 1] = half  # on a face of the box for the axis-aligned frame
+    for rows in frames:
+        got = forward_at(interp, rows, t_pts, quad)
+        ref = _dense_forward_at(interp, rows, t_pts, quad)
+        assert got.shape == (2, 5)
+        assert got[0, 0] == 0.0
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref).max())
+
+
+def test_forward_interpolates_only_near_box(monkeypatch):
+    spec = GridSpec.centered(3, 16, 0.3)
+    fld = gaussian_field(spec)
+    frames = frameset_haar(3, 2, 8, RngSeed(5))
+    tg = TGrid.centered(1, 24, 0.3)
+    quad = QuadSpec.default_for(spec)
+    hi = spec.origin + spec.spacing * (np.array(spec.shape) - 1)
+    counts = {"points": 0, "inbox": 0}
+    call = FieldInterpolator.__call__
+
+    def counting(self, pts):
+        flat = np.asarray(pts).reshape(-1, 3)
+        counts["points"] += flat.shape[0]
+        counts["inbox"] += int(np.all((flat >= spec.origin) & (flat <= hi), axis=1).sum())
+        return call(self, pts)
+
+    monkeypatch.setattr(FieldInterpolator, "__call__", counting)
+    forward(fld, frames, tg, quad, order=1, threads=1)
+    clipped = dict(counts)
+    counts.update(points=0, inbox=0)
+    interp = FieldInterpolator(fld, order=1)
+    for fr in frames:
+        _dense_forward_at(interp, fr.rows, tg.points(), quad)
+    assert clipped["inbox"] == counts["inbox"] > 0
+    assert clipped["inbox"] >= 0.8 * clipped["points"]
