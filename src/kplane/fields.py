@@ -155,6 +155,7 @@ class QuadSpec:
 
     halfwidth: float
     nodes_per_axis: int
+    _tensor: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.halfwidth <= 0:
@@ -171,17 +172,14 @@ class QuadSpec:
         return y, w
 
     def nodes_weights(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Tensor nodes (n^k, k) and weights (n^k,); weights sum to (2L)^k."""
-        y, w = self.nodes_weights_1d()
-        if k == 1:
-            return y[:, None], w
-        grids = np.meshgrid(*([y] * k), indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=-1)
-        weights = np.ones(nodes.shape[0])
-        for axis in range(k):
-            wg = np.meshgrid(*([w] * k), indexing="ij")[axis].ravel()
-            weights *= wg
-        return nodes, weights
+        """Tensor nodes (n^k, k) and weights (n^k,) summing to (2L)^k; built once, read-only."""
+        if k not in self._tensor:
+            y, w = self.nodes_weights_1d()
+            nodes = np.stack([g.ravel() for g in np.meshgrid(*([y] * k), indexing="ij")], axis=-1)
+            weights = np.prod(np.meshgrid(*([w] * k), indexing="ij"), axis=0).ravel()
+            nodes.flags.writeable = weights.flags.writeable = False
+            self._tensor.setdefault(k, (nodes, weights))
+        return self._tensor[k]
 
     @classmethod
     def default_for(cls, spec: GridSpec) -> "QuadSpec":
@@ -191,37 +189,12 @@ class QuadSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class TGrid:
+class TGrid(GridSpec):
     """Uniform offset grid in R^(d-k) shared by all frames of a sinogram."""
-
-    origin: np.ndarray
-    spacing: float
-    shape: tuple[int, ...]
-
-    def __post_init__(self):
-        spec = GridSpec(self.origin, self.spacing, self.shape)
-        object.__setattr__(self, "origin", spec.origin)
-        object.__setattr__(self, "spacing", spec.spacing)
-        object.__setattr__(self, "shape", spec.shape)
 
     @property
     def m(self) -> int:
         return len(self.shape)
-
-    @classmethod
-    def centered(cls, m: int, n: int, spacing: float) -> "TGrid":
-        return cls(np.full(m, -spacing * (n - 1) / 2.0), spacing, (n,) * m)
-
-    def axes(self) -> list[np.ndarray]:
-        return [self.origin[i] + self.spacing * np.arange(n) for i, n in enumerate(self.shape)]
-
-    def points(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape))
 
     def cell_volume(self) -> float:
         return float(self.spacing**self.m)
@@ -254,10 +227,9 @@ class Sinogram:
             raise DomainError(
                 f"t-grid dimension {self.t_grid.m} != d-k = {self.d - self.k}"
             )
-        vals = np.asarray(self.values, dtype=float)
-        expect = (len(self.frames),) + self.t_grid.shape
-        if vals.shape != expect:
-            vals = vals.reshape(expect)
+        vals = np.asarray(self.values, dtype=float).reshape((len(self.frames),) + self.t_grid.shape)
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("sinogram values must be finite")
         self.values = vals
 
     @property
@@ -272,13 +244,43 @@ class Sinogram:
         return Sinogram(self.d, self.k, list(self.frames), self.t_grid, values, generator)
 
 
+def lerp_t(flat: np.ndarray, shape: tuple[int, ...], u: list[np.ndarray],
+           base: np.ndarray | float = 0.0) -> tuple[np.ndarray, int]:
+    """Multilinear reads of finite row-major t-blocks stored back to back in flat.
+
+    u[j] is the index coordinate along t-axis j and base the flat offset of
+    each point's t-block, all broadcasting together.  Points outside [0, n-1]
+    on any axis read exactly 0, as map_coordinates(mode="constant") does; the
+    mask is built only when an axis's exact bounds leave the grid.  Returns
+    the values and the number of points outside.
+    """
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    pos, weights, offsets, inside = np.asarray(base, dtype=float), [], [0], None
+    for uj, n, stride in zip(u, shape, strides):
+        if uj.min() < 0.0 or uj.max() > n - 1:
+            ok = (uj >= 0.0) & (uj <= n - 1)
+            inside = ok if inside is None else inside & ok
+        lo = np.floor(uj)
+        pos = pos + (lo * stride if stride > 1 else lo)
+        frac = uj - lo
+        weights.append((1.0 - frac, frac))
+        offsets = [o + s for o in offsets for s in (0, int(stride))]
+    # no clip: a corner past an axis end has weight 0 inside the grid, and
+    # points outside are masked, so any finite value ("wrap") will do
+    idx = pos.astype(np.intp)
+    vals = [flat[o:].take(idx, mode="wrap") for o in offsets]
+    for w_lo, w_hi in reversed(weights):  # nested lerp, last axis first
+        vals = [a * w_lo + b * w_hi for a, b in zip(vals[::2], vals[1::2])]
+    if inside is None:
+        return vals[0], 0
+    return vals[0] * inside, int(inside.size - np.count_nonzero(inside))
+
+
 def interp_t_block(block: np.ndarray, t_grid: TGrid, t_pts: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of one frame's t-block; 0 outside the grid."""
     t_pts = np.asarray(t_pts, dtype=float)
-    lead = t_pts.shape[:-1]
-    coords = ((t_pts.reshape(-1, t_grid.m) - t_grid.origin) / t_grid.spacing).T
-    out = ndimage.map_coordinates(block, coords, order=1, mode="constant", cval=0.0, prefilter=False)
-    return out.reshape(lead)
+    u = [(t_pts[..., j] - t_grid.origin[j]) / t_grid.spacing for j in range(t_grid.m)]
+    return lerp_t(np.ravel(block), t_grid.shape, u)[0]
 
 
 # --- KPT1 binary format ----------------------------------------------------
@@ -324,7 +326,12 @@ def write_kpt(path, obj: GridField | Sinogram) -> None:
         fh.write(payload)
 
 
+_GRID_KEYS = {"d": int, "origin": list, "spacing": (int, float), "shape": list}
+_HEADER_KEYS = {"grid": _GRID_KEYS, "sinogram": {**_GRID_KEYS, "k": int, "frames": list}}
+
+
 def read_kpt(path) -> GridField | Sinogram:
+    """Read a KPT1 file; a malformed header or payload raises FormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
@@ -338,29 +345,32 @@ def read_kpt(path) -> GridField | Sinogram:
         header = json.loads(blob[8 : 8 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"header is not valid JSON ({exc})", offset=8) from exc
-    payload = blob[8 + hlen :]
-    payload_offset = 8 + hlen
+    kind = header.get("kind") if isinstance(header, dict) else None
+    if kind not in ("grid", "sinogram"):
+        raise FormatError(f"unknown kind {kind!r}", offset=8)
+    for key, types in _HEADER_KEYS[kind].items():
+        if not isinstance(header.get(key), types) or isinstance(header.get(key), bool):
+            raise FormatError(f"header key {key!r} is missing or mistyped", offset=8)
+    d, k, shape = header["d"], header.get("k", 0), tuple(header["shape"])
+    try:
+        origin = np.array(header["origin"], dtype=float)
+        frames = [Frame(d, k, np.array(rows, dtype=float)) for rows in header.get("frames", [])]
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad header origin or frame rows ({exc})", offset=8) from exc
+    if not origin.shape == (len(shape),) == (d - k,) or not all(isinstance(n, int) for n in shape):
+        raise FormatError(f"header origin {origin} and shape {shape} disagree", offset=8)
 
-    kind = header.get("kind")
-    shape = tuple(int(n) for n in header.get("shape", ()))
-    count = int(np.prod(shape)) if shape else 0
+    payload_offset = 8 + hlen
+    payload = blob[payload_offset:]
+    full = ((len(frames),) if kind == "sinogram" else ()) + shape
+    expected = 8 * int(np.prod(full))
+    if len(payload) != expected:
+        raise FormatError(
+            f"payload is {len(payload)} bytes, expected {expected}", offset=payload_offset
+        )
+    values = np.frombuffer(payload, dtype="<f8").reshape(full).copy()
+    if not np.all(np.isfinite(values)):
+        raise FormatError("payload holds non-finite values", offset=payload_offset)
     if kind == "grid":
-        expected = 8 * count
-        if len(payload) != expected:
-            raise FormatError(
-                f"payload is {len(payload)} bytes, expected {expected}", offset=payload_offset
-            )
-        values = np.frombuffer(payload, dtype="<f8").reshape(shape)
-        return GridField(np.array(header["origin"]), header["spacing"], shape, values.copy())
-    if kind == "sinogram":
-        d, k = int(header["d"]), int(header["k"])
-        frames = [Frame(d, k, np.array(rows)) for rows in header["frames"]]
-        expected = 8 * count * len(frames)
-        if len(payload) != expected:
-            raise FormatError(
-                f"payload is {len(payload)} bytes, expected {expected}", offset=payload_offset
-            )
-        values = np.frombuffer(payload, dtype="<f8").reshape((len(frames),) + shape)
-        t_grid = TGrid(np.array(header["origin"]), header["spacing"], shape)
-        return Sinogram(d, k, frames, t_grid, values.copy())
-    raise FormatError(f"unknown kind {kind!r}", offset=8)
+        return GridField(origin, header["spacing"], shape, values)
+    return Sinogram(d, k, frames, TGrid(origin, header["spacing"], shape), values)

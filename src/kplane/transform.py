@@ -5,7 +5,8 @@ trapezoid quadrature in the plane coordinates, interpolating only the nodes
 inside the grid box: the rest contribute exact zeros.  backproject() averages a
 sinogram over its frames at t = A x and scales by the total Haar mass of
 the Stiefel manifold, so that ramp-filtered backprojection inverts the
-forward map.  Everything is pure and parallelizes over frames.
+forward map, reading blocks of frames in one vectorised gather that is exactly
+0 outside the t-grid.  Everything is pure and parallelizes over frames.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .fields import (
     QuadSpec,
     Sinogram,
     TGrid,
-    interp_t_block,
+    lerp_t,
 )
 from .filters import ramp_filter
 from .geometry import Frame, RngSeed, complete_frame, haar_frame_sample, stiefel_total_mass
@@ -226,23 +227,38 @@ def backproject(
 ) -> GridField:
     """Dual transform: Haar mass times the frame average of g(A, A x).
 
-    Interpolation is multilinear in t only, never across frames.  Points of
-    the output grid whose offset A x falls outside the t-grid contribute 0
-    and raise a truncation warning.
+    Interpolation is multilinear in t only, never across frames.  A block of
+    about 2^14 frames x grid points is read at once: its t-grid
+    index coordinates u = (A x - o) / h are broadcast over the grid axes and
+    read by one gather (fields.lerp_t).  Grid points whose A x leaves the
+    t-grid on any axis read exactly 0 and raise a truncation warning.  Blocks
+    add into fixed 64-frame partial sums, so threads do not change the result.
     """
-    pts = grid.points()
+    d, tg = grid.d, sino.t_grid
+    if d != sino.d:
+        raise DomainError(f"grid dimension {d} != sinogram d = {sino.d}")
     mass = stiefel_total_mass(sino.d, sino.k)
-    lo = sino.t_grid.origin
-    hi = sino.t_grid.origin + sino.t_grid.spacing * (np.array(sino.t_grid.shape) - 1)
+    # u[f, j] = sum_i terms[i][f, j]: grid axis i's share, varying along axis i only
+    rows = np.stack([fr.rows for fr in sino.frames])
+    terms = [(rows[..., i, None] * (grid.spacing / tg.spacing) * np.arange(n)).reshape(
+        rows.shape[:2] + tuple(n if a == i else 1 for a in range(d)))
+        for i, n in enumerate(grid.shape)]
+    terms[0] += ((rows @ grid.origin - tg.origin) / tg.spacing).reshape(rows.shape[:2] + (1,) * d)
+    flat = sino.values.reshape(-1)
     chunk = 64  # frames per partial sum; fixed so results are reproducible
+    block = max(1, (1 << 14) // grid.size)  # frames per gather; larger blocks raise peak RSS
 
-    def run_chunk(start: int) -> tuple[np.ndarray, int]:
-        partial = np.zeros(grid.size)
+    def run_chunk(first: int) -> tuple[np.ndarray, int]:
+        partial = np.zeros(grid.shape)
         outside = 0
-        for idx in range(start, min(start + chunk, sino.n_frames)):
-            t = pts @ sino.frames[idx].rows.T
-            outside += int(np.count_nonzero(np.any((t < lo) | (t > hi), axis=-1)))
-            partial += interp_t_block(sino.values[idx], sino.t_grid, t)
+        stop = min(first + chunk, sino.n_frames)
+        for f0 in range(first, stop, block):
+            f = slice(f0, min(f0 + block, stop))
+            u = [sum(term[f, j] for term in terms) for j in range(sino.m)]
+            base = (tg.size * np.arange(f.start, f.stop, dtype=float)).reshape((-1,) + (1,) * d)
+            vals, out = lerp_t(flat, tg.shape, u, base)
+            partial += vals.sum(axis=0)
+            outside += out
         return partial, outside
 
     starts = range(0, sino.n_frames, chunk)
@@ -253,7 +269,7 @@ def backproject(
     else:
         results = [run_chunk(s) for s in starts]
 
-    total = np.zeros(grid.size)
+    total = np.zeros(grid.shape)
     truncated = 0
     for partial, outside in results:
         total += partial
@@ -265,8 +281,7 @@ def backproject(
             TruncationWarning,
             stacklevel=2,
         )
-    values = (mass / sino.n_frames) * total
-    return GridField(grid.origin, grid.spacing, grid.shape, values.reshape(grid.shape))
+    return GridField(grid.origin, grid.spacing, grid.shape, (mass / sino.n_frames) * total)
 
 
 def fbp(sino: Sinogram, d: int, k: int, grid: GridSpec,
@@ -323,7 +338,8 @@ def moment_integral(sino: Sinogram, n: int, m_order: int) -> np.ndarray:
     return cell * (flat * t_n[None, :]).sum(axis=1)
 
 
-def same_t_grid(a: TGrid, b: TGrid) -> bool:
+def same_grid(a: GridSpec | GridField, b: GridSpec | GridField) -> bool:
+    """Equal shape, spacing and origin."""
     return (
         a.shape == b.shape
         and a.spacing == b.spacing
@@ -333,7 +349,7 @@ def same_t_grid(a: TGrid, b: TGrid) -> bool:
 
 def sino_dot(a: Sinogram, b: Sinogram) -> float:
     """Discrete pairing on Xi_k: Haar mass x frame mean of the t-grid sums."""
-    if (a.d, a.k, a.n_frames) != (b.d, b.k, b.n_frames) or not same_t_grid(a.t_grid, b.t_grid):
+    if (a.d, a.k, a.n_frames) != (b.d, b.k, b.n_frames) or not same_grid(a.t_grid, b.t_grid):
         raise DomainError("sinograms must share frames and t-grid")
     mass = stiefel_total_mass(a.d, a.k)
     per_frame = (a.values * b.values).reshape(a.n_frames, -1).sum(axis=1)
@@ -353,12 +369,15 @@ def sino_mass(a: Sinogram) -> float:
 
 def field_dot(a: GridField, b: GridField) -> float:
     """Grid quadrature pairing h^d sum(a * b)."""
-    if a.shape != b.shape or a.spacing != b.spacing:
+    if not same_grid(a, b):
         raise DomainError("fields must share a grid")
     return float(a.spacing**a.d * (a.values * b.values).sum())
 
 
 def rel_l2_error(approx: GridField, truth: GridField) -> float:
+    """||approx - truth|| / ||truth|| over a shared grid."""
+    if not same_grid(approx, truth):
+        raise DomainError("fields must share a grid")
     denom = float(np.sqrt((truth.values**2).sum()))
     if denom == 0.0:
         raise DomainError("reference field is identically zero")

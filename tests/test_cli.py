@@ -282,3 +282,38 @@ def test_threads_env_default(monkeypatch, value, expected):
         monkeypatch.setenv("KPLANE_THREADS", value)
     assert transform._thread_count(None) == expected
     assert transform._thread_count(2) == 2
+
+
+def test_kpt_header_without_origin_exit_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(out))
+    assert main(["phantom", "--config", path]) == 0
+    blob = (out / "phantom.kpt").read_bytes()
+    hlen = int.from_bytes(blob[4:8], "little")
+    header = json.loads(blob[8 : 8 + hlen])
+    del header["origin"]
+    raw = json.dumps(header).encode()
+    (out / "phantom.kpt").write_bytes(b"KPT1" + len(raw).to_bytes(4, "little") + raw
+                                      + blob[8 + hlen :])
+    capsys.readouterr()
+    assert main(["forward", "--config", path]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "'origin'" in err and "byte offset 8" in err
+    assert "Traceback" not in err
+
+
+def test_fbp_grid_mismatch_exit_4(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["grid"] = {"origin": [-3.1, -3.1], "spacing": 0.2, "shape": [32, 32]}
+    cfg["frames"]["count"] = 16
+    path = write_config(tmp_path, cfg)
+    assert main(["phantom", "--config", path]) == 0
+    assert main(["forward", "--config", path]) == 0
+    cfg["grid"] = {"origin": [-1.5, -1.5], "spacing": 0.2, "shape": [16, 16]}
+    small = write_config(tmp_path, cfg, name="small.json")
+    capsys.readouterr()
+    assert main(["fbp", "--config", small]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and "share a grid" in err
+    assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,19 @@ def test_quadspec_weights_sum():
         quad = QuadSpec(2.5, 9)
         _, w = quad.nodes_weights(k)
         assert w.sum() == pytest.approx((2 * 2.5) ** k, rel=1e-12)
+
+
+def test_quadspec_nodes_weights_built_once_read_only():
+    quad = QuadSpec(2.5, 9)
+    for k in (1, 2, 3):
+        nodes, weights = quad.nodes_weights(k)
+        again = quad.nodes_weights(k)
+        assert again[0] is nodes and again[1] is weights
+        assert nodes.shape == (9**k, k) and weights.shape == (9**k,)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+    assert quad == QuadSpec(2.5, 9) and hash(quad) == hash(QuadSpec(2.5, 9))
 
 
 def test_quadspec_validation():
@@ -162,6 +177,11 @@ def test_sinogram_validation():
     bad_frame = Frame(3, 2, haar_frame_sample(3, 2, RngSeed(0)).rows)
     with pytest.raises(DomainError):
         Sinogram(3, 1, [bad_frame], sino.t_grid, np.zeros((1, 6, 6)))
+    for bad in (np.nan, np.inf, -np.inf):
+        values = sino.values.copy()
+        values[2, 3, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            Sinogram(3, 1, sino.frames, sino.t_grid, values)
 
 
 def test_cubic_interpolator_outside_is_zero():
@@ -194,6 +214,60 @@ def test_kpt_unknown_kind(tmp_path):
     blob = b"KPT1" + _struct.pack("<I", len(header)) + header + b"\0" * 16
     path = tmp_path / "weird.kpt"
     path.write_bytes(blob)
+    with pytest.raises(FormatError) as err:
+        read_kpt(path)
+    assert err.value.offset == 8
+
+
+def _kpt_parts(path):
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[4:8], "little")
+    return json.loads(blob[8 : 8 + hlen]), blob[8 + hlen :]
+
+
+def _write_parts(path, header, payload):
+    raw = json.dumps(header).encode()
+    path.write_bytes(b"KPT1" + len(raw).to_bytes(4, "little") + raw + payload)
+
+
+@pytest.mark.parametrize("obj", [make_field, make_sinogram])
+def test_kpt_nonfinite_payload(tmp_path, obj):
+    path = tmp_path / "nan.kpt"
+    write_kpt(path, obj())
+    header, payload = _kpt_parts(path)
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    values[5] = np.nan
+    _write_parts(path, header, values.tobytes())
+    with pytest.raises(FormatError, match="non-finite") as err:
+        read_kpt(path)
+    assert err.value.offset == path.stat().st_size - len(payload)
+
+
+def _drop(key):
+    return pytest.param(lambda h: {name: v for name, v in h.items() if name != key},
+                        id=f"no-{key}")
+
+
+@pytest.mark.parametrize("mutate", [
+    *(_drop(key) for key in ("kind", "d", "k", "origin", "spacing", "shape", "frames")),
+    pytest.param(lambda h: {**h, "d": "3"}, id="d-str"),
+    pytest.param(lambda h: {**h, "k": 1.0}, id="k-float"),
+    pytest.param(lambda h: {**h, "spacing": True}, id="spacing-bool"),
+    pytest.param(lambda h: {**h, "origin": 0.0}, id="origin-scalar"),
+    pytest.param(lambda h: {**h, "shape": [6, 6.0]}, id="shape-float"),
+    pytest.param(lambda h: {**h, "origin": [0.0, "x"]}, id="origin-str"),
+    pytest.param(lambda h: {**h, "origin": [0.0]}, id="origin-short"),
+    pytest.param(lambda h: {**h, "shape": [6, 6, 1], "origin": [0.0] * 3}, id="shape-vs-d"),
+    pytest.param(lambda h: {**h, "frames": {"rows": 1}}, id="frames-dict"),
+    pytest.param(lambda h: {**h, "frames": [[[1.0, 0.0]]] * 4}, id="frames-2d"),
+    pytest.param(lambda h: {**h, "frames": [[[1.0, 1.0, 0.0]]] * 4}, id="frames-skew"),
+    pytest.param(lambda h: [h], id="header-list"),
+])
+def test_kpt_header_schema(tmp_path, mutate):
+    path = tmp_path / "bad.kpt"
+    write_kpt(path, make_sinogram())
+    header, payload = _kpt_parts(path)
+    _write_parts(path, mutate(header), payload)
     with pytest.raises(FormatError) as err:
         read_kpt(path)
     assert err.value.offset == 8

@@ -1,6 +1,11 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from kplane.fields import interp_t_block
 from kplane.transform import sino_dot
 from kplane import (
     DomainError,
@@ -154,6 +159,14 @@ def test_backproject_empty_frames_rejected():
         Sinogram(2, 1, [], tgrid_1d(), np.zeros((0, 64)))
 
 
+def test_backproject_rejects_grid_of_other_dimension():
+    frames = frameset_haar(3, 1, 4, RngSeed(2))
+    sino = Sinogram(3, 1, list(frames.frames), TGrid.centered(2, 8, 0.5), np.ones((4, 8, 8)))
+    for grid in (GridSpec.centered(2, 6, 0.5), GridSpec.centered(4, 6, 0.5)):
+        with pytest.raises(DomainError, match="grid dimension"):
+            backproject(sino, grid)
+
+
 def test_backproject_mollified_atom_is_ridge():
     # analytic Gaussian-profile ridge as oracle for the dual transform
     frames = frameset_haar(3, 1, 2000, RngSeed(7))
@@ -264,12 +277,21 @@ def test_adjointness_of_forward_and_backproject():
 
 
 def test_backproject_thread_order_independence():
+    # 200 frames span four 64-frame partial sums; every thread count must
+    # reproduce the same bits
     mix = mixture_field(GRID_2D, [[0.5, -0.3]], [1.0])
-    frames = frameset_circle(32)
+    frames = frameset_circle(200)
     sino = forward(mix, frames, tgrid_1d(128), QUAD_2D_WIDE, order=1)
+    spec = GridSpec.centered(3, 12, 0.4)
+    frames_3d = frameset_haar(3, 1, 200, RngSeed(8))
+    rng = np.random.default_rng(8)
+    sino_3d = Sinogram(3, 1, list(frames_3d.frames), TGrid.centered(2, 24, 0.4),
+                       rng.random((200, 24, 24)))
     rec1 = fbp(sino, 2, 1, GRID_2D, threads=1)
-    rec2 = fbp(sino, 2, 1, GRID_2D, threads=4)
-    assert np.abs(rec1.values - rec2.values).max() <= 1e-10
+    back1 = backproject(sino_3d, spec, threads=1)
+    for threads in (2, 3, 4):
+        assert np.array_equal(fbp(sino, 2, 1, GRID_2D, threads=threads).values, rec1.values)
+        assert np.array_equal(backproject(sino_3d, spec, threads=threads).values, back1.values)
 
 
 def test_forward_generator_consistency():
@@ -438,3 +460,65 @@ def test_forward_interpolates_only_near_box(monkeypatch):
         _dense_forward_at(interp, fr.rows, tg.points(), quad)
     assert clipped["inbox"] == counts["inbox"] > 0
     assert clipped["inbox"] >= 0.8 * clipped["points"]
+
+
+def _loop_backproject(sino, grid):
+    """The per-frame rule: A x for every grid point, then map_coordinates order 1."""
+    pts = grid.points()
+    tg = sino.t_grid
+    total, outside, hi = np.zeros(grid.size), 0, np.array(tg.shape) - 1
+    for fr, block in zip(sino.frames, sino.values):
+        t = pts @ fr.rows.T
+        coords = ((t - tg.origin) / tg.spacing).T
+        outside += int(np.count_nonzero(np.any((coords.T < 0) | (coords.T > hi), axis=-1)))
+        total += ndimage.map_coordinates(block, coords, order=1, mode="constant", cval=0.0,
+                                         prefilter=False)
+    mass = stiefel_total_mass(sino.d, sino.k)
+    return (mass / sino.n_frames) * total.reshape(grid.shape), outside
+
+
+def _truncated_reads(caught):
+    found = [re.search(r"(\d+) of \d+ backprojection reads", str(w.message)) for w in caught]
+    return sum(int(m.group(1)) for m in found if m)
+
+
+@pytest.mark.parametrize("d,k,n_frames", [(2, 1, 70), (3, 2, 70), (3, 1, 20), (4, 1, 5)])
+def test_backproject_matches_per_frame_map_coordinates(d, k, n_frames):
+    m = d - k
+    # t-grid nodes cover [-2, 2]; grid nodes cover [-2.5, 2.5], so axis-aligned
+    # frames put grid points exactly on the t-grid's end nodes and past them
+    tg = TGrid(np.full(m, -2.0), 0.25, (17,) * m)
+    grid = GridSpec.centered(d, 11, 0.5)
+    frames = list(frameset_haar(d, k, n_frames - 2, RngSeed(d, k)).frames)
+    frames += [Frame(d, k, np.eye(d)[:m]), Frame(d, k, -np.eye(d)[::-1][:m])]
+    rng = np.random.default_rng(d + 10 * k)
+    sino = Sinogram(d, k, frames, tg, rng.random((n_frames,) + tg.shape) - 0.3)
+    ref, ref_outside = _loop_backproject(sino, grid)
+    assert ref_outside > 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        got = backproject(sino, grid, threads=1)
+    assert _truncated_reads(caught) == ref_outside
+    assert np.all(np.abs(got.values - ref) <= 1e-12 * np.abs(ref).max())
+    # the nearest-frame lookup reads single t-blocks through the same kernel
+    t_pts = rng.uniform(-2.6, 2.6, size=(40, m))
+    t_pts[:2] = [np.full(m, -2.0), np.full(m, 2.0)]  # end nodes read exactly
+    coords = ((t_pts - tg.origin) / tg.spacing).T
+    ref_t = ndimage.map_coordinates(sino.values[0], coords, order=1, mode="constant",
+                                    cval=0.0, prefilter=False)
+    got_t = interp_t_block(sino.values[0], tg, t_pts)
+    assert got_t[0] == sino.values[0][(0,) * m] and got_t[1] == sino.values[0][(-1,) * m]
+    assert np.all(np.abs(got_t - ref_t) <= 1e-12 * np.abs(ref_t).max())
+    assert np.all(got_t[ref_t == 0.0] == 0.0)
+
+
+def test_field_pairings_require_matching_grids():
+    spec = GridSpec.centered(2, 8, 0.5)
+    a = gaussian_field(spec)
+    for other in (GridSpec.centered(2, 16, 0.5), GridSpec.centered(2, 8, 0.25),
+                  GridSpec(spec.origin + 0.1, 0.5, spec.shape)):
+        b = gaussian_field(other)
+        with pytest.raises(DomainError, match="fields must share a grid"):
+            rel_l2_error(a, b)
+        with pytest.raises(DomainError, match="fields must share a grid"):
+            field_dot(a, b)
