@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analytic, filters, geometry, isotropy, sparse, transform
 from .errors import DomainError, FormatError, TruncationWarning
-from .fields import GridField, GridSpec, QuadSpec, TGrid, integrate, read_kpt, write_kpt
+from .fields import GridField, GridSpec, QuadSpec, Sinogram, TGrid, integrate, read_kpt, write_kpt
 from .geometry import RngSeed
 
 EXIT_OK = 0
@@ -160,6 +160,14 @@ def _write_slice_csv(path: Path, fld: GridField) -> None:
             fh.write(f"{x!r},{v!r}\n")
 
 
+def _read_kind(path: Path, kind: type):
+    """Read a KPT file that must hold a ``kind`` (GridField or Sinogram)."""
+    obj = read_kpt(path)
+    if not isinstance(obj, kind):
+        raise FormatError(f"{path} does not hold a {kind.__name__}", offset=8)
+    return obj
+
+
 def _capture_warnings():
     return warnings.catch_warnings(record=True)
 
@@ -186,9 +194,7 @@ def cmd_phantom(cfg: dict, out_dir: str | None, seed: int | None, threads: int |
 def cmd_forward(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
     grid = _grid_from(cfg)
     phantom_path = _out_path(cfg, out_dir, "phantom", "phantom.kpt")
-    fld = read_kpt(phantom_path)
-    if not isinstance(fld, GridField):
-        raise FormatError(f"{phantom_path} does not hold a grid field", offset=8)
+    fld = _read_kind(phantom_path, GridField)
     frames = _frames_from(cfg, seed)
     t_grid = _tgrid_from(cfg)
     quad = _quad_from(cfg)
@@ -213,7 +219,7 @@ def cmd_forward(cfg: dict, out_dir: str | None, seed: int | None, threads: int |
 def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
     grid = _grid_from(cfg)
     sino_path = _out_path(cfg, out_dir, "sinogram", "sinogram.kpt")
-    sino = read_kpt(sino_path)
+    sino = _read_kind(sino_path, Sinogram)
     pad = float(cfg.get("filter", {}).get("pad_factor", 2.0))
     caught: list = []
     t0 = time.perf_counter()
@@ -228,7 +234,7 @@ def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None, threads: int | Non
     report = {"timings_ms": {"fbp": elapsed}, "warnings": [str(w.message) for w in caught]}
     phantom_path = _out_path(cfg, out_dir, "phantom", "phantom.kpt")
     if phantom_path.exists():
-        reference = read_kpt(phantom_path)
+        reference = _read_kind(phantom_path, GridField)
         report["rel_l2_vs_reference"] = transform.rel_l2_error(recon, reference)
         denom = float((recon.values**2).sum())
         report["gain"] = (
@@ -286,7 +292,9 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
 
     angles = np.pi * np.arange(n_frames) / n_frames
     frames = [geometry.Frame(2, 1, np.array([[math.cos(a), math.sin(a)]])) for a in angles]
+    t_dict = time.perf_counter()
     dico = sparse.build_dictionary(frames, offsets, s, d, k)
+    timings = {"dictionary": 1000 * (time.perf_counter() - t_dict)}
 
     rng_seed = int(sp.get("seed", 0)) if seed is None else int(seed)
     gen = RngSeed(rng_seed, int(sp.get("stream", 0))).generator()
@@ -301,6 +309,7 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
 
     t0 = time.perf_counter()
     gram = sparse.assemble(dico, meas, grid)
+    timings["assemble"] = 1000 * (time.perf_counter() - t0)
     planted = sp.get("planted")
     if planted:
         a_true = np.zeros(len(dico))
@@ -310,15 +319,17 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
         y = gram @ a_true
     else:
         phantom_path = _out_path(cfg, out_dir, "phantom", "phantom.kpt")
-        fld = read_kpt(phantom_path)
+        fld = _read_kind(phantom_path, GridField)
         cell = grid.spacing**grid.d
         y = np.array([cell * (h.values * fld.values).sum() for h in functionals])
 
     lam = lam_rule * float(np.abs(gram.T @ y).max())
-    problem = sparse.LassoProblem(gram, y, lam, tol=tol, max_iter=max_iter)
+    problem = sparse.LassoProblem(gram, y, lam, tol=tol, max_iter=max_iter, stats={})
+    t_solve = time.perf_counter()
     coeffs = sparse.solve_lasso(problem)
+    timings["solve"] = 1000 * (time.perf_counter() - t_solve)
     recon = sparse.reconstruct(coeffs, dico, grid)
-    elapsed = 1000 * (time.perf_counter() - t0)
+    timings["reconstruct"] = 1000 * (time.perf_counter() - t0)
 
     recon_path = _out_path(cfg, out_dir, "reconstruction", "sparse_recon.kpt")
     write_kpt(recon_path, recon)
@@ -337,7 +348,8 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
     sol_path = _out_path(cfg, out_dir, "solution", "solution.json")
     _write_report(sol_path, solution)
     report = {
-        "timings_ms": {"reconstruct": elapsed},
+        "timings_ms": timings,
+        "counters": problem.stats,
         "support_size": len(solution["support"]),
         "warnings": [],
     }

@@ -11,6 +11,7 @@ rho_s obtained as the Green's function of the Bessel potential.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -299,24 +300,32 @@ def inverse_radial_profile(omega: np.ndarray, prof: np.ndarray, n: int,
 
 
 class RadialTable:
-    """Cached radial profile with linear interpolation and on-demand extension."""
+    """Cached radial profile with linear interpolation and on-demand extension.
+
+    ``table`` is one (radii, values) tuple that growth replaces in a single
+    assignment, so threads sharing the table read a consistent pair without a
+    lock; growth itself is serialized, so no thread's extension is lost.
+    """
 
     def __init__(self, radii: np.ndarray, values: np.ndarray,
                  extend: Callable[[np.ndarray], np.ndarray] | None = None):
-        self.radii = np.asarray(radii, dtype=float)
-        self.values = np.asarray(values, dtype=float)
+        self.table = (np.asarray(radii, dtype=float), np.asarray(values, dtype=float))
         self._extend = extend
+        self._grow = threading.Lock()
 
     def __call__(self, r) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=float))
         rmax = float(r.max()) if r.size else 0.0
-        if rmax > self.radii[-1] and self._extend is not None:
-            # extend-and-recompute: grow the table to cover the request
-            step = self.radii[1] - self.radii[0]
-            new_r = np.arange(self.radii[-1] + step, rmax + 4 * step, step)
-            self.radii = np.concatenate([self.radii, new_r])
-            self.values = np.concatenate([self.values, self._extend(new_r)])
-        return np.interp(r, self.radii, self.values)
+        if rmax > self.table[0][-1] and self._extend is not None:
+            with self._grow:
+                radii, values = self.table
+                if rmax > radii[-1]:  # extend-and-recompute to cover the request
+                    step = radii[1] - radii[0]
+                    new_r = np.arange(radii[-1] + step, rmax + 4 * step, step)
+                    self.table = (np.concatenate([radii, new_r]),
+                                  np.concatenate([values, self._extend(new_r)]))
+        radii, values = self.table
+        return np.interp(r, radii, values)
 
 
 def green_rbf(s: float, n: int, r_max: float = 12.0, dr: float = 0.02) -> RadialTable:

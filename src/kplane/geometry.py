@@ -207,14 +207,14 @@ def frobenius_distance(a: np.ndarray | Frame, b: np.ndarray | Frame) -> float:
 def orbit_distance(a: np.ndarray | Frame, b: np.ndarray | Frame) -> float:
     """Rotation-invariant distance min_U ||U A - B||_F.
 
-    Computed from the singular values of A B^T, so it respects the
-    (A, t) ~ (U A, U t) identification of k-planes.
+    Evaluated as the direct residual ||V A - B||_F with V = align_rotation(A, B),
+    so it respects the (A, t) ~ (U A, U t) identification of k-planes and
+    reads about 1e-15 for equal planes.  The closed form sqrt(2m - 2 sum sigma)
+    cancels to a floor near sqrt(eps) ~ 1.5e-8 instead.
     """
     ra = a.rows if isinstance(a, Frame) else np.asarray(a)
     rb = b.rows if isinstance(b, Frame) else np.asarray(b)
-    m = ra.shape[0]
-    s = np.linalg.svd(ra @ rb.T, compute_uv=False)
-    return math.sqrt(max(0.0, 2.0 * m - 2.0 * float(s.sum())))
+    return float(np.linalg.norm(align_rotation(ra, rb) @ ra - rb))
 
 
 def align_rotation(src: np.ndarray | Frame, dst: np.ndarray | Frame) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .analytic import RidgeAtom, ridge_eval
 from .errors import DomainError
 from .fields import GridField, GridSpec
-from .geometry import Frame, orbit_distance, align_rotation
+from .geometry import Frame
 
 DEDUP_TOL = 1e-9
 
@@ -63,6 +63,7 @@ class LassoProblem:
     lam: float
     tol: float = 1e-10
     max_iter: int = 20000
+    stats: dict | None = None  # when a dict, solve_lasso fills it with its counters
 
     def __post_init__(self):
         self.gram = np.asarray(self.gram, dtype=float)
@@ -73,39 +74,41 @@ class LassoProblem:
             raise DomainError(f"lambda must be positive, got {self.lam}")
 
 
-def _atoms_equivalent(a: RidgeAtom, b: RidgeAtom) -> bool:
-    """Same k-plane atom modulo the (A, t) ~ (U A, U t) identification."""
-    if orbit_distance(a.frame, b.frame) > DEDUP_TOL:
-        return False
-    v = align_rotation(a.frame.rows, b.frame.rows)
-    return bool(np.linalg.norm(v @ a.offset - b.offset) <= DEDUP_TOL)
-
-
 def build_dictionary(frame_grid, offset_grid, s: float, d: int, k: int) -> Dictionary:
-    """Cartesian product of frames and offsets, frame-major, duplicates rejected."""
-    frame_grid = list(frame_grid)
+    """Cartesian product of frames and offsets, frame-major, duplicates rejected.
+
+    Atoms (A_i, t_p) and (A_j, t_q) are duplicates when ||V A_i - A_j||_F and
+    ||V t_p - t_q|| are both <= DEDUP_TOL, V the Procrustes rotation of A_i onto
+    A_j (the ``geometry.orbit_distance`` rule).  One batched SVD decides this
+    once per frame pair; offsets are compared only for equivalent pairs.  The
+    ``DomainError`` names the first atom (frame-major) equal to an earlier one.
+    """
+    frame_grid = [fr if isinstance(fr, Frame) else Frame(d, k, np.atleast_2d(fr))
+                  for fr in frame_grid]
     offset_grid = [np.atleast_1d(np.asarray(t, dtype=float)) for t in offset_grid]
     if not frame_grid or not offset_grid:
         raise DomainError("frame and offset grids must be nonempty")
     if s <= d - k:
         raise DomainError(f"need s > d-k = {d - k}, got s={s}")
-    atoms: list[RidgeAtom] = []
-    for fr in frame_grid:
-        if not isinstance(fr, Frame):
-            fr = Frame(d, k, np.atleast_2d(fr))
-        for t in offset_grid:
-            atom = RidgeAtom(1.0, fr, t, profile="rbf", s=s)
-            for prev in atoms:
-                if _atoms_equivalent(prev, atom):
-                    raise DomainError(
-                        f"duplicate atom at frame {fr.rows.tolist()}, offset {t.tolist()}"
-                    )
-            atoms.append(atom)
+    atoms = [RidgeAtom(1.0, fr, t, profile="rbf", s=s) for fr in frame_grid for t in offset_grid]
+    rows, offs = np.stack([fr.rows for fr in frame_grid]), np.stack(offset_grid)
+    fi, fj = np.triu_indices(len(frame_grid))
+    p, _, qt = np.linalg.svd(rows[fi] @ rows[fj].swapaxes(1, 2))
+    v = qt.swapaxes(1, 2) @ p.swapaxes(1, 2)  # align_rotation(A_i, A_j) per pair
+    eq = np.linalg.norm(v @ rows[fi] - rows[fj], axis=(1, 2)) <= DEDUP_TOL
+    fi, fj, v = fi[eq], fj[eq], v[eq]
+    # dist[e, p, q] = ||V_e t_p - t_q||: atom (fi, p) against the later atom (fj, q)
+    dist = np.linalg.norm((offs @ v.swapaxes(1, 2))[:, :, None] - offs, axis=-1)
+    later = (fi < fj)[:, None, None] | np.triu(np.ones(dist.shape[1:], dtype=bool), 1)
+    e, _, q = np.nonzero((dist <= DEDUP_TOL) & later)
+    if e.size:
+        first = int(np.min(fj[e] * len(offs) + q))
+        fr, t = frame_grid[first // len(offs)], offset_grid[first % len(offs)]
+        raise DomainError(f"duplicate atom at frame {fr.rows.tolist()}, offset {t.tolist()}")
     # share one Green's-function table across the dictionary
-    if atoms:
-        table = atoms[0].table()
-        for atom in atoms[1:]:
-            atom._table = table
+    table = atoms[0].table()
+    for atom in atoms[1:]:
+        atom._table = table
     return Dictionary(atoms, d, k, float(s))
 
 
@@ -124,19 +127,15 @@ def solve_lasso(problem: LassoProblem, on_iterate=None) -> np.ndarray:
     Returns coefficients with F(a) <= F(0); stops when the relative objective
     decrease drops below ``tol`` or after ``max_iter`` iterations.
     ``on_iterate``, when given, receives the objective after every accepted
-    step (the restart rule makes that sequence non-increasing).
+    step (the restart rule makes that sequence non-increasing).  A dict
+    ``problem.stats`` receives ``iterations`` (accepted steps), ``restarts``,
+    ``backtracks`` (step halvings) and ``polished`` (active-set solve kept).
+
+    Three mat-vecs per iteration: e = G z - y gives f(z) = e.e and G^T e, and
+    one residual per candidate serves both the backtracking test and F.
     """
     g, y, lam = problem.gram, problem.y, problem.lam
-
-    def f_smooth(a):
-        r = y - g @ a
-        return float(r @ r)
-
-    def objective(a):
-        return f_smooth(a) + lam * float(np.abs(a).sum())
-
-    def grad(a):
-        return g.T @ (g @ a - y)  # half of the gradient of ||y - Ga||^2
+    counts = {"iterations": 0, "restarts": 0, "backtracks": 0}
 
     def prox(v, step):
         thr = lam * step / 2.0
@@ -149,35 +148,44 @@ def solve_lasso(problem: LassoProblem, on_iterate=None) -> np.ndarray:
     # step on the half-gradient; 1/||G^T G|| is the stability limit
     norm_est = np.linalg.norm(g, 2)
     step = 1.0 / max(norm_est**2, 1e-30)
-    obj = objective(a)
+    obj = float(y @ y)  # F(0)
 
     for _ in range(problem.max_iter):
-        gz = grad(z)
-        fz = f_smooth(z)
+        e = g @ z - y
+        gz = g.T @ e  # half of the gradient of ||y - Gz||^2
+        fz = float(e @ e)
         while True:
             cand = prox(z - step * gz, step)
             diff = cand - z
             # backtracking on the smooth part (factor 2: un-halved quadratic)
             quad = fz + 2.0 * float(gz @ diff) + float(diff @ diff) / step
-            if f_smooth(cand) <= quad + 1e-12 * max(1.0, abs(quad)):
+            r = y - g @ cand
+            f_cand = float(r @ r)
+            if f_cand <= quad + 1e-12 * max(1.0, abs(quad)):
                 break
             step *= 0.5
+            counts["backtracks"] += 1
             if step < 1e-18:
                 break
-        new_obj = objective(cand)
+        new_obj = f_cand + lam * float(np.abs(cand).sum())
         if new_obj > obj:  # restart momentum on objective increase
             t_mom = 1.0
             z = a.copy()
+            counts["restarts"] += 1
             continue
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
         z = cand + ((t_mom - 1.0) / t_next) * (cand - a)
         rel_drop = (obj - new_obj) / max(abs(obj), 1e-30)
         a, obj, t_mom = cand, new_obj, t_next
+        counts["iterations"] += 1
         if on_iterate is not None:
             on_iterate(obj)
         if 0.0 <= rel_drop < problem.tol:
             break
-    return _polish_active_set(problem, a, obj)
+    out = _polish_active_set(problem, a, obj)
+    if problem.stats is not None:
+        problem.stats.update(counts, polished=out is not a)
+    return out
 
 
 def _polish_active_set(problem: LassoProblem, a: np.ndarray, obj: float) -> np.ndarray:

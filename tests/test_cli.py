@@ -171,6 +171,13 @@ def test_reconstruct_planted(tmp_path):
     assert solution["kkt"]["inactive_excess"] <= solution["lambda"] / 2 * 1e-11
     recon = read_kpt(out / "sparse_recon.kpt")
     assert np.all(np.isfinite(recon.values))
+    report = json.loads((out / "report.json").read_text())
+    timings = report["timings_ms"]
+    assert set(timings) == {"dictionary", "assemble", "solve", "reconstruct"}
+    assert timings["assemble"] + timings["solve"] <= timings["reconstruct"]
+    counters = report["counters"]
+    assert set(counters) == {"iterations", "restarts", "backtracks", "polished"}
+    assert counters["iterations"] > 0 and counters["polished"] is True
 
 
 def test_phantom_ridge_sum(tmp_path):
@@ -317,3 +324,40 @@ def test_fbp_grid_mismatch_exit_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric error:") and "share a grid" in err
     assert "Traceback" not in err
+
+
+def test_fbp_rejects_wrong_input_kinds(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["frames"]["count"] = 16
+    path = write_config(tmp_path, cfg)
+    assert main(["phantom", "--config", path]) == 0
+    phantom, sino = (out / "phantom.kpt").read_bytes(), out / "sinogram.kpt"
+    sino.write_bytes(phantom)  # a grid where the sinogram should be
+    capsys.readouterr()
+    assert main(["fbp", "--config", path]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "does not hold a Sinogram" in err
+    assert main(["forward", "--config", path]) == 0
+    (out / "phantom.kpt").write_bytes(sino.read_bytes())  # a sinogram as the reference
+    capsys.readouterr()
+    assert main(["fbp", "--config", path]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "does not hold a GridField" in err
+    assert "Traceback" not in err
+
+
+def test_reconstruct_rejects_sinogram_phantom(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["frames"]["count"] = 16
+    cfg["sparse"] = {"s": 2.0, "frame_count": 4, "offset_min": -1.0, "offset_max": 1.0,
+                     "offset_count": 4, "measurements": 3}
+    path = write_config(tmp_path, cfg)
+    assert main(["phantom", "--config", path]) == 0
+    assert main(["forward", "--config", path]) == 0
+    (out / "phantom.kpt").write_bytes((out / "sinogram.kpt").read_bytes())
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", path]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "does not hold a GridField" in err

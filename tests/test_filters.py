@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from kplane import (
     ramp_filter,
     ramp_spec,
 )
-from kplane.filters import apply_radial_array
+from kplane.filters import RadialTable, apply_radial_array
 
 
 def gaussian_block(n, h, width=1.0):
@@ -231,6 +233,48 @@ def test_green_rbf_extends_on_demand():
     table = green_rbf(2.0, 1, r_max=4.0)
     val = table(9.0)
     assert val == pytest.approx(math.exp(-9) / 2, abs=1e-6)
+
+
+def test_radial_table_extension_keeps_readers_consistent():
+    # a reader that arrives while the table grows must see one whole (radii, values) pair
+    radii = np.arange(0.0, 2.01, 0.02)
+    seen = []
+
+    def extend(r):
+        seen.append(table(np.array([0.5, 1.5])))
+        return np.exp(-r)
+
+    table = RadialTable(radii, np.exp(-radii), extend=extend)
+    out = table(np.array([0.5, 3.0]))
+    assert np.allclose(seen[0], np.exp(-np.array([0.5, 1.5])), rtol=1e-3)
+    grown_r, grown_v = table.table
+    assert grown_r.size == grown_v.size and grown_r[-1] >= 3.0
+    assert np.array_equal(grown_r[: radii.size], radii)
+    assert np.allclose(out, np.exp(-np.array([0.5, 3.0])), rtol=1e-3)
+
+
+def test_radial_table_shared_across_threads():
+    # eight threads grow one shared table with a short switch interval
+    table = green_rbf(2.0, 1, r_max=1.0)
+
+    def work(i):
+        worst = 0.0
+        for j in range(25):
+            r = np.array([0.3, 1.0 + 0.1 * (8 * j + i)])
+            worst = max(worst, float(np.abs(table(r) - np.exp(-r) / 2).max()))
+        return worst
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(work, i) for i in range(8)]
+            worst = max(f.result(timeout=120) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert worst <= 1e-4
+    radii, values = table.table
+    assert radii.size == values.size and radii[-1] >= 1.0 + 0.1 * 199
 
 
 def test_green_rbf_domain():

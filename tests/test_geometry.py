@@ -180,6 +180,20 @@ def test_orbit_distance_and_alignment():
     assert orbit_distance(fr, other) > 1e-3
 
 
+def test_orbit_distance_of_equal_planes_is_roundoff():
+    # the closed form sqrt(2m - 2 sum sigma) read up to 4.2e-8 here
+    gen = RngSeed(7).generator()
+    for _ in range(20):
+        fr = haar_frame_sample(3, 1, gen)
+        assert orbit_distance(fr, fr) <= 1e-14
+        rotated, _ = rotate_pair(fr, np.zeros(2), haar_orthogonal_sample(2, gen))
+        assert orbit_distance(fr, rotated) <= 1e-14
+    for angle in (9 * math.pi / 16, 10 * math.pi / 16):
+        fr = Frame(2, 1, np.array([[math.cos(angle), math.sin(angle)]]))
+        assert orbit_distance(fr, fr) <= 1e-15
+        assert orbit_distance(fr, -fr.rows) <= 1e-15
+
+
 def test_frame_invariant_rejects_bad_rows():
     with pytest.raises(DomainError):
         Frame(3, 1, np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))

@@ -1,7 +1,10 @@
 import fractions
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kplane import (
     DomainError,
@@ -12,15 +15,20 @@ from kplane import (
     MeasurementSet,
     RidgeAtom,
     RngSeed,
+    align_rotation,
     assemble,
     build_dictionary,
+    haar_frame_sample,
+    haar_orthogonal_sample,
     kkt_residuals,
+    orbit_distance,
     reconstruct,
     reg_cost,
     ridge_eval,
     solve_lasso,
     support,
 )
+from kplane.sparse import DEDUP_TOL, _polish_active_set
 
 
 def half_circle_frames(n):
@@ -210,3 +218,151 @@ def test_solve_lasso_objective_sequence_non_increasing():
     solve_lasso(LassoProblem(g, y, 0.4, tol=1e-13, max_iter=3000), on_iterate=history.append)
     diffs = np.diff(np.array(history))
     assert diffs.max() <= 1e-12
+
+
+# --- reference rules: the pairwise dedupe and the five-mat-vec FISTA loop ---------------
+
+
+def reference_first_duplicate(frames, offsets):
+    """The pairwise atom check, with the direct-residual orbit distance."""
+    atoms = [(fr, np.atleast_1d(np.asarray(t, dtype=float))) for fr in frames for t in offsets]
+    for n, (fr, t) in enumerate(atoms):
+        for prev_fr, prev_t in atoms[:n]:
+            if orbit_distance(prev_fr, fr) > DEDUP_TOL:
+                continue
+            v = align_rotation(prev_fr.rows, fr.rows)
+            if np.linalg.norm(v @ prev_t - t) <= DEDUP_TOL:
+                return f"duplicate atom at frame {fr.rows.tolist()}, offset {t.tolist()}"
+    return None
+
+
+def reference_fista(problem, on_iterate=None):
+    """solve_lasso as it was with one residual per grad, f_smooth and objective call."""
+    g, y, lam = problem.gram, problem.y, problem.lam
+
+    def f_smooth(a):
+        r = y - g @ a
+        return float(r @ r)
+
+    def objective(a):
+        return f_smooth(a) + lam * float(np.abs(a).sum())
+
+    def grad(a):
+        return g.T @ (g @ a - y)
+
+    def prox(v, step):
+        thr = lam * step / 2.0
+        return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
+
+    a = np.zeros(g.shape[1])
+    z = a.copy()
+    t_mom = 1.0
+    step = 1.0 / max(np.linalg.norm(g, 2) ** 2, 1e-30)
+    obj = objective(a)
+    for _ in range(problem.max_iter):
+        gz = grad(z)
+        fz = f_smooth(z)
+        while True:
+            cand = prox(z - step * gz, step)
+            diff = cand - z
+            quad = fz + 2.0 * float(gz @ diff) + float(diff @ diff) / step
+            if f_smooth(cand) <= quad + 1e-12 * max(1.0, abs(quad)):
+                break
+            step *= 0.5
+            if step < 1e-18:
+                break
+        new_obj = objective(cand)
+        if new_obj > obj:
+            t_mom = 1.0
+            z = a.copy()
+            continue
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
+        z = cand + ((t_mom - 1.0) / t_next) * (cand - a)
+        rel_drop = (obj - new_obj) / max(abs(obj), 1e-30)
+        a, obj, t_mom = cand, new_obj, t_next
+        if on_iterate is not None:
+            on_iterate(obj)
+        if 0.0 <= rel_drop < problem.tol:
+            break
+    return _polish_active_set(problem, a, obj)
+
+
+def criterion_10_problem():
+    dico = build_dictionary(half_circle_frames(12), np.linspace(-3, 3, 16), 2.0, 2, 1)
+    g = assemble(dico, gaussian_bumps(50), GRID)
+    a_true = np.zeros(len(dico))
+    a_true[3 * 16 + 5], a_true[9 * 16 + 11] = 1.5, -2.0
+    y = g @ a_true
+    return g, y, 1e-3 * np.abs(g.T @ y).max(), 1e-12, 50000
+
+
+def restarting_problem():
+    gen = RngSeed(5).generator()
+    g = gen.normal(size=(25, 60))
+    return g, gen.normal(size=25), 0.4, 1e-13, 3000
+
+
+@pytest.mark.parametrize("make", [criterion_10_problem, restarting_problem])
+def test_solve_lasso_matches_reference_loop_bitwise(make):
+    g, y, lam, tol, max_iter = make()
+    ref_hist, hist, stats = [], [], {}
+    ref = reference_fista(LassoProblem(g, y, lam, tol=tol, max_iter=max_iter), ref_hist.append)
+    a = solve_lasso(LassoProblem(g, y, lam, tol=tol, max_iter=max_iter, stats=stats),
+                    hist.append)
+    assert np.array_equal(a, ref)
+    assert hist == ref_hist
+    assert stats["iterations"] == len(hist) > 0
+    assert stats["polished"] is True
+    if make is restarting_problem:
+        assert stats["restarts"] > 0
+
+
+def test_solve_lasso_stats_without_polish():
+    stats = {"atoms": 5}
+    g = RngSeed(1).generator().normal(size=(8, 5))
+    a = solve_lasso(LassoProblem(g, np.zeros(8), 0.5, stats=stats))
+    assert np.all(a == 0.0)
+    assert stats == {"atoms": 5, "iterations": 1, "restarts": 0, "backtracks": 0,
+                     "polished": False}
+
+
+@pytest.mark.parametrize("angle", [9 * math.pi / 16, 10 * math.pi / 16])
+def test_build_dictionary_rejects_exact_duplicates(angle):
+    # the closed-form orbit distance read 1.49e-8 > DEDUP_TOL for these frames
+    f = Frame(2, 1, np.array([[math.cos(angle), math.sin(angle)]]))
+    with pytest.raises(DomainError, match=r"offset \[0\.0\]"):
+        build_dictionary([f, f], [0.0], 2.0, 2, 1)
+    with pytest.raises(DomainError, match=r"offset \[0\.5\]"):
+        build_dictionary([f, Frame(2, 1, -f.rows)], [0.5, -0.5], 2.0, 2, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_build_dictionary_matches_pairwise_rule(data):
+    d = data.draw(st.sampled_from([2, 3]), label="d")
+    m = d - 1  # codimension 1 for d=2, 2 for d=3 (k=1)
+    gen = RngSeed(data.draw(st.integers(0, 2**16), label="seed")).generator()
+    frames = [haar_frame_sample(d, 1, gen) for _ in range(data.draw(st.integers(1, 4)))]
+    # offsets on a coarse lattice, so equal offsets within one frame occur too
+    offsets = [gen.integers(-3, 4, size=m) / 2.0 for _ in range(data.draw(st.integers(1, 4)))]
+    for _ in range(data.draw(st.integers(0, 2), label="planted")):
+        # (U A, U t) parameterizes the same k-plane as (A, t)
+        rot = haar_orthogonal_sample(m, gen).mat
+        frames.insert(data.draw(st.integers(0, len(frames))),
+                      Frame(d, 1, rot @ frames[data.draw(st.integers(0, len(frames) - 1))].rows))
+        offsets.insert(data.draw(st.integers(0, len(offsets))),
+                       rot @ offsets[data.draw(st.integers(0, len(offsets) - 1))])
+    if data.draw(st.booleans(), label="near copy"):
+        # an offset within DEDUP_TOL of another but not equal to it
+        offsets.append(offsets[data.draw(st.integers(0, len(offsets) - 1))] + 1e-12)
+    expect = reference_first_duplicate(frames, offsets)
+    if expect is None:
+        dico = build_dictionary(frames, offsets, 2.5, d, 1)
+        assert len(dico) == len(frames) * len(offsets)
+        pairs = [(fr, t) for fr in frames for t in offsets]
+        for atom, (fr, t) in zip(dico.atoms, pairs):
+            assert atom.frame is fr and np.array_equal(atom.offset, t)
+    else:
+        with pytest.raises(DomainError) as err:
+            build_dictionary(frames, offsets, 2.5, d, 1)
+        assert str(err.value) == expect
