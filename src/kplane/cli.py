@@ -324,7 +324,7 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
         y = np.array([cell * (h.values * fld.values).sum() for h in functionals])
 
     lam = lam_rule * float(np.abs(gram.T @ y).max())
-    problem = sparse.LassoProblem(gram, y, lam, tol=tol, max_iter=max_iter, stats={})
+    problem = sparse.LassoProblem(gram, y, lam, tol=tol, max_iter=max_iter)
     t_solve = time.perf_counter()
     coeffs = sparse.solve_lasso(problem)
     timings["solve"] = 1000 * (time.perf_counter() - t_solve)

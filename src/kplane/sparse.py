@@ -14,10 +14,11 @@ gradient step of size ``step`` on the halved gradient G^T(G a - y).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .analytic import RidgeAtom, ridge_eval
 from .errors import DomainError
 from .fields import GridField, GridSpec
@@ -63,7 +64,7 @@ class LassoProblem:
     lam: float
     tol: float = 1e-10
     max_iter: int = 20000
-    stats: dict | None = None  # when a dict, solve_lasso fills it with its counters
+    stats: dict = field(default_factory=dict)  # solve_lasso fills in its counters
 
     def __post_init__(self):
         self.gram = np.asarray(self.gram, dtype=float)
@@ -77,11 +78,12 @@ class LassoProblem:
 def build_dictionary(frame_grid, offset_grid, s: float, d: int, k: int) -> Dictionary:
     """Cartesian product of frames and offsets, frame-major, duplicates rejected.
 
-    Atoms (A_i, t_p) and (A_j, t_q) are duplicates when ||V A_i - A_j||_F and
-    ||V t_p - t_q|| are both <= DEDUP_TOL, V the Procrustes rotation of A_i onto
-    A_j (the ``geometry.orbit_distance`` rule).  One batched SVD decides this
-    once per frame pair; offsets are compared only for equivalent pairs.  The
-    ``DomainError`` names the first atom (frame-major) equal to an earlier one.
+    Atoms (A_i, t_p) and (A_j, t_q) are duplicates when
+    ``geometry.orbit_distance(A_i, A_j)`` and ||V t_p - t_q|| are both
+    <= DEDUP_TOL, V = ``geometry.align_rotation(A_i, A_j)``.  Orbit equivalence
+    is decided once per frame pair; offsets are compared, vectorised, only for
+    equivalent pairs.  The ``DomainError`` names the first atom (frame-major)
+    equal to an earlier one.
     """
     frame_grid = [fr if isinstance(fr, Frame) else Frame(d, k, np.atleast_2d(fr))
                   for fr in frame_grid]
@@ -90,21 +92,20 @@ def build_dictionary(frame_grid, offset_grid, s: float, d: int, k: int) -> Dicti
         raise DomainError("frame and offset grids must be nonempty")
     if s <= d - k:
         raise DomainError(f"need s > d-k = {d - k}, got s={s}")
+    offs = np.stack(offset_grid)
+    for j, fr_j in enumerate(frame_grid):
+        # dup[q]: atom (j, q) equals some earlier atom (i, p), i <= j
+        dup = np.zeros(len(offs), dtype=bool)
+        for i, fr_i in enumerate(frame_grid[:j + 1]):
+            if geometry.orbit_distance(fr_i, fr_j) > DEDUP_TOL:
+                continue
+            v = geometry.align_rotation(fr_i, fr_j)
+            close = np.linalg.norm((offs @ v.T)[:, None] - offs, axis=-1) <= DEDUP_TOL
+            dup |= (close if i < j else np.triu(close, 1)).any(axis=0)
+        if dup.any():
+            t = offset_grid[int(np.argmax(dup))]
+            raise DomainError(f"duplicate atom at frame {fr_j.rows.tolist()}, offset {t.tolist()}")
     atoms = [RidgeAtom(1.0, fr, t, profile="rbf", s=s) for fr in frame_grid for t in offset_grid]
-    rows, offs = np.stack([fr.rows for fr in frame_grid]), np.stack(offset_grid)
-    fi, fj = np.triu_indices(len(frame_grid))
-    p, _, qt = np.linalg.svd(rows[fi] @ rows[fj].swapaxes(1, 2))
-    v = qt.swapaxes(1, 2) @ p.swapaxes(1, 2)  # align_rotation(A_i, A_j) per pair
-    eq = np.linalg.norm(v @ rows[fi] - rows[fj], axis=(1, 2)) <= DEDUP_TOL
-    fi, fj, v = fi[eq], fj[eq], v[eq]
-    # dist[e, p, q] = ||V_e t_p - t_q||: atom (fi, p) against the later atom (fj, q)
-    dist = np.linalg.norm((offs @ v.swapaxes(1, 2))[:, :, None] - offs, axis=-1)
-    later = (fi < fj)[:, None, None] | np.triu(np.ones(dist.shape[1:], dtype=bool), 1)
-    e, _, q = np.nonzero((dist <= DEDUP_TOL) & later)
-    if e.size:
-        first = int(np.min(fj[e] * len(offs) + q))
-        fr, t = frame_grid[first // len(offs)], offset_grid[first % len(offs)]
-        raise DomainError(f"duplicate atom at frame {fr.rows.tolist()}, offset {t.tolist()}")
     # share one Green's-function table across the dictionary
     table = atoms[0].table()
     for atom in atoms[1:]:
@@ -127,7 +128,7 @@ def solve_lasso(problem: LassoProblem, on_iterate=None) -> np.ndarray:
     Returns coefficients with F(a) <= F(0); stops when the relative objective
     decrease drops below ``tol`` or after ``max_iter`` iterations.
     ``on_iterate``, when given, receives the objective after every accepted
-    step (the restart rule makes that sequence non-increasing).  A dict
+    step (the restart rule makes that sequence non-increasing).
     ``problem.stats`` receives ``iterations`` (accepted steps), ``restarts``,
     ``backtracks`` (step halvings) and ``polished`` (active-set solve kept).
 
@@ -183,8 +184,7 @@ def solve_lasso(problem: LassoProblem, on_iterate=None) -> np.ndarray:
         if 0.0 <= rel_drop < problem.tol:
             break
     out = _polish_active_set(problem, a, obj)
-    if problem.stats is not None:
-        problem.stats.update(counts, polished=out is not a)
+    problem.stats.update(counts, polished=out is not a)
     return out
 
 

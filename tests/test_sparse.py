@@ -305,10 +305,11 @@ def restarting_problem():
 @pytest.mark.parametrize("make", [criterion_10_problem, restarting_problem])
 def test_solve_lasso_matches_reference_loop_bitwise(make):
     g, y, lam, tol, max_iter = make()
-    ref_hist, hist, stats = [], [], {}
+    ref_hist, hist = [], []
     ref = reference_fista(LassoProblem(g, y, lam, tol=tol, max_iter=max_iter), ref_hist.append)
-    a = solve_lasso(LassoProblem(g, y, lam, tol=tol, max_iter=max_iter, stats=stats),
-                    hist.append)
+    problem = LassoProblem(g, y, lam, tol=tol, max_iter=max_iter)
+    a = solve_lasso(problem, hist.append)
+    stats = problem.stats
     assert np.array_equal(a, ref)
     assert hist == ref_hist
     assert stats["iterations"] == len(hist) > 0
@@ -318,12 +319,12 @@ def test_solve_lasso_matches_reference_loop_bitwise(make):
 
 
 def test_solve_lasso_stats_without_polish():
-    stats = {"atoms": 5}
     g = RngSeed(1).generator().normal(size=(8, 5))
-    a = solve_lasso(LassoProblem(g, np.zeros(8), 0.5, stats=stats))
+    problem = LassoProblem(g, np.zeros(8), 0.5)
+    a = solve_lasso(problem)
     assert np.all(a == 0.0)
-    assert stats == {"atoms": 5, "iterations": 1, "restarts": 0, "backtracks": 0,
-                     "polished": False}
+    assert problem.stats == {"iterations": 1, "restarts": 0, "backtracks": 0,
+                             "polished": False}
 
 
 @pytest.mark.parametrize("angle", [9 * math.pi / 16, 10 * math.pi / 16])
