@@ -287,8 +287,13 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
         lam_rule = float(sp.get("lambda_rule", 1e-3))
         tol = float(sp.get("tol", 1e-10))
         max_iter = int(sp.get("max_iter", 20000))
-    except (KeyError, TypeError, ValueError) as exc:
+        planted = [(int(item["frame_index"]), int(item["offset_index"]), float(item["weight"]))
+                   for item in sp.get("planted") or []]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad sparse spec: {exc}") from exc
+    for i, q, weight in planted:
+        if not (0 <= i < n_frames and 0 <= q < len(offsets) and math.isfinite(weight)):
+            raise ConfigError(f"bad planted atom {(i, q, weight)}: index or weight out of range")
 
     angles = np.pi * np.arange(n_frames) / n_frames
     frames = [geometry.Frame(2, 1, np.array([[math.cos(a), math.sin(a)]])) for a in angles]
@@ -310,12 +315,10 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
     t0 = time.perf_counter()
     gram = sparse.assemble(dico, meas, grid)
     timings["assemble"] = 1000 * (time.perf_counter() - t0)
-    planted = sp.get("planted")
     if planted:
         a_true = np.zeros(len(dico))
-        for item in planted:
-            idx = int(item["frame_index"]) * len(offsets) + int(item["offset_index"])
-            a_true[idx] = float(item["weight"])
+        for i, q, weight in planted:
+            a_true[i * len(offsets) + q] = weight
         y = gram @ a_true
     else:
         phantom_path = _out_path(cfg, out_dir, "phantom", "phantom.kpt")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError
 from .fields import GridField, Sinogram
@@ -166,76 +167,19 @@ def ramp_filter(sino: Sinogram, d: int | None = None, k: int | None = None,
 
 # --- Bessel functions ---------------------------------------------------------
 
-_SERIES_CUTOFF = 14.0
 _SUPPORTED_ORDERS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
 
-def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:
-    """Ascending power series, accurate for x <= ~14 in float64."""
-    out = np.zeros_like(x)
-    half = x / 2.0
-    term = half**nu / math.gamma(nu + 1.0)
-    out += term
-    q = half**2
-    for j in range(1, 60):
-        term = term * (-q) / (j * (j + nu))
-        out += term
-    return out
-
-
-def _bessel_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
-    """Large-argument (Stokes/Hankel) expansion, accurate for x >= ~14."""
-    mu = 4.0 * nu**2
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    term = np.ones_like(x)
-    inv8x = 1.0 / (8.0 * x)
-    for j in range(1, 12):
-        term = term * (mu - (2 * j - 1) ** 2) * inv8x / j
-        if j % 2 == 1:
-            q += term if (j // 2) % 2 == 0 else -term
-        else:
-            p += -term if (j // 2) % 2 == 1 else term
-    chi = x - nu * np.pi / 2.0 - np.pi / 4.0
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
 def bessel_j(nu: float, x) -> float | np.ndarray:
-    """Bessel function of the first kind for orders {0, 1/2, 1, 3/2, 2}, x >= 0.
-
-    Half-integer orders use closed forms; integer orders use the power series
-    below x = 14 and the large-argument expansion beyond (abs err <= 1e-10).
-    """
+    """Bessel function of the first kind (``scipy.special.jv``) for orders
+    {0, 1/2, 1, 3/2, 2} and x >= 0; a scalar argument gives a float."""
     if float(nu) not in _SUPPORTED_ORDERS:
         raise DomainError(f"unsupported Bessel order {nu}")
-    nu = float(nu)
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     if np.any(x < 0):
         raise DomainError("bessel_j requires x >= 0")
-
-    if nu == 0.5:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(x > 0, np.sqrt(2.0 / (np.pi * np.maximum(x, 1e-300))) * np.sin(x), 0.0)
-        small = x < 1e-4
-        if np.any(small):
-            out[small] = _bessel_series(0.5, x[small])
-    elif nu == 1.5:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = np.maximum(x, 1e-300)
-            out = np.sqrt(2.0 / (np.pi * xs)) * (np.sin(x) / xs - np.cos(x))
-        small = x < 0.5  # cancellation guard
-        if np.any(small):
-            out[small] = _bessel_series(1.5, x[small])
-    else:
-        out = np.empty_like(x)
-        lo = x <= _SERIES_CUTOFF
-        if np.any(lo):
-            out[lo] = _bessel_series(nu, x[lo])
-        if np.any(~lo):
-            out[~lo] = _bessel_asymptotic(nu, x[~lo])
-    return float(out[0]) if scalar else out
+    out = special.jv(float(nu), x)
+    return float(out) if out.ndim == 0 else out
 
 
 # --- Hankel transforms --------------------------------------------------------

@@ -3,12 +3,13 @@
 The continuum problem seeks a function minimizing a squared data term plus
 an L1-type cost whose solutions are sparse sums of at most M ridge atoms
 rho_s(A_n x - t_n).  Here the atom family is restricted to a fixed grid of
-(frame, offset) pairs and the coefficients are found by FISTA on
+(frame, offset) pairs and the coefficients minimize
 
     F(a) = ||y - G a||_2^2 + lambda ||a||_1      (un-halved data term),
 
-whose soft-threshold prox therefore uses threshold lambda * step / 2 for a
-gradient step of size ``step`` on the halved gradient G^T(G a - y).
+found exactly by the homotopy path of ``solve_lasso``: at the minimizer the
+correlations G^T(y - G a) equal sign(a_j) lambda/2 on the support and are at
+most lambda/2 in size off it.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class LassoProblem:
     gram: np.ndarray          # M x J matrix of <h_m, atom_j> pairings
     y: np.ndarray             # M observations
     lam: float
-    tol: float = 1e-10
-    max_iter: int = 20000
+    tol: float = 1e-10        # certified inactive KKT excess, relative to ||G^T y||_inf
+    max_iter: int = 20000     # cap on the homotopy path steps
     stats: dict = field(default_factory=dict)  # solve_lasso fills in its counters
 
     def __post_init__(self):
@@ -71,8 +72,11 @@ class LassoProblem:
         self.y = np.asarray(self.y, dtype=float)
         if not np.all(np.isfinite(self.gram)) or not np.all(np.isfinite(self.y)):
             raise DomainError("problem data must be finite")
-        if self.lam <= 0:
-            raise DomainError(f"lambda must be positive, got {self.lam}")
+        for name in ("lam", "tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if self.max_iter < 1:
+            raise DomainError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 def build_dictionary(frame_grid, offset_grid, s: float, d: int, k: int) -> Dictionary:
@@ -123,100 +127,80 @@ def assemble(dictionary: Dictionary, meas: MeasurementSet, field_grid: GridSpec)
 
 
 def solve_lasso(problem: LassoProblem, on_iterate=None) -> np.ndarray:
-    """FISTA with backtracking and restart for the un-halved LASSO objective.
+    """Exact LASSO minimizer by the homotopy (LARS-lasso) path.
 
-    Returns coefficients with F(a) <= F(0); stops when the relative objective
-    decrease drops below ``tol`` or after ``max_iter`` iterations.
-    ``on_iterate``, when given, receives the objective after every accepted
-    step (the restart rule makes that sequence non-increasing).
-    ``problem.stats`` receives ``iterations`` (accepted steps), ``restarts``,
-    ``backtracks`` (step halvings) and ``polished`` (active-set solve kept).
+    Follows the minimizer of ||y - G a||^2 + 2 mu ||a||_1 from mu = ||G^T y||_inf
+    (a = 0, one active atom) down to mu = lambda/2, moving the support S with
+    signs s along da_S/dmu = -(G_S^T G_S)^{-1} s.  A step ends at the first join
+    (an inactive correlation reaching +-mu, whose sign the atom takes), drop (an
+    active coefficient reaching 0; the next step may not rejoin it at that
+    bound) or mu = lambda/2; an exact active solve at lambda/2 ends the path.
 
-    Three mat-vecs per iteration: e = G z - y gives f(z) = e.e and G^T e, and
-    one residual per candidate serves both the backtracking test and F.
+    ``max_iter`` caps the steps.  ``DomainError`` is raised at the cap, on a
+    singular active Gram, or when the certificate fails: the support must keep
+    its signs and the inactive KKT excess must be <= ``tol`` * ||G^T y||_inf.
+    ``on_iterate`` receives F(a) = ||y - G a||^2 + lambda ||a||_1 at each
+    breakpoint (F falls along the path); ``problem.stats`` gets ``steps``,
+    ``adds`` and ``drops``.
     """
     g, y, lam = problem.gram, problem.y, problem.lam
-    counts = {"iterations": 0, "restarts": 0, "backtracks": 0}
-
-    def prox(v, step):
-        thr = lam * step / 2.0
-        return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
-
-    j = g.shape[1]
-    a = np.zeros(j)
-    z = a.copy()
-    t_mom = 1.0
-    # step on the half-gradient; 1/||G^T G|| is the stability limit
-    norm_est = np.linalg.norm(g, 2)
-    step = 1.0 / max(norm_est**2, 1e-30)
-    obj = float(y @ y)  # F(0)
-
-    for _ in range(problem.max_iter):
-        e = g @ z - y
-        gz = g.T @ e  # half of the gradient of ||y - Gz||^2
-        fz = float(e @ e)
-        while True:
-            cand = prox(z - step * gz, step)
-            diff = cand - z
-            # backtracking on the smooth part (factor 2: un-halved quadratic)
-            quad = fz + 2.0 * float(gz @ diff) + float(diff @ diff) / step
-            r = y - g @ cand
-            f_cand = float(r @ r)
-            if f_cand <= quad + 1e-12 * max(1.0, abs(quad)):
-                break
-            step *= 0.5
-            counts["backtracks"] += 1
-            if step < 1e-18:
-                break
-        new_obj = f_cand + lam * float(np.abs(cand).sum())
-        if new_obj > obj:  # restart momentum on objective increase
-            t_mom = 1.0
-            z = a.copy()
-            counts["restarts"] += 1
-            continue
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
-        z = cand + ((t_mom - 1.0) / t_next) * (cand - a)
-        rel_drop = (obj - new_obj) / max(abs(obj), 1e-30)
-        a, obj, t_mom = cand, new_obj, t_next
-        counts["iterations"] += 1
+    stats = problem.stats
+    stats.update(steps=0, adds=0, drops=0)
+    a, signs = np.zeros(g.shape[1]), np.zeros(g.shape[1])  # signs: nonzero on the support
+    corr = g.T @ y
+    c_max = float(np.abs(corr).max(initial=0.0))
+    mu, mu_end = c_max, lam / 2.0
+    bounds = np.array([[1.0], [-1.0]])  # join at +mu (row 0) or at -mu (row 1)
+    barred = None  # (bound row, atom) of the last drop
+    if mu > mu_end:
+        j = int(np.argmax(np.abs(corr)))
+        signs[j], stats["adds"] = np.sign(corr[j]), 1
+    while mu > mu_end:
+        if stats["steps"] == problem.max_iter:
+            raise DomainError(f"lasso path not finished after {problem.max_iter} steps")
+        act = np.flatnonzero(signs)
+        w = _active_solve(g[:, act], signs[act])
+        v = g.T @ (g[:, act] @ w)  # d corr / d mu
+        with np.errstate(divide="ignore", invalid="ignore"):
+            joins = np.where(bounds * v < 1.0,
+                             np.maximum(mu - bounds * corr, 0.0) / (1.0 - bounds * v), np.inf)
+            drops = -a[act] / w
+        drops[~(drops > 0.0)] = np.inf
+        joins[:, act] = np.inf
+        if barred is not None:
+            joins[barred] = np.inf
+        steps = (mu - mu_end, joins.min(), drops.min(initial=np.inf))
+        event = int(np.argmin(steps))  # a tie ends the path, or else joins
+        a[act] += steps[event] * w
+        mu, barred = (mu_end if event == 0 else mu - steps[event]), None
+        if event == 1:
+            row, j = np.unravel_index(np.argmin(joins), joins.shape)
+            signs[j] = bounds[row, 0]
+            stats["adds"] += 1
+        elif event == 2:
+            j = int(act[np.argmin(drops)])
+            barred, a[j], signs[j] = (0 if signs[j] > 0 else 1, j), 0.0, 0.0
+            stats["drops"] += 1
+        r = y - g @ a
+        corr = g.T @ r
+        stats["steps"] += 1
         if on_iterate is not None:
-            on_iterate(obj)
-        if 0.0 <= rel_drop < problem.tol:
-            break
-    out = _polish_active_set(problem, a, obj)
-    problem.stats.update(counts, polished=out is not a)
-    return out
+            on_iterate(float(r @ r) + lam * float(np.abs(a).sum()))
+    act = np.flatnonzero(signs)
+    a = np.zeros_like(a)
+    a[act] = _active_solve(g[:, act], g[:, act].T @ y - mu_end * signs[act])
+    excess = kkt_residuals(problem, a)[0]
+    if np.any(np.sign(a[act]) != signs[act]) or excess > problem.tol * c_max:
+        raise DomainError(f"lasso certificate failed: inactive KKT excess {excess:.3e} "
+                          f"(allowed {problem.tol * c_max:.3e}) or support signs changed")
+    return a
 
 
-def _polish_active_set(problem: LassoProblem, a: np.ndarray, obj: float) -> np.ndarray:
-    """Exact stationarity solve on the detected support.
-
-    On the FISTA support with its signs, the minimizer satisfies
-    G_S^T G_S a_S = G_S^T y - (lambda/2) sign(a_S); solving that linear
-    system drives the active-support optimality residual to roundoff.  The
-    polished point is kept only if it preserves signs, inactive optimality,
-    and the objective.
-    """
-    g, y, lam = problem.gram, problem.y, problem.lam
-    active = np.abs(a) > 1e-12 * max(1.0, float(np.abs(a).max()))
-    if not np.any(active):
-        return a
-    gs = g[:, active]
-    signs = np.sign(a[active])
+def _active_solve(gs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
-        sol = np.linalg.solve(gs.T @ gs, gs.T @ y - 0.5 * lam * signs)
-    except np.linalg.LinAlgError:
-        return a
-    if np.any(np.sign(sol) != signs):
-        return a
-    polished = np.zeros_like(a)
-    polished[active] = sol
-    corr = g.T @ (y - g @ polished)
-    if np.any(np.abs(corr[~active]) > 0.5 * lam * (1 + 1e-9)):
-        return a
-    resid = y - g @ polished
-    new_obj = float(resid @ resid) + lam * float(np.abs(polished).sum())
-    return polished if new_obj <= obj + 1e-12 * max(1.0, abs(obj)) else a
+        return np.linalg.solve(gs.T @ gs, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"singular active Gram on {gs.shape[1]} atoms") from exc
 
 
 def reg_cost(a: np.ndarray) -> float:

@@ -144,10 +144,8 @@ def test_verify_zero_tolerance_fails(tmp_path):
     assert main(["verify", "--config", path]) == EXIT_CHECK_FAILED
 
 
-def test_reconstruct_planted(tmp_path):
-    out = tmp_path / "out"
-    cfg = base_config(out)
-    cfg["sparse"] = {
+def planted_sparse():
+    return {
         "s": 2.0,
         "frame_count": 12,
         "offset_min": -3.0,
@@ -164,6 +162,12 @@ def test_reconstruct_planted(tmp_path):
         "tol": 1e-12,
         "max_iter": 50000,
     }
+
+
+def test_reconstruct_planted(tmp_path):
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["sparse"] = planted_sparse()
     path = write_config(tmp_path, cfg)
     assert main(["reconstruct", "--config", path]) == 0
     solution = json.loads((out / "solution.json").read_text())
@@ -176,8 +180,56 @@ def test_reconstruct_planted(tmp_path):
     assert set(timings) == {"dictionary", "assemble", "solve", "reconstruct"}
     assert timings["assemble"] + timings["solve"] <= timings["reconstruct"]
     counters = report["counters"]
-    assert set(counters) == {"iterations", "restarts", "backtracks", "polished"}
-    assert counters["iterations"] > 0 and counters["polished"] is True
+    assert set(counters) == {"steps", "adds", "drops"}
+    assert counters["steps"] > 0
+    assert counters["adds"] - counters["drops"] == len(solution["support"])
+
+
+@pytest.mark.parametrize("item", [
+    {"frame_index": 100, "offset_index": 5, "weight": 1.5},
+    {"frame_index": 3, "offset_index": 5},
+    {"frame_index": -1, "offset_index": 5, "weight": 1.5},
+    {"frame_index": 3, "offset_index": 16, "weight": 1.5},
+    {"frame_index": 3, "offset_index": -1, "weight": 1.5},
+    {"frame_index": 3, "offset_index": 5, "weight": float("nan")},
+    {"frame_index": 3, "offset_index": 5, "weight": "heavy"},
+    [3, 5, 1.5],
+], ids=["frame-too-large", "no-weight", "frame-negative", "offset-equals-count",
+        "offset-negative", "nan-weight", "text-weight", "not-an-object"])
+def test_reconstruct_bad_planted_exit_2(tmp_path, capsys, item):
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["sparse"] = planted_sparse()
+    cfg["sparse"]["planted"][1] = item
+    path = write_config(tmp_path, cfg)
+    assert main(["reconstruct", "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (out / "solution.json").exists()
+
+
+@pytest.mark.parametrize("limits", [{"max_iter": 0}, {"tol": -1.0}, {"tol": 0.0}])
+def test_reconstruct_bad_solver_limits_exit_4(tmp_path, capsys, limits):
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["sparse"] = {**planted_sparse(), **limits}
+    path = write_config(tmp_path, cfg)
+    assert main(["reconstruct", "--config", path]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and "Traceback" not in err
+
+
+def test_reconstruct_step_cap_exit_4(tmp_path, capsys):
+    # the planted path takes 18 steps; two are not enough
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["sparse"] = {**planted_sparse(), "max_iter": 2}
+    path = write_config(tmp_path, cfg)
+    assert main(["reconstruct", "--config", path]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and "not finished after 2 steps" in err
+    assert "Traceback" not in err
+    assert not (out / "solution.json").exists()
 
 
 def test_phantom_ridge_sum(tmp_path):
