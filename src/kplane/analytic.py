@@ -155,10 +155,7 @@ def ridge_field(atom: RidgeAtom, spec: GridSpec) -> GridField:
 
 def gaussian_field(spec: GridSpec, mean=None) -> GridField:
     """Unit-mass isotropic Gaussian density with unit covariance."""
-    mean = np.zeros(spec.d) if mean is None else np.asarray(mean, dtype=float)
-    pts = spec.points()
-    vals = np.exp(-((pts - mean) ** 2).sum(axis=-1) / 2.0) / (2.0 * np.pi) ** (spec.d / 2.0)
-    return GridField(spec.origin, spec.spacing, spec.shape, vals.reshape(spec.shape))
+    return mixture_field(spec, [np.zeros(spec.d) if mean is None else mean], [1.0])
 
 
 def mixture_field(spec: GridSpec, means, weights) -> GridField:

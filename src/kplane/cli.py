@@ -60,6 +60,29 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _section(cfg: dict, key: str, required: bool = False) -> dict:
+    sec = _require(cfg, key) if required else cfg.get(key, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"config key {key!r} must be a JSON object")
+    return sec
+
+
+def _number(sec: dict, key: str, kind: type, default=None):
+    """sec[key] (default, if given, when absent) converted by kind: int or float."""
+    raw = _require(sec, key) if default is None else sec.get(key, default)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {key!r} must be a number, got {raw!r}") from exc
+
+
+def _interp_order(cfg: dict, default: int) -> int:
+    order = _number(cfg, "interp_order", int, default)
+    if order not in (1, 3):
+        raise ConfigError(f"interp_order must be 1 or 3, got {order}")
+    return order
+
+
 def _grid_from(cfg: dict) -> GridSpec:
     g = _require(cfg, "grid")
     try:
@@ -89,25 +112,25 @@ def _quad_from(cfg: dict) -> QuadSpec:
 
 
 def _frames_from(cfg: dict, seed_override: int | None) -> transform.FrameSet:
-    f = _require(cfg, "frames")
+    f = _section(cfg, "frames", required=True)
     mode = f.get("mode", "monte-carlo")
-    count = int(f.get("count", 0))
+    count = _number(f, "count", int, 0)
     if count < 1:
         raise ConfigError("frames.count must be >= 1")
-    d, k = int(_require(cfg, "d")), int(_require(cfg, "k"))
+    d, k = _number(cfg, "d", int), _number(cfg, "k", int)
     if mode == "deterministic-circle":
         if (d, k) != (2, 1):
             raise ConfigError("deterministic-circle frames require d=2, k=1")
         return transform.frameset_circle(count)
     if mode == "monte-carlo":
-        seed = int(f.get("seed", 0)) if seed_override is None else int(seed_override)
-        stream = int(f.get("stream", 0))
+        seed = _number(f, "seed", int, 0) if seed_override is None else int(seed_override)
+        stream = _number(f, "stream", int, 0)
         return transform.frameset_haar(d, k, count, RngSeed(seed, stream))
     raise ConfigError(f"unknown frames.mode {mode!r}")
 
 
 def _phantom_field(cfg: dict, grid: GridSpec) -> GridField:
-    p = _require(cfg, "phantom")
+    p = _section(cfg, "phantom", required=True)
     kind = p.get("kind")
     try:
         if kind == "gaussian":
@@ -118,7 +141,7 @@ def _phantom_field(cfg: dict, grid: GridSpec) -> GridField:
             weights = [float(c.get("weight", 1.0)) for c in comps]
             return analytic.mixture_field(grid, means, weights)
         if kind == "ridge-sum":
-            d, k = int(_require(cfg, "d")), int(_require(cfg, "k"))
+            d, k = _number(cfg, "d", int), _number(cfg, "k", int)
             atoms = []
             for spec in p.get("atoms", []):
                 frame = geometry.Frame(d, k, np.array(spec["frame"], dtype=float))
@@ -137,7 +160,7 @@ def _phantom_field(cfg: dict, grid: GridSpec) -> GridField:
 
 
 def _out_path(cfg: dict, out_dir: str | None, key: str, default: str) -> Path:
-    output = cfg.get("output", {})
+    output = _section(cfg, "output")
     base = Path(out_dir) if out_dir else Path(output.get("dir", "."))
     base.mkdir(parents=True, exist_ok=True)
     return base / output.get(key, default)
@@ -193,12 +216,11 @@ def cmd_phantom(cfg: dict, out_dir: str | None, seed: int | None, threads: int |
 
 def cmd_forward(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
     grid = _grid_from(cfg)
-    phantom_path = _out_path(cfg, out_dir, "phantom", "phantom.kpt")
-    fld = _read_kind(phantom_path, GridField)
     frames = _frames_from(cfg, seed)
     t_grid = _tgrid_from(cfg)
     quad = _quad_from(cfg)
-    order = int(cfg.get("interp_order", 3))
+    order = _interp_order(cfg, 3)
+    fld = _read_kind(_out_path(cfg, out_dir, "phantom", "phantom.kpt"), GridField)
     caught: list = []
     t0 = time.perf_counter()
     with _capture_warnings() as caught:
@@ -218,9 +240,8 @@ def cmd_forward(cfg: dict, out_dir: str | None, seed: int | None, threads: int |
 
 def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
     grid = _grid_from(cfg)
-    sino_path = _out_path(cfg, out_dir, "sinogram", "sinogram.kpt")
-    sino = _read_kind(sino_path, Sinogram)
-    pad = float(cfg.get("filter", {}).get("pad_factor", 2.0))
+    pad = _number(_section(cfg, "filter"), "pad_factor", float, 2.0)
+    sino = _read_kind(_out_path(cfg, out_dir, "sinogram", "sinogram.kpt"), Sinogram)
     caught: list = []
     t0 = time.perf_counter()
     with _capture_warnings() as caught:
@@ -251,9 +272,9 @@ def cmd_calibrate(cfg: dict, out_dir: str | None, seed: int | None, threads: int
     frames = _frames_from(cfg, seed)
     t_grid = _tgrid_from(cfg)
     quad = _quad_from(cfg)
-    pad = float(cfg.get("filter", {}).get("pad_factor", 2.0))
-    order = int(cfg.get("interp_order", 1))
-    d, k = int(_require(cfg, "d")), int(_require(cfg, "k"))
+    pad = _number(_section(cfg, "filter"), "pad_factor", float, 2.0)
+    order = _interp_order(cfg, 1)
+    d, k = _number(cfg, "d", int), _number(cfg, "k", int)
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
@@ -272,8 +293,8 @@ def cmd_calibrate(cfg: dict, out_dir: str | None, seed: int | None, threads: int
 
 
 def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
-    sp = _require(cfg, "sparse")
-    d, k = int(_require(cfg, "d")), int(_require(cfg, "k"))
+    sp = _section(cfg, "sparse", required=True)
+    d, k = _number(cfg, "d", int), _number(cfg, "k", int)
     if (d, k) != (2, 1):
         raise ConfigError("sparse reconstruction is wired for d=2, k=1 configs")
     grid = _grid_from(cfg)
@@ -492,11 +513,11 @@ def _run_verify_checks() -> dict[str, float]:
 def cmd_verify(cfg: dict | None, out_dir: str | None, seed: int | None, threads: int | None) -> int:
     tolerances = _default_verify_tolerances()
     if cfg:
-        overrides = cfg.get("tolerances", {})
-        for name, tol in overrides.items():
+        overrides = _section(cfg, "tolerances")
+        for name in overrides:
             if name not in tolerances:
                 raise ConfigError(f"unknown check {name!r} in tolerance overrides")
-            tolerances[name] = float(tol)
+            tolerances[name] = _number(overrides, name, float)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         values = _run_verify_checks()

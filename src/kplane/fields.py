@@ -9,6 +9,7 @@ written to and read back bit-exactly from the "KPT1" binary format.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable
@@ -31,8 +32,8 @@ class GridSpec:
     def __post_init__(self):
         origin = np.atleast_1d(np.asarray(self.origin, dtype=float))
         shape = tuple(int(n) for n in np.atleast_1d(self.shape))
-        if self.spacing <= 0:
-            raise DomainError(f"spacing must be positive, got {self.spacing}")
+        if not 0 < self.spacing < math.inf or not np.all(np.isfinite(origin)):
+            raise DomainError(f"need finite origin and spacing > 0, got {origin}, {self.spacing}")
         if len(shape) != origin.size or any(n < 1 for n in shape):
             raise DomainError(f"bad grid geometry: origin {origin}, shape {shape}")
         object.__setattr__(self, "origin", origin)
@@ -63,27 +64,17 @@ class GridSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class GridField:
+class GridField(GridSpec):
     """Real-valued function on R^d sampled on a uniform grid (row-major values)."""
 
-    origin: np.ndarray
-    spacing: float
-    shape: tuple[int, ...]
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        spec = GridSpec(self.origin, self.spacing, self.shape)
-        values = np.asarray(self.values, dtype=float).reshape(spec.shape)
+        super().__post_init__()
+        values = np.asarray(self.values, dtype=float).reshape(self.shape)
         if not np.all(np.isfinite(values)):
             raise DomainError("field values must be finite")
-        object.__setattr__(self, "origin", spec.origin)
-        object.__setattr__(self, "spacing", spec.spacing)
-        object.__setattr__(self, "shape", spec.shape)
         object.__setattr__(self, "values", values)
-
-    @property
-    def d(self) -> int:
-        return len(self.shape)
 
     @property
     def spec(self) -> GridSpec:
@@ -158,8 +149,8 @@ class QuadSpec:
     _tensor: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.halfwidth <= 0:
-            raise DomainError(f"halfwidth must be positive, got {self.halfwidth}")
+        if not 0 < self.halfwidth < math.inf:
+            raise DomainError(f"halfwidth must be positive and finite, got {self.halfwidth}")
         if self.nodes_per_axis < 2:
             raise DomainError(f"need >= 2 nodes per axis, got {self.nodes_per_axis}")
 

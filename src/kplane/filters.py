@@ -86,46 +86,50 @@ def custom_spec(rho_table: np.ndarray, value_table: np.ndarray) -> RadialSpec:
 
 
 def _padded_size(n: int, pad_factor: float) -> int:
-    if pad_factor < 1.0:
-        raise DomainError(f"pad_factor must be >= 1, got {pad_factor}")
+    if not 1.0 <= pad_factor < math.inf:
+        raise DomainError(f"pad_factor must be >= 1 and finite, got {pad_factor}")
     size = int(math.ceil(pad_factor * n))
     return size + (size % 2)
+
+
+def _apply_multiplier(values: np.ndarray, lead: int, spacing: float, spec: RadialSpec,
+                      pad_factor: float) -> np.ndarray:
+    """Radial multiplier on the signal axes after the first ``lead`` (batch) axes.
+
+    Zero-pads each signal axis to pad_factor * N rounded up to the next even
+    size, multiplies DFT bin m by the profile at rho = ||omega||_2 with
+    omega_i = 2 pi freq_i(m) / (N_pad h), inverse-transforms and crops; the
+    batch runs in chunks of about 4e6 padded points, one residue check each.
+    """
+    shape = values.shape[lead:]
+    padded = tuple(_padded_size(n, pad_factor) for n in shape)
+    freqs = [2.0 * np.pi * np.fft.fftfreq(n, d=spacing) for n in padded]
+    prof = spec.profile(np.sqrt(sum(g**2 for g in np.meshgrid(*freqs, indexing="ij"))))
+    if not np.all(np.isfinite(prof)):
+        bad = np.unravel_index(int(np.argmin(np.isfinite(prof))), prof.shape)
+        raise DomainError(f"multiplier not finite at frequency bin {bad}")
+    batch = values.reshape((-1,) + shape)
+    axes = tuple(range(1, 1 + len(shape)))
+    crop = (slice(None),) + tuple(slice(0, n) for n in shape)
+    out = np.empty(batch.shape)
+    chunk = max(1, int(4e6 // int(np.prod(padded))))
+    for start in range(0, len(batch), chunk):
+        block = batch[start : start + chunk]
+        buf = np.zeros(block.shape[:1] + padded)
+        buf[crop] = block
+        res = np.fft.ifftn(np.fft.fftn(buf, axes=axes) * prof, axes=axes)
+        residue = float(np.abs(res.imag).max())
+        if residue > IMAG_RESIDUE_TOL * max(1.0, float(np.abs(res.real).max())):
+            raise DomainError(f"imaginary residue {residue:.3e} exceeds tolerance")
+        out[start : start + chunk] = res.real[crop]
+    return out.reshape(values.shape)
 
 
 def apply_radial_array(
     values: np.ndarray, spacing: float, spec: RadialSpec, pad_factor: float = 2.0
 ) -> np.ndarray:
-    """Apply an isotropic Fourier multiplier to a uniformly sampled block.
-
-    Zero-pads each axis to pad_factor * N rounded up to the next even size,
-    multiplies DFT bin m by the profile at rho = ||omega||_2 with
-    omega_i = 2 pi freq_i(m) / (N_pad h), inverse-transforms and crops.
-    All axes of ``values`` are treated as signal axes.
-    """
-    values = np.asarray(values, dtype=float)
-    shape = values.shape
-    padded, prof = _radial_multiplier(shape, spacing, spec, pad_factor)
-    block = np.zeros(padded)
-    block[tuple(slice(0, n) for n in shape)] = values
-
-    out = np.fft.ifftn(np.fft.fftn(block) * prof)
-    residue = float(np.abs(out.imag).max())
-    if residue > IMAG_RESIDUE_TOL * max(1.0, float(np.abs(out.real).max())):
-        raise DomainError(f"imaginary residue {residue:.3e} exceeds tolerance")
-    return out.real[tuple(slice(0, n) for n in shape)].copy()
-
-
-def _radial_multiplier(shape: tuple[int, ...], spacing: float, spec: RadialSpec,
-                       pad_factor: float) -> tuple[tuple[int, ...], np.ndarray]:
-    padded = tuple(_padded_size(n, pad_factor) for n in shape)
-    freqs = [2.0 * np.pi * np.fft.fftfreq(np_, d=spacing) for np_ in padded]
-    mesh = np.meshgrid(*freqs, indexing="ij")
-    rho = np.sqrt(sum(m**2 for m in mesh))
-    prof = spec.profile(rho)
-    if not np.all(np.isfinite(prof)):
-        bad = np.unravel_index(int(np.argmin(np.isfinite(prof))), prof.shape)
-        raise DomainError(f"multiplier not finite at frequency bin {bad}")
-    return padded, prof
+    """Apply an isotropic Fourier multiplier to every axis of a uniformly sampled block."""
+    return _apply_multiplier(np.asarray(values, dtype=float), 0, spacing, spec, pad_factor)
 
 
 def apply_radial(
@@ -136,22 +140,8 @@ def apply_radial(
         out = apply_radial_array(target.values, target.spacing, spec, pad_factor)
         return GridField(target.origin, target.spacing, target.shape, out)
     if isinstance(target, Sinogram):
-        shape = target.t_grid.shape
-        padded, prof = _radial_multiplier(shape, target.t_grid.spacing, spec, pad_factor)
-        axes = tuple(range(1, 1 + len(shape)))
-        crop = (slice(None),) + tuple(slice(0, n) for n in shape)
-        blocks = np.empty_like(target.values)
-        chunk = max(1, int(4e6 // int(np.prod(padded))))
-        for start in range(0, target.n_frames, chunk):
-            stop = min(start + chunk, target.n_frames)
-            buf = np.zeros((stop - start,) + padded)
-            buf[crop] = target.values[start:stop]
-            out = np.fft.ifftn(np.fft.fftn(buf, axes=axes) * prof[None], axes=axes)
-            residue = float(np.abs(out.imag).max())
-            if residue > IMAG_RESIDUE_TOL * max(1.0, float(np.abs(out.real).max())):
-                raise DomainError(f"imaginary residue {residue:.3e} exceeds tolerance")
-            blocks[start:stop] = out.real[crop]
-        return target.copy_with(blocks)
+        out = _apply_multiplier(target.values, 1, target.t_grid.spacing, spec, pad_factor)
+        return target.copy_with(out)
     raise DomainError(f"cannot filter {type(target)!r}")
 
 
@@ -187,6 +177,23 @@ def bessel_j(nu: float, x) -> float | np.ndarray:
 _HANKEL_DIMS = (2, 3, 4, 5, 6)
 
 
+def _radial_transform(x: np.ndarray, f: np.ndarray, n: int, y: np.ndarray) -> np.ndarray:
+    """n-variate Fourier transform of the isotropic profile f(x) at radii y, by the
+    trapezoid rule: hankel_profile's formula, or 2 int cos(y x) f(x) dx for n = 1."""
+    nu = n / 2.0 - 1.0
+    base = None if n == 1 else x**nu * f * x
+    out = np.empty(y.shape)
+    for i, r in np.ndenumerate(y):
+        if n == 1:
+            out[i] = 2.0 * np.trapezoid(np.cos(r * x) * f, x)
+        elif r == 0.0:
+            out[i] = sphere_area(n) * np.trapezoid(f * x ** (n - 1), x)
+        else:
+            kernel = bessel_j(nu, r * x) * base
+            out[i] = (2.0 * np.pi) ** (n / 2.0) / r**nu * np.trapezoid(kernel, x)
+    return out
+
+
 def hankel_profile(t: np.ndarray, rho: np.ndarray, d: int, omega: np.ndarray) -> np.ndarray:
     """Radial frequency profile of an isotropic function on R^d.
 
@@ -197,21 +204,10 @@ def hankel_profile(t: np.ndarray, rho: np.ndarray, d: int, omega: np.ndarray) ->
     """
     if d not in _HANKEL_DIMS:
         raise DomainError(f"hankel_profile supports d in {_HANKEL_DIMS}, got {d}")
-    t = np.asarray(t, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    omega = np.asarray(omega, dtype=float)
+    t, rho = np.asarray(t, dtype=float), np.asarray(rho, dtype=float)
     if t.shape != rho.shape or t.ndim != 1:
         raise DomainError("t and rho must be matching 1-d sample arrays")
-    nu = d / 2.0 - 1.0
-    out = np.empty(omega.shape)
-    base = t**nu * rho * t
-    for i, w in np.ndenumerate(omega):
-        if w == 0.0:
-            out[i] = sphere_area(d) * np.trapezoid(rho * t ** (d - 1), t)
-        else:
-            integrand = bessel_j(nu, w * t) * base
-            out[i] = (2.0 * np.pi) ** (d / 2.0) / w**nu * np.trapezoid(integrand, t)
-    return out
+    return _radial_transform(t, rho, d, np.asarray(omega, dtype=float))
 
 
 def inverse_radial_profile(omega: np.ndarray, prof: np.ndarray, n: int,
@@ -221,23 +217,8 @@ def inverse_radial_profile(omega: np.ndarray, prof: np.ndarray, n: int,
     Uses the (2 pi)^-n inverse convention; n = 1 reduces to the cosine
     transform, n = 2 to the J_0 Hankel transform.
     """
-    omega = np.asarray(omega, dtype=float)
-    prof = np.asarray(prof, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    out = np.empty(radii.shape)
-    if n == 1:
-        for i, r in np.ndenumerate(radii):
-            out[i] = np.trapezoid(np.cos(r * omega) * prof, omega) / np.pi
-        return out
-    nu = n / 2.0 - 1.0
-    base = omega**nu * prof * omega
-    for i, r in np.ndenumerate(radii):
-        if r == 0.0:
-            out[i] = sphere_area(n) * np.trapezoid(prof * omega ** (n - 1), omega) / (2.0 * np.pi) ** n
-        else:
-            integrand = bessel_j(nu, r * omega) * base
-            out[i] = (2.0 * np.pi) ** (n / 2.0) / r**nu * np.trapezoid(integrand, omega) / (2.0 * np.pi) ** n
-    return out
+    omega, prof, radii = (np.asarray(a, dtype=float) for a in (omega, prof, radii))
+    return _radial_transform(omega, prof, n, radii) / (2.0 * np.pi) ** n
 
 
 # --- Green's function of the Bessel potential ---------------------------------

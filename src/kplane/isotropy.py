@@ -31,21 +31,13 @@ DEFAULT_CHORDAL_TOL = 0.15
 DEFAULT_N_ROTATIONS = 64
 
 
-def _t_grid_symmetric(t_grid: TGrid) -> bool:
-    hi = t_grid.origin + t_grid.spacing * (np.array(t_grid.shape) - 1)
-    return bool(np.allclose(t_grid.origin, -hi, atol=1e-9 * t_grid.spacing))
-
-
-def _lookup_eval(sino: Sinogram, rows: np.ndarray, t_pts: np.ndarray,
-                 tol: float, frame_rows: np.ndarray) -> np.ndarray:
-    """Evaluate a free-standing sinogram at an arbitrary frame by proximity.
-
-    Uses the nearest stored frame in the embedded (Frobenius) metric, then
-    interpolates its t-block; valid when the stored frames sample the
-    manifold densely enough that the nearest frame is within ``tol``.
-    frame_rows stacks the stored frames' rows, shape (n_frames, d-k, d); on
-    a tie the first stored frame wins.
-    """
+def _eval_at(sino: Sinogram, rows: np.ndarray, t_pts: np.ndarray, tol: float,
+             frame_rows: np.ndarray) -> np.ndarray:
+    """Sinogram values at an arbitrary frame: from its generator when it has one,
+    else from the t-block of the nearest stored frame (Frobenius metric, first on
+    a tie; frame_rows is their (n, d-k, d) stack), which must lie within ``tol``."""
+    if sino.generator is not None:
+        return sino.generator(rows, t_pts)
     dists = np.linalg.norm(frame_rows - rows, axis=(1, 2))
     j = int(np.argmin(dists))
     if dists[j] > tol:
@@ -54,13 +46,6 @@ def _lookup_eval(sino: Sinogram, rows: np.ndarray, t_pts: np.ndarray,
             "and the sinogram has no generator"
         )
     return interp_t_block(sino.values[j], sino.t_grid, t_pts)
-
-
-def _eval_at(sino: Sinogram, rows: np.ndarray, t_pts: np.ndarray, tol: float,
-             frame_rows: np.ndarray) -> np.ndarray:
-    if sino.generator is not None:
-        return sino.generator(rows, t_pts)
-    return _lookup_eval(sino, rows, t_pts, tol, frame_rows)
 
 
 def project_iso(
@@ -76,48 +61,33 @@ def project_iso(
     frames come from the sinogram's generator when it has one, else from
     nearest-frame lookup.  The t-grid must be symmetric about 0.
     """
-    if not _t_grid_symmetric(sino.t_grid):
+    tg = sino.t_grid
+    if not np.allclose(tg.origin, -(tg.origin + tg.spacing * (np.array(tg.shape) - 1)),
+                       atol=1e-9 * tg.spacing):
         raise DomainError("project_iso needs a t-grid symmetric about 0")
-    m = sino.m
-    t_pts = sino.t_grid.points()
+    m, t_pts = sino.m, tg.points()
     frame_rows = np.stack([fr.rows for fr in sino.frames])
-
+    # for d-k = 1 the identity term is the stored values (or the base generator)
     if m == 1:
-        flipped = np.empty_like(sino.values)
-        for i, fr in enumerate(sino.frames):
-            vals = _eval_at(sino, -fr.rows, -t_pts, chordal_tol, frame_rows)
-            flipped[i] = vals.reshape(sino.t_grid.shape)
-        out = 0.5 * (sino.values + flipped)
-        base_gen = sino.generator
-
-        def generator(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
-            a = base_gen(rows, pts)
-            b = base_gen(-rows, -np.asarray(pts))
-            return 0.5 * (a + b)
-
-        return sino.copy_with(out, generator if base_gen is not None else None)
-
-    if rng is None:
-        rng = RngSeed(0, 0)
-    gen = rng.generator()
-    rotations = [haar_orthogonal_sample(m, gen).mat for _ in range(n_rotations)]
-
-    acc = np.zeros_like(sino.values)
+        rotations, acc, count = [-np.eye(1)], sino.values.copy(), 2
+    else:
+        gen = (RngSeed(0, 0) if rng is None else rng).generator()
+        rotations = [haar_orthogonal_sample(m, gen).mat for _ in range(n_rotations)]
+        acc, count = np.zeros_like(sino.values), n_rotations
     for u in rotations:
         rotated_t = t_pts @ u.T
         for i, fr in enumerate(sino.frames):
             vals = _eval_at(sino, u @ fr.rows, rotated_t, chordal_tol, frame_rows)
-            acc[i] += vals.reshape(sino.t_grid.shape)
-    acc /= n_rotations
+            acc[i] += vals.reshape(tg.shape)
+    acc /= count
     base_gen = sino.generator
 
     def generator(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts)
-        total = None
+        total = base_gen(rows, pts) if m == 1 else 0.0
         for u in rotations:
-            vals = base_gen(u @ rows, pts @ u.T)
-            total = vals if total is None else total + vals
-        return total / len(rotations)
+            total = total + base_gen(u @ rows, pts @ u.T)
+        return total / count
 
     return sino.copy_with(acc, generator if base_gen is not None else None)
 
@@ -164,11 +134,6 @@ class MollifiedAtom:
             raise DomainError("mollification widths must be positive")
 
 
-def _gauss_t(t_pts: np.ndarray, center: np.ndarray, width: float, m: int) -> np.ndarray:
-    sq = ((t_pts - center) ** 2).sum(axis=-1)
-    return np.exp(-sq / (2.0 * width**2)) / (2.0 * np.pi * width**2) ** (m / 2.0)
-
-
 def render_delta_iso(
     atom: MollifiedAtom,
     frames: FrameSet,
@@ -178,60 +143,48 @@ def render_delta_iso(
 ) -> Sinogram:
     """Sinogram rendering of the isotropically projected, mollified Dirac.
 
-    Averages product bumps centered at the rotated pairs (U A0, U t0) over
-    Haar draws U; each bump has a Gaussian frame factor normalized over the
-    frame set (unit discrete mass) and a normalized Gaussian t factor.  For
-    d-k = 1 the average is the exact two-element enumeration of O(1); with
-    n_rotations = 0 the rotation average is replaced by deterministic
-    alignment transport (the bump at frame A is centered at V t0 with V the
-    rotation best aligning A0 to A), which is exactly isotropic.
+    Averages product bumps centered at the rotated pairs (U A0, U t0): a
+    Gaussian frame factor of unit discrete mass over the frame set times a
+    normalized Gaussian t factor.  U runs over O(1) = {+1, -1} exactly for
+    d-k = 1, else over Haar draws; n_rotations = 0 uses alignment transport
+    instead (the bump at frame A is centered at V t0 with V the rotation best
+    aligning A0 to A), which is exactly isotropic.
     """
-    d, k = frames.d, frames.k
-    m = d - k
+    d, k, m = frames.d, frames.k, frames.d - frames.k
     if (atom.frame.d, atom.frame.k) != (d, k):
         raise DomainError("atom frame must match the frame set's (d, k)")
     if atom.t_width < 2.0 * t_grid.spacing:
         raise DomainError(
             f"t_width {atom.t_width} not resolvable on spacing {t_grid.spacing}"
         )
-    mass = stiefel_total_mass(d, k)
-    t_pts = t_grid.points()
-    n_fr = len(frames)
+    mass, t_pts, n_fr = stiefel_total_mass(d, k), t_grid.points(), len(frames)
     rows = np.stack([fr.rows for fr in frames.frames])  # (n, m, d)
+    # each rotation list entry is one U, or an (n, m, m) stack of one U per frame
+    if m == 1:
+        rotations = [np.eye(1), -np.eye(1)]
+    elif n_rotations == 0:
+        # alignment transport: exactly isotropic, no Monte-Carlo noise
+        rotations = [np.stack([align_rotation(atom.frame.rows, r) for r in rows])]
+    else:
+        gen = (RngSeed(0, 0) if rng is None else rng).generator()
+        rotations = [haar_orthogonal_sample(m, gen).mat for _ in range(n_rotations)]
 
-    def bump(center_rows: np.ndarray, center_t: np.ndarray) -> np.ndarray:
-        d2 = ((rows - center_rows[None]) ** 2).sum(axis=(1, 2))
+    vals = np.zeros((n_fr, t_pts.shape[0]))
+    tw2 = atom.t_width**2
+    for u in rotations:
+        d2 = ((rows - u @ atom.frame.rows) ** 2).sum(axis=(1, 2))
         w = np.exp(-d2 / (2.0 * atom.frame_width**2))
         scale = mass * w.mean()
         if scale <= 0.0:
             raise DomainError("frame bump has zero mass on this frame set")
-        w /= scale
-        tb = _gauss_t(t_pts, center_t, atom.t_width, m)
-        return w[:, None] * tb[None, :]
-
-    if m == 1:
-        terms = [bump(atom.frame.rows, atom.offset), bump(-atom.frame.rows, -atom.offset)]
-        vals = 0.5 * (terms[0] + terms[1])
-    elif n_rotations == 0:
-        # alignment transport: exactly isotropic, no Monte-Carlo noise
-        d2 = np.empty(n_fr)
-        centers = np.empty((n_fr, m))
-        for i in range(n_fr):
-            v = align_rotation(atom.frame.rows, rows[i])
-            d2[i] = ((v @ atom.frame.rows - rows[i]) ** 2).sum()
-            centers[i] = v @ atom.offset
-        w = np.exp(-d2 / (2.0 * atom.frame_width**2))
-        w /= mass * w.mean()
-        tb = np.stack([_gauss_t(t_pts, c, atom.t_width, m) for c in centers])
-        vals = w[:, None] * tb
-    else:
-        if rng is None:
-            rng = RngSeed(0, 0)
-        gen = rng.generator()
-        vals = np.zeros((n_fr, t_pts.shape[0]))
-        for _ in range(n_rotations):
-            u = haar_orthogonal_sample(m, gen).mat
-            vals += bump(u @ atom.frame.rows, u @ atom.offset)
-        vals /= n_rotations
+        w = w / scale
+        centres = (u @ atom.offset).reshape(-1, m)
+        per = n_fr // len(centres)  # frames sharing each centre: all, or one
+        for j, c in enumerate(centres):
+            part = slice(j * per, (j + 1) * per)
+            sq = ((t_pts - c) ** 2).sum(axis=-1)
+            tb = np.exp(-sq / (2.0 * tw2)) / (2.0 * np.pi * tw2) ** (m / 2.0)
+            vals[part] += w[part, None] * tb
+    vals /= len(rotations)
 
     return Sinogram(d, k, list(frames.frames), t_grid, vals.reshape((n_fr,) + t_grid.shape))

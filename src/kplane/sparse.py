@@ -70,6 +70,8 @@ class LassoProblem:
     def __post_init__(self):
         self.gram = np.asarray(self.gram, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
+        if self.gram.ndim != 2 or self.y.shape != self.gram.shape[:1]:
+            raise DomainError(f"need an M x J gram and M data, got {self.gram.shape}, {self.y.shape}")
         if not np.all(np.isfinite(self.gram)) or not np.all(np.isfinite(self.y)):
             raise DomainError("problem data must be finite")
         for name in ("lam", "tol"):

@@ -349,7 +349,9 @@ def same_grid(a: GridSpec | GridField, b: GridSpec | GridField) -> bool:
 
 def sino_dot(a: Sinogram, b: Sinogram) -> float:
     """Discrete pairing on Xi_k: Haar mass x frame mean of the t-grid sums."""
-    if (a.d, a.k, a.n_frames) != (b.d, b.k, b.n_frames) or not same_grid(a.t_grid, b.t_grid):
+    same_frames = a.n_frames == b.n_frames and all(
+        fa is fb or np.array_equal(fa.rows, fb.rows) for fa, fb in zip(a.frames, b.frames))
+    if (a.d, a.k) != (b.d, b.k) or not same_frames or not same_grid(a.t_grid, b.t_grid):
         raise DomainError("sinograms must share frames and t-grid")
     mass = stiefel_total_mass(a.d, a.k)
     per_frame = (a.values * b.values).reshape(a.n_frames, -1).sum(axis=1)

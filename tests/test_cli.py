@@ -253,6 +253,42 @@ def test_phantom_ridge_sum(tmp_path):
     assert np.linalg.norm(coords - np.array([0.5, -0.3])) <= fld.spacing * 1.5
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command,patch", [
+    ("forward", {"frames": {"mode": "deterministic-circle", "count": "abc"}}),
+    ("forward", {"d": "two"}),
+    ("forward", {"frames": {"mode": "monte-carlo", "count": 4, "seed": "s"}}),
+    ("forward", {"interp_order": "x"}),
+    ("forward", {"interp_order": 2}),
+    ("calibrate", {"interp_order": 2}),
+    ("fbp", {"filter": {"pad_factor": "x"}}),
+    ("calibrate", {"filter": {"pad_factor": "x"}}),
+    ("forward", {"frames": [1]}),
+    ("fbp", {"filter": [1]}),
+    ("phantom", {"output": [1]}),
+    ("verify", {"tolerances": {"constant_c21": "x"}}),
+    ("verify", {"tolerances": [1]}),
+    ("forward", {"quad": {"halfwidth": NAN, "nodes": 128}}),
+    ("forward", {"quad": {"halfwidth": INF, "nodes": 128}}),
+    ("forward", {"t_grid": {"origin": [-12.7], "spacing": NAN, "shape": [128]}}),
+    ("forward", {"t_grid": {"origin": [-INF], "spacing": 0.2, "shape": [128]}}),
+    ("phantom", {"grid": {"origin": [-6.3, NAN], "spacing": 0.2, "shape": [64, 64]}}),
+    ("phantom", {"grid": {"origin": [-6.3, -6.3], "spacing": INF, "shape": [64, 64]}}),
+])
+def test_bad_config_value_exit_2(tmp_path, capsys, command, patch):
+    # mistyped or non-finite values are config errors (exit 2), even with the
+    # inputs in place; exit 1 is kept for failed verify checks
+    good = base_config(tmp_path / "out")
+    assert main(["phantom", "--config", write_config(tmp_path, good)]) == 0
+    capsys.readouterr()
+    path = write_config(tmp_path, {**good, **patch}, name="bad.json")
+    assert main([command, "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_numeric_domain_error_exit_4(tmp_path):
     out = tmp_path / "out"
     cfg = base_config(out)

@@ -100,6 +100,29 @@ def test_quadspec_validation():
         QuadSpec(1.0, 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: QuadSpec(float("nan"), 8),
+    lambda: QuadSpec(float("inf"), 8),
+    lambda: GridSpec(np.zeros(2), float("nan"), (4, 4)),
+    lambda: GridSpec(np.zeros(2), float("inf"), (4, 4)),
+    lambda: GridSpec(np.array([0.0, np.inf]), 0.1, (4, 4)),
+    lambda: GridSpec(np.array([np.nan, 0.0]), 0.1, (4, 4)),
+    lambda: TGrid(np.array([0.0]), float("nan"), (8,)),
+    lambda: TGrid(np.array([-np.inf]), 0.1, (8,)),
+    lambda: GridField(np.array([np.nan, 0.0]), 0.1, (2, 2), np.zeros((2, 2))),
+])
+def test_nonfinite_geometry_rejected(build):
+    with pytest.raises(DomainError, match="finite"):
+        build()
+
+
+def test_grid_field_is_a_grid_spec():
+    fld = make_field(d=3, n=5, h=0.25)
+    assert isinstance(fld, GridSpec)
+    assert (fld.d, fld.size, fld.shape) == (3, 125, (5, 5, 5))
+    assert np.array_equal(fld.points(), fld.spec.points())
+
+
 def make_sinogram(seed=3):
     gen = RngSeed(seed).generator()
     frames = [haar_frame_sample(3, 1, gen) for _ in range(4)]

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,7 +25,8 @@ from kplane import (
     ramp_filter,
     ramp_spec,
 )
-from kplane.filters import RadialTable, apply_radial_array
+from kplane.filters import RadialTable, apply_radial_array, inverse_radial_profile
+from kplane.transform import frameset_haar
 
 
 def gaussian_block(n, h, width=1.0):
@@ -130,6 +132,26 @@ def test_apply_radial_on_grid_field():
     out = apply_radial(fld, gaussian_spec(0.5))
     assert isinstance(out, GridField)
     assert out.values.max() < vals.max()  # smoothing lowers the peak
+
+
+@pytest.mark.parametrize("d,k,n_frames,n_t", [(2, 1, 7, 40), (3, 2, 5, 33), (3, 1, 4, 15),
+                                               (2, 1, 4, 2**19)])
+@pytest.mark.parametrize("spec", [ramp_spec(3, 1), gaussian_spec(0.6), bessel_spec(2.0, -1)])
+def test_apply_radial_sinogram_is_per_frame_array_bitwise(d, k, n_frames, n_t, spec):
+    # a sinogram's frames are batched in chunks of about 4e6 padded points; the
+    # n_t = 2^19 case (2^20 padded points a frame) splits 4 frames as 3 + 1
+    frames = frameset_haar(d, k, n_frames, RngSeed(d + k))
+    t_grid = TGrid.centered(d - k, n_t, 0.2)
+    vals = RngSeed(7).generator().normal(size=(n_frames,) + t_grid.shape)
+    out = apply_radial(Sinogram(d, k, list(frames.frames), t_grid, vals), spec)
+    ref = np.stack([apply_radial_array(v, 0.2, spec) for v in vals])
+    assert np.array_equal(out.values, ref)
+
+
+def test_apply_radial_rejects_bad_pad_factor():
+    for pad in (0.5, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            apply_radial_array(np.ones(8), 0.1, gaussian_spec(1.0), pad_factor=pad)
 
 
 # --- Bessel functions --------------------------------------------------------
@@ -291,6 +313,27 @@ def test_hankel_gaussian_higher_dims(d):
     omega = np.linspace(0.0, 5.0, 21)
     prof = hankel_profile(t, rho, d, omega)
     assert np.abs(prof - np.exp(-(omega**2) / 2)).max() <= 1e-5
+
+
+def test_inverse_radial_profile_is_scaled_hankel_bitwise():
+    omega = np.arange(0.0, 8.0, 0.01)
+    prof = np.exp(-(omega**2) / 2) * (1 + 0.2 * omega)
+    radii = np.concatenate([[0.0], np.linspace(0.05, 4.0, 17)])
+    for n in (2, 3, 4, 5):
+        ref = hankel_profile(omega, prof, n, radii) / (2 * np.pi) ** n
+        assert np.array_equal(inverse_radial_profile(omega, prof, n, radii), ref)
+
+
+def test_inverse_radial_profile_cosine_case_bitwise():
+    # n = 1 is the cosine transform; it must not evaluate omega^(-1/2) at 0
+    omega = np.arange(0.0, 8.0, 0.01)
+    prof = np.exp(-(omega**2) / 2)
+    radii = np.concatenate([[0.0], np.linspace(0.05, 4.0, 17)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = inverse_radial_profile(omega, prof, 1, radii)
+    ref = np.array([np.trapezoid(np.cos(r * omega) * prof, omega) / np.pi for r in radii])
+    assert np.array_equal(out, ref)
 
 
 def test_radial_spec_unknown_kind():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from kplane import (
     render_delta_iso,
     sino_mass,
 )
+from kplane.fields import interp_t_block
+from kplane.geometry import align_rotation, stiefel_total_mass
 from kplane.transform import sino_dot, sino_norm
 
 GRID_2D = GridSpec.centered(2, 64, 0.2)
@@ -66,6 +70,28 @@ def test_project_iso_even_part_exact():
             sino.generator(fr.rows, t_pts) + sino.generator(-fr.rows, -t_pts)
         )
         assert np.abs(proj.values[i].ravel() - expect).max() <= 1e-14
+
+
+def test_project_iso_o1_is_two_term_average_bitwise():
+    # identity term from the stored values, flipped term from the generator or,
+    # without one, from the t-block of the nearest stored frame to -A
+    sino = circle_closure_sinogram()
+    t_pts = sino.t_grid.points()
+    rows = np.stack([fr.rows for fr in sino.frames])
+    bare = sino.copy_with(sino.values, None)
+    proj, proj_bare = project_iso(sino), project_iso(bare)
+    for i, fr in enumerate(sino.frames):
+        stored = sino.values[i].ravel()
+        flipped = sino.generator(-fr.rows, -t_pts)
+        assert np.array_equal(proj.values[i].ravel(), 0.5 * (stored + flipped))
+        j = int(np.argmin(np.linalg.norm(rows + fr.rows, axis=(1, 2))))
+        looked_up = interp_t_block(sino.values[j], sino.t_grid, -t_pts)
+        assert np.array_equal(proj_bare.values[i].ravel(), 0.5 * (stored + looked_up))
+    assert proj_bare.generator is None
+    pts = t_pts[::5] + 0.013
+    for fr in sino.frames[::17]:
+        expect = 0.5 * (sino.generator(fr.rows, pts) + sino.generator(-fr.rows, -pts))
+        assert np.array_equal(proj.generator(fr.rows, pts), expect)
 
 
 def test_project_iso_idempotent_exact():
@@ -251,6 +277,43 @@ def test_render_delta_iso_alignment_variant_is_isotropic():
     peak_idx = np.unravel_index(np.argmax(sino.values[7]), tg.shape)
     peak_t = np.array([tg.axes()[0][peak_idx[0]], tg.axes()[1][peak_idx[1]]])
     assert np.linalg.norm(peak_t - atom.offset) <= tg.spacing * np.sqrt(2) + 1e-12
+
+
+@pytest.mark.parametrize("d,k", [(3, 1), (4, 2), (5, 3)])
+def test_render_delta_iso_alignment_matches_per_frame_loop_bitwise(d, k):
+    m, eps_a, eps_t = d - k, 0.5, 1.0
+    frames = frameset_haar(d, k, 40, RngSeed(d + k))
+    atom = MollifiedAtom(frames.frames[3], np.linspace(0.4, -0.3, m),
+                         frame_width=eps_a, t_width=eps_t)
+    tg = TGrid.centered(m, 9, 0.4)
+    sino = render_delta_iso(atom, frames, tg, n_rotations=0)
+
+    t = tg.points()
+    d2 = np.empty(len(frames))
+    tb = np.empty((len(frames), len(t)))
+    for i, fr in enumerate(frames.frames):
+        v = align_rotation(atom.frame.rows, fr.rows)
+        d2[i] = ((v @ atom.frame.rows - fr.rows) ** 2).sum()
+        sq = ((t - v @ atom.offset) ** 2).sum(axis=-1)
+        tb[i] = np.exp(-sq / (2.0 * eps_t**2)) / (2.0 * np.pi * eps_t**2) ** (m / 2.0)
+    w = np.exp(-d2 / (2.0 * eps_a**2))
+    w /= stiefel_total_mass(d, k) * w.mean()
+    assert np.array_equal(sino.values.reshape(len(frames), -1), w[:, None] * tb)
+
+
+@pytest.mark.parametrize("n_rotations", [0, 2])
+def test_render_delta_iso_peak_allocation(n_rotations):
+    # at the ridge3d benchmark size the rendering allocates at most 2.2x its result
+    frames = frameset_haar(3, 1, 2000, RngSeed(1))
+    atom = MollifiedAtom(frames.frames[0], np.array([0.8, -0.5]), frame_width=0.1, t_width=1.25)
+    tg = TGrid.centered(2, 48, 0.35)
+    tracemalloc.start()
+    try:
+        sino = render_delta_iso(atom, frames, tg, n_rotations=n_rotations, rng=RngSeed(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * sino.values.nbytes
 
 
 def test_render_delta_iso_base_bump_unit_mass():

@@ -159,6 +159,13 @@ def test_solve_lasso_rejects_nonfinite():
         LassoProblem(np.eye(2), np.ones(2), -1.0)
 
 
+@pytest.mark.parametrize("gram,y", [(np.eye(3), np.ones(2)), (np.ones(3), np.ones(3)),
+                                    (np.eye(2), np.ones((2, 1))), (np.ones((2, 2, 2)), np.ones(2))])
+def test_lasso_problem_rejects_mismatched_shapes(gram, y):
+    with pytest.raises(DomainError, match="gram"):
+        LassoProblem(gram, y, 0.1)
+
+
 def test_reg_cost():
     assert reg_cost(np.array([1.0, -2.0, 0.0])) == 3.0
     assert reg_cost(np.zeros(5)) == 0.0

@@ -398,6 +398,23 @@ def test_sino_dot_requires_matching_grids():
         sino_dot(a, b)
 
 
+def test_sino_dot_requires_matching_frames():
+    # same count, d, k and t-grid, but different frames
+    circle = frameset_circle(8)
+    haar = frameset_haar(2, 1, 8, RngSeed(3))
+    tg = tgrid_1d(16, 0.5)
+    a = Sinogram(2, 1, list(circle.frames), tg, np.ones((8, 16)))
+    b = Sinogram(2, 1, list(haar.frames), tg, np.ones((8, 16)))
+    with pytest.raises(DomainError, match="share frames"):
+        sino_dot(a, b)
+    reordered = Sinogram(2, 1, list(circle.frames)[::-1], tg, np.ones((8, 16)))
+    with pytest.raises(DomainError, match="share frames"):
+        sino_dot(a, reordered)
+    # equal rows held by distinct Frame objects still pair
+    c = Sinogram(2, 1, [Frame(2, 1, fr.rows.copy()) for fr in circle.frames], tg, np.ones((8, 16)))
+    assert sino_dot(a, c) == sino_dot(a, a)
+
+
 def _dense_forward_at(interp, rows, t_pts, quad):
     """The unclipped rule: interpolate every tensor node, then a weighted sum."""
     m, d = rows.shape
