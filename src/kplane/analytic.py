@@ -118,9 +118,9 @@ class RidgeAtom:
         if self.profile not in ("gaussian", "rbf"):
             raise DomainError(f"unknown profile {self.profile!r}")
         if self.profile == "rbf":
-            if self.s is None or self.s <= self.frame.m:
+            if self.s is None or not self.frame.m < self.s < np.inf:
                 raise DomainError(
-                    f"rbf profile needs s > d-k = {self.frame.m}, got {self.s}"
+                    f"rbf profile needs finite s > d-k = {self.frame.m}, got {self.s}"
                 )
 
     def table(self) -> RadialTable:

@@ -83,22 +83,13 @@ def _interp_order(cfg: dict, default: int) -> int:
     return order
 
 
-def _grid_from(cfg: dict) -> GridSpec:
-    g = _require(cfg, "grid")
+def _grid_from(cfg: dict, key: str = "grid", cls: type = GridSpec) -> GridSpec:
+    g = _require(cfg, key)
     try:
-        return GridSpec(np.array(g["origin"], dtype=float), float(g["spacing"]),
-                        tuple(int(n) for n in g["shape"]))
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
-        raise ConfigError(f"bad grid spec: {exc}") from exc
-
-
-def _tgrid_from(cfg: dict) -> TGrid:
-    g = _require(cfg, "t_grid")
-    try:
-        return TGrid(np.array(g["origin"], dtype=float), float(g["spacing"]),
-                     tuple(int(n) for n in g["shape"]))
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
-        raise ConfigError(f"bad t_grid spec: {exc}") from exc
+        return cls(np.array(g["origin"], dtype=float), float(g["spacing"]),
+                   tuple(int(n) for n in g["shape"]))
+    except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
+        raise ConfigError(f"bad {key} spec: {exc}") from exc
 
 
 def _quad_from(cfg: dict) -> QuadSpec:
@@ -107,7 +98,7 @@ def _quad_from(cfg: dict) -> QuadSpec:
         return QuadSpec.default_for(_grid_from(cfg))
     try:
         return QuadSpec(float(q["halfwidth"]), int(q["nodes"]))
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise ConfigError(f"bad quad spec: {exc}") from exc
 
 
@@ -123,10 +114,17 @@ def _frames_from(cfg: dict, seed_override: int | None) -> transform.FrameSet:
             raise ConfigError("deterministic-circle frames require d=2, k=1")
         return transform.frameset_circle(count)
     if mode == "monte-carlo":
-        seed = _number(f, "seed", int, 0) if seed_override is None else int(seed_override)
-        stream = _number(f, "stream", int, 0)
-        return transform.frameset_haar(d, k, count, RngSeed(seed, stream))
+        return transform.frameset_haar(d, k, count, _rng_seed(f, seed_override))
     raise ConfigError(f"unknown frames.mode {mode!r}")
+
+
+def _rng_seed(sec: dict, seed_override: int | None) -> RngSeed:
+    """sec's seed (or the --seed override) and stream; a negative one is a config error."""
+    seed = _number(sec, "seed", int, 0) if seed_override is None else seed_override
+    try:
+        return RngSeed(seed, _number(sec, "stream", int, 0))
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _phantom_field(cfg: dict, grid: GridSpec) -> GridField:
@@ -161,9 +159,11 @@ def _phantom_field(cfg: dict, grid: GridSpec) -> GridField:
 
 def _out_path(cfg: dict, out_dir: str | None, key: str, default: str) -> Path:
     output = _section(cfg, "output")
-    base = Path(out_dir) if out_dir else Path(output.get("dir", "."))
-    base.mkdir(parents=True, exist_ok=True)
-    return base / output.get(key, default)
+    base, name = out_dir or output.get("dir", "."), output.get(key, default)
+    if not all(isinstance(p, str) and "\0" not in p for p in (base, name)):
+        raise ConfigError(f"output.dir and output.{key} must be path strings")
+    Path(base).mkdir(parents=True, exist_ok=True)
+    return Path(base) / name
 
 
 def _write_report(path: Path, report: dict) -> None:
@@ -191,10 +191,6 @@ def _read_kind(path: Path, kind: type):
     return obj
 
 
-def _capture_warnings():
-    return warnings.catch_warnings(record=True)
-
-
 # --- commands -------------------------------------------------------------------
 
 
@@ -217,13 +213,12 @@ def cmd_phantom(cfg: dict, out_dir: str | None, seed: int | None, threads: int |
 def cmd_forward(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
     grid = _grid_from(cfg)
     frames = _frames_from(cfg, seed)
-    t_grid = _tgrid_from(cfg)
+    t_grid = _grid_from(cfg, "t_grid", TGrid)
     quad = _quad_from(cfg)
     order = _interp_order(cfg, 3)
     fld = _read_kind(_out_path(cfg, out_dir, "phantom", "phantom.kpt"), GridField)
-    caught: list = []
     t0 = time.perf_counter()
-    with _capture_warnings() as caught:
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
         sino = transform.forward(fld, frames, t_grid, quad, order=order, threads=threads)
     elapsed = 1000 * (time.perf_counter() - t0)
@@ -242,9 +237,8 @@ def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None, threads: int | Non
     grid = _grid_from(cfg)
     pad = _number(_section(cfg, "filter"), "pad_factor", float, 2.0)
     sino = _read_kind(_out_path(cfg, out_dir, "sinogram", "sinogram.kpt"), Sinogram)
-    caught: list = []
     t0 = time.perf_counter()
-    with _capture_warnings() as caught:
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
         recon = transform.fbp(sino, sino.d, sino.k, grid, pad, threads=threads)
     elapsed = 1000 * (time.perf_counter() - t0)
@@ -270,7 +264,7 @@ def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None, threads: int | Non
 def cmd_calibrate(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
     grid = _grid_from(cfg)
     frames = _frames_from(cfg, seed)
-    t_grid = _tgrid_from(cfg)
+    t_grid = _grid_from(cfg, "t_grid", TGrid)
     quad = _quad_from(cfg)
     pad = _number(_section(cfg, "filter"), "pad_factor", float, 2.0)
     order = _interp_order(cfg, 1)
@@ -298,16 +292,16 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
     if (d, k) != (2, 1):
         raise ConfigError("sparse reconstruction is wired for d=2, k=1 configs")
     grid = _grid_from(cfg)
+    s, lo, hi, n_offsets, n_frames, m_meas, bump_width, lam_rule, tol, max_iter = (
+        _number(sp, key, kind, default) for key, kind, default in [
+            ("s", float, None), ("offset_min", float, None), ("offset_max", float, None),
+            ("offset_count", int, None), ("frame_count", int, None), ("measurements", int, None),
+            ("bump_width", float, 0.8), ("lambda_rule", float, 1e-3), ("tol", float, 1e-10),
+            ("max_iter", int, 20000)])
+    if min(n_frames, n_offsets, m_meas) < 1:
+        raise ConfigError("sparse frame_count, offset_count and measurements must be >= 1")
+    offsets, rng = np.linspace(lo, hi, n_offsets), _rng_seed(sp, seed)
     try:
-        s = float(sp["s"])
-        n_frames = int(sp["frame_count"])
-        offsets = np.linspace(float(sp["offset_min"]), float(sp["offset_max"]),
-                              int(sp["offset_count"]))
-        m_meas = int(sp["measurements"])
-        bump_width = float(sp.get("bump_width", 0.8))
-        lam_rule = float(sp.get("lambda_rule", 1e-3))
-        tol = float(sp.get("tol", 1e-10))
-        max_iter = int(sp.get("max_iter", 20000))
         planted = [(int(item["frame_index"]), int(item["offset_index"]), float(item["weight"]))
                    for item in sp.get("planted") or []]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -322,8 +316,7 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
     dico = sparse.build_dictionary(frames, offsets, s, d, k)
     timings = {"dictionary": 1000 * (time.perf_counter() - t_dict)}
 
-    rng_seed = int(sp.get("seed", 0)) if seed is None else int(seed)
-    gen = RngSeed(rng_seed, int(sp.get("stream", 0))).generator()
+    gen = rng.generator()
     pts = grid.points()
     functionals = []
     for _ in range(m_meas):
@@ -447,15 +440,14 @@ def _run_verify_checks() -> dict[str, float]:
     centroid = analytic.mixture_centroid([[0.8, 0.3], [-0.5, -0.9]], [1.0, 0.6])
     m1 = transform.moment_integral(sino_m, 1, 1)
     worst = 0.0
-    for i, fr in enumerate(frames_m):
-        expect = mass * float(fr.rows[0] @ centroid)
+    for i, rows in enumerate(frames_m.rows):
+        expect = mass * float(rows[0] @ centroid)
         worst = max(worst, abs(float(m1[i]) - expect))
     values["moment_centroid_2d"] = worst
 
     worst = 0.0
     for i in range(0, 16, 3):
-        fr = frames_m.frames[i]
-        rotated = sino_m.generator(-fr.rows, -t_wide.points())
+        rotated = sino_m.generator(-frames_m.rows[i], -t_wide.points())
         worst = max(worst, float(np.abs(rotated - sino_m.values[i].ravel()).max()))
     values["isotropy_rotation_2d"] = worst
 

@@ -2,7 +2,7 @@
 
 ``GridField`` holds samples of a function on a uniform axis-aligned grid with
 isotropic spacing.  ``Sinogram`` holds samples on Xi_k = V_{d-k}(R^d) x R^(d-k):
-a list of frames and a shared uniform t-grid of values per frame.  Both can be
+a ``FrameSet`` and a shared uniform t-grid of values per frame.  Both can be
 written to and read back bit-exactly from the "KPT1" binary format.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DomainError, FormatError
-from .geometry import Frame
+from .geometry import Frame, FrameSet
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +37,8 @@ class GridSpec:
             raise DomainError(f"need finite origin and spacing > 0, got {origin}, {self.spacing}")
         if len(shape) != origin.size or any(n < 1 for n in shape):
             raise DomainError(f"bad grid geometry: origin {origin}, shape {shape}")
+        if 8 * math.prod(shape) > sys.maxsize:  # no float64 array this large can exist
+            raise DomainError(f"grid shape {shape} has too many nodes for one array")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "spacing", float(self.spacing))
@@ -60,7 +63,7 @@ class GridSpec:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,25 +198,25 @@ class TGrid(GridSpec):
 class Sinogram:
     """Samples of a function on Xi_k: one t-block per frame on a shared t-grid.
 
-    ``generator``, when present, evaluates the underlying function at
-    arbitrary (frame, t) pairs; sinograms produced by the forward transform
-    carry one so that frame-rotated coordinates can be re-rendered exactly.
-    It is never serialized.
+    ``frames`` is held as given if a ``FrameSet``, else wrapped once as
+    ``FrameSet(frames, "explicit")``.  ``generator``, when present, evaluates
+    the underlying function at arbitrary (frame, t) pairs; sinograms produced
+    by the forward transform carry one so that frame-rotated coordinates can
+    be re-rendered exactly.  It is never serialized.
     """
 
     d: int
     k: int
-    frames: list[Frame]
+    frames: FrameSet
     t_grid: TGrid
     values: np.ndarray
     generator: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if not self.frames:
-            raise DomainError("sinogram needs at least one frame")
-        for fr in self.frames:
-            if (fr.d, fr.k) != (self.d, self.k):
-                raise DomainError("all frames must share (d, k)")
+        if not isinstance(self.frames, FrameSet):
+            self.frames = FrameSet(self.frames, "explicit")
+        if (self.frames.d, self.frames.k) != (self.d, self.k):
+            raise DomainError("all frames must share the sinogram's (d, k)")
         if self.t_grid.m != self.d - self.k:
             raise DomainError(
                 f"t-grid dimension {self.t_grid.m} != d-k = {self.d - self.k}"
@@ -232,7 +235,7 @@ class Sinogram:
         return len(self.frames)
 
     def copy_with(self, values: np.ndarray, generator=None) -> "Sinogram":
-        return Sinogram(self.d, self.k, list(self.frames), self.t_grid, values, generator)
+        return Sinogram(self.d, self.k, self.frames, self.t_grid, values, generator)
 
 
 def lerp_t(flat: np.ndarray, shape: tuple[int, ...], u: list[np.ndarray],
@@ -301,7 +304,7 @@ def _header_dict(obj: GridField | Sinogram) -> dict:
             "origin": [float(v) for v in obj.t_grid.origin],
             "spacing": float(obj.t_grid.spacing),
             "shape": list(obj.t_grid.shape),
-            "frames": [[[float(v) for v in row] for row in fr.rows] for fr in obj.frames],
+            "frames": obj.frames.rows.tolist(),
         }
     raise DomainError(f"cannot serialize {type(obj)!r}")
 
@@ -354,14 +357,17 @@ def read_kpt(path) -> GridField | Sinogram:
     payload_offset = 8 + hlen
     payload = blob[payload_offset:]
     full = ((len(frames),) if kind == "sinogram" else ()) + shape
-    expected = 8 * int(np.prod(full))
+    expected = 8 * math.prod(full)
     if len(payload) != expected:
         raise FormatError(
             f"payload is {len(payload)} bytes, expected {expected}", offset=payload_offset
         )
-    values = np.frombuffer(payload, dtype="<f8").reshape(full).copy()
+    values = np.frombuffer(payload, dtype="<f8").copy()
     if not np.all(np.isfinite(values)):
         raise FormatError("payload holds non-finite values", offset=payload_offset)
-    if kind == "grid":
-        return GridField(origin, header["spacing"], shape, values)
-    return Sinogram(d, k, frames, TGrid(origin, header["spacing"], shape), values)
+    try:
+        if kind == "grid":
+            return GridField(origin, header["spacing"], shape, values)
+        return Sinogram(d, k, frames, TGrid(origin, header["spacing"], shape), values)
+    except DomainError as exc:
+        raise FormatError(f"header does not describe a valid {kind} ({exc})", offset=8) from exc

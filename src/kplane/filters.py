@@ -265,8 +265,8 @@ def green_rbf(s: float, n: int, r_max: float = 12.0, dr: float = 0.02) -> Radial
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if s <= n:
-        raise DomainError(f"need s > n for a bounded atom, got s={s}, n={n}")
+    if not n < s < math.inf:
+        raise DomainError(f"need finite s > n for a bounded atom, got s={s}, n={n}")
 
     def evaluate(radii: np.ndarray) -> np.ndarray:
         lo = -2.0 * 41.0 / (s - n) - 4.0  # tau^((s-n)/2) below 1e-18

@@ -25,6 +25,10 @@ class RngSeed:
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0 or self.stream < 0:
+            raise DomainError(f"seed and stream must be >= 0, got {self.seed}, {self.stream}")
+
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=(int(self.seed), int(self.stream)))
         return np.random.Generator(np.random.PCG64(seq))
@@ -60,7 +64,7 @@ class Frame:
             )
         gram = rows @ rows.T
         defect = np.linalg.norm(gram - np.eye(self.d - self.k))
-        if defect > 1e-10:
+        if not defect <= 1e-10:  # also rejects NaN rows
             raise DomainError(f"frame rows not orthonormal (defect {defect:.3e})")
         object.__setattr__(self, "rows", rows)
 
@@ -68,6 +72,49 @@ class Frame:
     def m(self) -> int:
         """Codimension d - k (number of rows)."""
         return self.d - self.k
+
+
+@dataclass(frozen=True, eq=False)
+class FrameSet:
+    """Discretization of the Haar integral over V_{d-k}(R^d).
+
+    ``rows`` is the read-only (n, d-k, d) stack of the frames' rows, built
+    once; the frames are checked once to share (d, k).
+    mode "deterministic-circle": equiangular unit vectors over [0, 2 pi)
+    (d=2, k=1 only, matching the unnormalized Haar mass 2 pi).
+    mode "monte-carlo": independent Haar samples with a recorded seed.
+    mode "explicit": frames given as they are, e.g. read from a KPT file.
+    """
+
+    frames: tuple[Frame, ...]
+    mode: str
+    seed: RngSeed | None = None
+    rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        frames = tuple(self.frames)
+        if not frames:
+            raise DomainError("frame set must be nonempty")
+        if any((fr.d, fr.k) != (frames[0].d, frames[0].k) for fr in frames):
+            raise DomainError("frame set must be homogeneous in (d, k)")
+        rows = np.stack([fr.rows for fr in frames])
+        rows.flags.writeable = False
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def d(self) -> int:
+        return self.frames[0].d
+
+    @property
+    def k(self) -> int:
+        return self.frames[0].k
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __getitem__(self, index):
+        return self.frames[index]
 
 
 @dataclass(frozen=True, eq=False)

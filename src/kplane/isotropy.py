@@ -20,25 +20,25 @@ from .fields import GridSpec, QuadSpec, Sinogram, TGrid, interp_t_block
 from .filters import ramp_filter
 from .geometry import (
     Frame,
+    FrameSet,
     RngSeed,
     align_rotation,
     haar_orthogonal_sample,
     stiefel_total_mass,
 )
-from .transform import FrameSet, backproject, forward
+from .transform import backproject, forward
 
 DEFAULT_CHORDAL_TOL = 0.15
 DEFAULT_N_ROTATIONS = 64
 
 
-def _eval_at(sino: Sinogram, rows: np.ndarray, t_pts: np.ndarray, tol: float,
-             frame_rows: np.ndarray) -> np.ndarray:
+def _eval_at(sino: Sinogram, rows: np.ndarray, t_pts: np.ndarray, tol: float) -> np.ndarray:
     """Sinogram values at an arbitrary frame: from its generator when it has one,
     else from the t-block of the nearest stored frame (Frobenius metric, first on
-    a tie; frame_rows is their (n, d-k, d) stack), which must lie within ``tol``."""
+    a tie), which must lie within ``tol``."""
     if sino.generator is not None:
         return sino.generator(rows, t_pts)
-    dists = np.linalg.norm(frame_rows - rows, axis=(1, 2))
+    dists = np.linalg.norm(sino.frames.rows - rows, axis=(1, 2))
     j = int(np.argmin(dists))
     if dists[j] > tol:
         raise DomainError(
@@ -66,7 +66,6 @@ def project_iso(
                        atol=1e-9 * tg.spacing):
         raise DomainError("project_iso needs a t-grid symmetric about 0")
     m, t_pts = sino.m, tg.points()
-    frame_rows = np.stack([fr.rows for fr in sino.frames])
     # for d-k = 1 the identity term is the stored values (or the base generator)
     if m == 1:
         rotations, acc, count = [-np.eye(1)], sino.values.copy(), 2
@@ -76,9 +75,8 @@ def project_iso(
         acc, count = np.zeros_like(sino.values), n_rotations
     for u in rotations:
         rotated_t = t_pts @ u.T
-        for i, fr in enumerate(sino.frames):
-            vals = _eval_at(sino, u @ fr.rows, rotated_t, chordal_tol, frame_rows)
-            acc[i] += vals.reshape(tg.shape)
+        for i, rows in enumerate(sino.frames.rows):
+            acc[i] += _eval_at(sino, u @ rows, rotated_t, chordal_tol).reshape(tg.shape)
     acc /= count
     base_gen = sino.generator
 
@@ -108,8 +106,7 @@ def pk_project(
     """
     filtered = ramp_filter(sino, sino.d, sino.k, pad_factor)
     fld = backproject(filtered, grid, threads=threads)
-    frames = FrameSet(tuple(sino.frames), "monte-carlo")
-    return forward(fld, frames, sino.t_grid, quad, order=order, threads=threads)
+    return forward(fld, sino.frames, sino.t_grid, quad, order=order, threads=threads)
 
 
 @dataclass(eq=False)
@@ -158,7 +155,7 @@ def render_delta_iso(
             f"t_width {atom.t_width} not resolvable on spacing {t_grid.spacing}"
         )
     mass, t_pts, n_fr = stiefel_total_mass(d, k), t_grid.points(), len(frames)
-    rows = np.stack([fr.rows for fr in frames.frames])  # (n, m, d)
+    rows = frames.rows  # (n, m, d)
     # each rotation list entry is one U, or an (n, m, m) stack of one U per frame
     if m == 1:
         rotations = [np.eye(1), -np.eye(1)]
@@ -187,4 +184,4 @@ def render_delta_iso(
             vals[part] += w[part, None] * tb
     vals /= len(rotations)
 
-    return Sinogram(d, k, list(frames.frames), t_grid, vals.reshape((n_fr,) + t_grid.shape))
+    return Sinogram(d, k, frames, t_grid, vals.reshape((n_fr,) + t_grid.shape))

@@ -96,8 +96,8 @@ def build_dictionary(frame_grid, offset_grid, s: float, d: int, k: int) -> Dicti
     offset_grid = [np.atleast_1d(np.asarray(t, dtype=float)) for t in offset_grid]
     if not frame_grid or not offset_grid:
         raise DomainError("frame and offset grids must be nonempty")
-    if s <= d - k:
-        raise DomainError(f"need s > d-k = {d - k}, got s={s}")
+    if not d - k < s < math.inf:
+        raise DomainError(f"need finite s > d-k = {d - k}, got s={s}")
     offs = np.stack(offset_grid)
     for j, fr_j in enumerate(frame_grid):
         # dup[q]: atom (j, q) equals some earlier atom (i, p), i <= j

@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,50 +28,12 @@ from .fields import (
     lerp_t,
 )
 from .filters import ramp_filter
-from .geometry import Frame, RngSeed, complete_frame, haar_frame_sample, stiefel_total_mass
-
-
-@dataclass(frozen=True)
-class FrameSet:
-    """Discretization of the Haar integral over V_{d-k}(R^d).
-
-    mode "deterministic-circle": equiangular unit vectors over [0, 2 pi)
-    (d=2, k=1 only, matching the unnormalized Haar mass 2 pi).
-    mode "monte-carlo": independent Haar samples with a recorded seed.
-    """
-
-    frames: tuple[Frame, ...]
-    mode: str
-    seed: RngSeed | None = field(default=None)
-
-    def __post_init__(self):
-        if not self.frames:
-            raise DomainError("frame set must be nonempty")
-        d, k = self.frames[0].d, self.frames[0].k
-        for fr in self.frames:
-            if (fr.d, fr.k) != (d, k):
-                raise DomainError("frame set must be homogeneous in (d, k)")
-        object.__setattr__(self, "frames", tuple(self.frames))
-
-    @property
-    def d(self) -> int:
-        return self.frames[0].d
-
-    @property
-    def k(self) -> int:
-        return self.frames[0].k
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    def __iter__(self):
-        return iter(self.frames)
+from .geometry import (Frame, FrameSet, RngSeed, complete_frame, haar_frame_sample,
+                       stiefel_total_mass)
 
 
 def frameset_circle(n: int) -> FrameSet:
     """Equiangular frames alpha(theta) = (cos, sin) over the full circle."""
-    if n < 1:
-        raise DomainError("need at least one frame")
     thetas = 2.0 * np.pi * np.arange(n) / n
     frames = [Frame(2, 1, np.array([[np.cos(t), np.sin(t)]])) for t in thetas]
     return FrameSet(tuple(frames), "deterministic-circle")
@@ -205,21 +166,16 @@ def forward(
     interp = FieldInterpolator(fld, order=order)
     t_pts = t_grid.points()
 
-    def run(fr: Frame) -> np.ndarray:
-        return forward_at(interp, fr.rows, t_pts, quad).reshape(t_grid.shape)
+    def generator(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        return forward_at(interp, rows, pts, quad)
 
     n_threads = _thread_count(threads)
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            blocks = list(pool.map(run, frames.frames))
+            blocks = list(pool.map(generator, frames.rows, [t_pts] * len(frames)))
     else:
-        blocks = [run(fr) for fr in frames.frames]
-    values = np.stack(blocks)
-
-    def generator(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return forward_at(interp, rows, pts, quad)
-
-    return Sinogram(d, k, list(frames.frames), t_grid, values, generator)
+        blocks = [generator(rows, t_pts) for rows in frames.rows]
+    return Sinogram(d, k, frames, t_grid, np.stack(blocks), generator)
 
 
 def backproject(
@@ -239,7 +195,7 @@ def backproject(
         raise DomainError(f"grid dimension {d} != sinogram d = {sino.d}")
     mass = stiefel_total_mass(sino.d, sino.k)
     # u[f, j] = sum_i terms[i][f, j]: grid axis i's share, varying along axis i only
-    rows = np.stack([fr.rows for fr in sino.frames])
+    rows = sino.frames.rows
     terms = [(rows[..., i, None] * (grid.spacing / tg.spacing) * np.arange(n)).reshape(
         rows.shape[:2] + tuple(n if a == i else 1 for a in range(d)))
         for i, n in enumerate(grid.shape)]
@@ -349,8 +305,7 @@ def same_grid(a: GridSpec | GridField, b: GridSpec | GridField) -> bool:
 
 def sino_dot(a: Sinogram, b: Sinogram) -> float:
     """Discrete pairing on Xi_k: Haar mass x frame mean of the t-grid sums."""
-    same_frames = a.n_frames == b.n_frames and all(
-        fa is fb or np.array_equal(fa.rows, fb.rows) for fa, fb in zip(a.frames, b.frames))
+    same_frames = a.frames is b.frames or np.array_equal(a.frames.rows, b.frames.rows)
     if (a.d, a.k) != (b.d, b.k) or not same_frames or not same_grid(a.t_grid, b.t_grid):
         raise DomainError("sinograms must share frames and t-grid")
     mass = stiefel_total_mass(a.d, a.k)

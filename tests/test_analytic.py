@@ -165,6 +165,9 @@ def test_ridge_atom_validation():
     fr = haar_frame_sample(3, 1, RngSeed(1))
     with pytest.raises(DomainError):
         RidgeAtom(1.0, fr, np.array([0.0, 0.0]), profile="rbf", s=1.5)  # s <= d-k
+    for s in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            RidgeAtom(1.0, fr, np.array([0.0, 0.0]), profile="rbf", s=s)
     with pytest.raises(DomainError):
         RidgeAtom(np.nan, fr, np.array([0.0, 0.0]))
     with pytest.raises(DomainError):

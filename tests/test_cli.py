@@ -1,7 +1,12 @@
+import contextlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kplane import integrate, read_kpt, transform
 from kplane.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
@@ -449,3 +454,104 @@ def test_reconstruct_rejects_sinogram_phantom(tmp_path, capsys):
     assert main(["reconstruct", "--config", path]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and "does not hold a GridField" in err
+
+
+def small_config(out_dir):
+    """A 2-D config that runs every command in a few milliseconds."""
+    return {
+        "d": 2,
+        "k": 1,
+        "grid": {"origin": [-2.0, -2.0], "spacing": 0.5, "shape": [9, 9]},
+        "frames": {"mode": "monte-carlo", "count": 8, "seed": 1, "stream": 0},
+        "t_grid": {"origin": [-3.0], "spacing": 0.5, "shape": [13]},
+        "quad": {"halfwidth": 3.0, "nodes": 16},
+        "filter": {"pad_factor": 2.0},
+        "interp_order": 1,
+        "phantom": {"kind": "ridge-sum", "atoms": [
+            {"frame": [[1.0, 0.0]], "offset": [0.5], "weight": 1.2},
+            {"frame": [[0.0, 1.0]], "offset": [-0.3], "profile": "rbf", "s": 2.0},
+        ]},
+        "sparse": {"s": 2.0, "frame_count": 4, "offset_min": -1.0, "offset_max": 1.0,
+                   "offset_count": 4, "measurements": 3, "seed": 0, "stream": 0,
+                   "planted": [{"frame_index": 1, "offset_index": 2, "weight": 1.0}]},
+        "output": {"dir": str(out_dir)},
+    }
+
+
+def _cases_exit_2():
+    commands = ["phantom", "forward", "fbp", "calibrate", "reconstruct"]
+    cases = [(c, {"output": {"dir": bad}}, [], f"{c}-dir-{bad!r}")
+             for c in commands for bad in (None, 5, [1], {}, NAN)]
+    cases += [("phantom", {"output": {"phantom": 3}}, [], "phantom-name-3"),
+              ("reconstruct", {"sparse": {"seed": "x"}}, [], "sparse-seed-str"),
+              ("reconstruct", {"sparse": {"stream": [1]}}, [], "sparse-stream-list"),
+              ("reconstruct", {"sparse": {"offset_count": -1}}, [], "offset-count-negative"),
+              ("phantom", {"output": {"dir": "a\0b"}}, [], "phantom-dir-nul"),
+              ("phantom", {"grid": {"shape": [INF, 9]}}, [], "grid-shape-inf"),
+              ("phantom", {"grid": {"shape": [2**40, 2**40]}}, [], "grid-2^40")]
+    for c in ("forward", "calibrate", "reconstruct"):
+        sec = "sparse" if c == "reconstruct" else "frames"
+        cases += [(c, {sec: {"seed": -1}}, [], f"{c}-seed-negative"),
+                  (c, {sec: {"stream": -1}}, [], f"{c}-stream-negative"),
+                  (c, {}, ["--seed", "-1"], f"{c}-seed-arg-negative")]
+    return [pytest.param(*case[:3], id=case[3]) for case in cases]
+
+
+@pytest.mark.parametrize("command,patch,args", _cases_exit_2())
+def test_bad_value_without_traceback_exit_2(tmp_path, capsys, command, patch, args):
+    # each of these ended in a TypeError, ValueError or MemoryError traceback
+    out = tmp_path / "out"
+    cfg = small_config(out)
+    path = write_config(tmp_path, cfg)
+    assert main(["phantom", "--config", path]) == 0
+    assert main(["forward", "--config", path]) == 0
+    for sec, values in patch.items():
+        cfg[sec] = {**cfg[sec], **values}
+    capsys.readouterr()
+    assert main([command, "--config", write_config(tmp_path, cfg, "bad.json"), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def _key_paths(obj, prefix=()):
+    """Every key path into a JSON value: object keys and list indices."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+_SMALL_PATHS = list(_key_paths(small_config(".")))
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("inputs")
+    path = write_config(out, small_config(out))
+    assert main(["phantom", "--config", path]) == 0
+    assert main(["forward", "--config", path]) == 0
+    return {name: (out / name).read_bytes() for name in ("phantom.kpt", "sinogram.kpt")}
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["phantom", "forward", "fbp", "calibrate", "reconstruct"]),
+       key_path=st.sampled_from(_SMALL_PATHS),
+       value=st.sampled_from(["x", "", [], [1, "x"], {}, {"a": None}, None, NAN, -1]))
+def test_mutated_config_exits_with_documented_code(small_inputs, command, key_path, value):
+    # one value anywhere in a valid config replaced by a wrong type, null, NaN
+    # or -1: the command ends with 0, 2, 3 or 4 and never raises
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, blob in small_inputs.items():
+            Path(name).write_bytes(blob)
+        cfg = small_config(tmp)
+        owner = cfg
+        for key in key_path[:-1]:
+            owner = owner[key]
+        owner[key_path[-1]] = value
+        Path("cfg.json").write_text(json.dumps(cfg))
+        assert main([command, "--config", "cfg.json"]) in (0, 2, 3, 4)

@@ -116,6 +116,14 @@ def test_nonfinite_geometry_rejected(build):
         build()
 
 
+def test_grid_size_is_exact_and_bounded():
+    # np.prod wrapped in int64: (2**32, 2**32) had size 0
+    assert GridSpec(np.zeros(2), 0.1, (2**30, 2**29)).size == 2**59
+    for shape in [(2**32, 2**32), (2**40, 2**40)]:
+        with pytest.raises(DomainError, match="too many nodes"):
+            GridSpec(np.zeros(2), 0.1, shape)
+
+
 def test_grid_field_is_a_grid_spec():
     fld = make_field(d=3, n=5, h=0.25)
     assert isinstance(fld, GridSpec)
@@ -284,6 +292,7 @@ def _drop(key):
     pytest.param(lambda h: {**h, "frames": {"rows": 1}}, id="frames-dict"),
     pytest.param(lambda h: {**h, "frames": [[[1.0, 0.0]]] * 4}, id="frames-2d"),
     pytest.param(lambda h: {**h, "frames": [[[1.0, 1.0, 0.0]]] * 4}, id="frames-skew"),
+    pytest.param(lambda h: {**h, "frames": [[[np.nan, 0, 0], [0, 1, 0]]] * 4}, id="frames-nan"),
     pytest.param(lambda h: [h], id="header-list"),
 ])
 def test_kpt_header_schema(tmp_path, mutate):
@@ -291,6 +300,23 @@ def test_kpt_header_schema(tmp_path, mutate):
     write_kpt(path, make_sinogram())
     header, payload = _kpt_parts(path)
     _write_parts(path, mutate(header), payload)
+    with pytest.raises(FormatError) as err:
+        read_kpt(path)
+    assert err.value.offset == 8
+
+
+@pytest.mark.parametrize("patch,n_values", [
+    ({"frames": []}, 0),
+    ({"spacing": 0}, 4 * 36),
+    ({"shape": [6, 0]}, 0),
+    ({"shape": [-2, -3]}, 4 * 6),
+], ids=["no-frames", "zero-spacing", "empty-axis", "negative-axes"])
+def test_kpt_header_invalid_geometry(tmp_path, patch, n_values):
+    # well-typed headers whose payload size matches, but which describe no sinogram
+    path = tmp_path / "bad.kpt"
+    write_kpt(path, make_sinogram())
+    header, _ = _kpt_parts(path)
+    _write_parts(path, {**header, **patch}, np.zeros(n_values).tobytes())
     with pytest.raises(FormatError) as err:
         read_kpt(path)
     assert err.value.offset == 8

@@ -304,6 +304,9 @@ def test_green_rbf_domain():
         green_rbf(1.0, 1)
     with pytest.raises(DomainError):
         green_rbf(2.0, 2)
+    for s in (np.nan, np.inf):  # NaN passed the s <= n test; inf gave a NaN table
+        with pytest.raises(DomainError, match="finite"):
+            green_rbf(s, 1)
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])

@@ -64,6 +64,12 @@ def test_haar_frame_orthonormal(d, k):
         assert defect <= 1e-12
 
 
+@pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -1)])
+def test_rng_seed_rejects_negative(seed, stream):
+    with pytest.raises(DomainError, match=">= 0"):
+        RngSeed(seed, stream)
+
+
 def test_haar_frame_deterministic():
     a = haar_frame_sample(4, 2, RngSeed(5, 9))
     b = haar_frame_sample(4, 2, RngSeed(5, 9))
@@ -199,6 +205,8 @@ def test_frame_invariant_rejects_bad_rows():
         Frame(3, 1, np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
     with pytest.raises(DomainError):
         Frame(3, 3, np.zeros((0, 3)))
+    with pytest.raises(DomainError):  # NaN passed the defect > tol test
+        Frame(2, 1, np.array([[np.nan, 0.0]]))
 
 
 def test_haar_invariance_under_fixed_rotation():

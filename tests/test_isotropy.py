@@ -5,6 +5,7 @@ import pytest
 
 from kplane import (
     DomainError,
+    FrameSet,
     GridSpec,
     MollifiedAtom,
     QuadSpec,
@@ -17,6 +18,7 @@ from kplane import (
     mixture_field,
     pk_project,
     project_iso,
+    ramp_filter,
     render_delta_iso,
     sino_mass,
 )
@@ -61,6 +63,26 @@ def haar_closure_sinogram(n_frames=240, delta=0.15, seed=21, x1=(0.6, -0.3, 0.2)
 # --- exact O(1) branch (d - k = 1) -------------------------------------------
 
 
+def test_sinograms_hold_their_frame_set():
+    # one (n, d-k, d) row stack per frame set, shared by every derived sinogram
+    frames = frameset_haar(3, 1, 6, RngSeed(2))
+    assert frames.rows.shape == (6, 2, 3) and not frames.rows.flags.writeable
+    assert all(np.array_equal(frames.rows[i], fr.rows) for i, fr in enumerate(frames))
+    assert frames[1:4] == frames.frames[1:4]
+    grid, tg, quad = GridSpec.centered(3, 6, 0.5), TGrid.centered(2, 11, 0.5), QuadSpec(3.0, 8)
+    sino = forward(mixture_field(grid, [[0.2, 0.0, -0.1]], [1.0]), frames, tg, quad, order=1)
+    atom = MollifiedAtom(frames[0], np.zeros(2), frame_width=0.5, t_width=1.0)
+    derived = [sino, sino.copy_with(sino.values), ramp_filter(sino),
+               project_iso(sino, n_rotations=2), pk_project(sino, grid, quad, order=1),
+               render_delta_iso(atom, frames, tg, n_rotations=0)]
+    assert all(out.frames is frames for out in derived)
+    wrapped = Sinogram(3, 1, list(frames.frames), tg, sino.values)
+    assert isinstance(wrapped.frames, FrameSet) and wrapped.frames.mode == "explicit"
+    assert np.array_equal(wrapped.frames.rows, frames.rows)
+    with pytest.raises(DomainError, match="homogeneous"):
+        FrameSet((frames[0], frameset_haar(3, 2, 1, RngSeed(3))[0]), "explicit")
+
+
 def test_project_iso_even_part_exact():
     sino = circle_closure_sinogram()
     proj = project_iso(sino)
@@ -77,7 +99,7 @@ def test_project_iso_o1_is_two_term_average_bitwise():
     # without one, from the t-block of the nearest stored frame to -A
     sino = circle_closure_sinogram()
     t_pts = sino.t_grid.points()
-    rows = np.stack([fr.rows for fr in sino.frames])
+    rows = sino.frames.rows
     bare = sino.copy_with(sino.values, None)
     proj, proj_bare = project_iso(sino), project_iso(bare)
     for i, fr in enumerate(sino.frames):
@@ -245,7 +267,7 @@ def test_render_delta_iso_two_bump_closed_form():
     atom = MollifiedAtom(a0, t0, frame_width=eps_a, t_width=eps_t)
     sino = render_delta_iso(atom, frames, tg)
 
-    rows = np.stack([fr.rows for fr in frames.frames])
+    rows = frames.rows
     t = tg.points()
     mass = 2 * np.pi
     expect = np.zeros((24, 41))

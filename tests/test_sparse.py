@@ -75,6 +75,9 @@ def test_build_dictionary_validation():
         build_dictionary([], [0.0], 2.0, 2, 1)
     with pytest.raises(DomainError):
         build_dictionary(half_circle_frames(2), [0.0], 1.0, 2, 1)  # s <= d-k
+    for s in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            build_dictionary(half_circle_frames(2), [0.0], s, 2, 1)
 
 
 def test_assemble_zero_functional_row():
