@@ -99,7 +99,8 @@ class FieldInterpolator:
     order=1 is multilinear interpolation (the package-wide evaluation
     contract); order=3 is interpolating cubic splines, used by the forward
     quadrature where multilinear bias would dominate.  Points outside the
-    grid's bounding box evaluate to 0 (compact-support convention).
+    grid's bounding box evaluate to 0 (compact-support convention): at every
+    order, map_coordinates(mode="constant") returns cval outside [0, n-1].
     """
 
     def __init__(self, fld: GridField, order: int = 1):
@@ -123,13 +124,7 @@ class FieldInterpolator:
         coords = ((pts.reshape(-1, self.field.d) - self.field.origin) / self.field.spacing).T
         out = ndimage.map_coordinates(
             self._coeff, coords, order=self.order, mode="constant", cval=0.0, prefilter=False
-        )
-        if self.order == 3:
-            # spline support leaks one cell past the box; enforce the hard cutoff
-            n = np.array(self.field.shape)
-            inside = np.all((coords.T >= 0.0) & (coords.T <= n - 1), axis=-1)
-            out = np.where(inside, out, 0.0)
-        out = out.reshape(lead)
+        ).reshape(lead)
         return float(out[0]) if squeeze else out
 
 
@@ -243,31 +238,41 @@ def lerp_t(flat: np.ndarray, shape: tuple[int, ...], u: list[np.ndarray],
     """Multilinear reads of finite row-major t-blocks stored back to back in flat.
 
     u[j] is the index coordinate along t-axis j and base the flat offset of
-    each point's t-block, all broadcasting together.  Points outside [0, n-1]
-    on any axis read exactly 0, as map_coordinates(mode="constant") does; the
-    mask is built only when an axis's exact bounds leave the grid.  Returns
-    the values and the number of points outside.
+    each point's t-block, all broadcasting together; u is only read.  Points
+    outside [0, n-1] on any axis, or not finite, read exactly 0, as
+    map_coordinates(mode="constant") does.  Only when an axis's exact bounds
+    leave the grid is its mask built and its u clipped into [0, n-1], so a
+    read far outside costs no more than one inside.  The corners are gathered
+    into fresh arrays and each axis, last first, is folded into them in place
+    as a + f (b - a).  Returns the values and the number of points outside.
     """
-    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
-    pos, weights, offsets, inside = np.asarray(base, dtype=float), [], [0], None
+    strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
+    pos, fracs, offsets, inside = np.asarray(base, dtype=float), [], [0], None
     for uj, n, stride in zip(u, shape, strides):
-        if uj.min() < 0.0 or uj.max() > n - 1:
+        if not (uj.min() >= 0.0 and uj.max() <= n - 1):  # also taken on NaN
             ok = (uj >= 0.0) & (uj <= n - 1)
             inside = ok if inside is None else inside & ok
+            uj = np.nan_to_num(np.clip(uj, 0.0, n - 1), copy=False)
         lo = np.floor(uj)
-        pos = pos + (lo * stride if stride > 1 else lo)
-        frac = uj - lo
-        weights.append((1.0 - frac, frac))
-        offsets = [o + s for o in offsets for s in (0, int(stride))]
-    # no clip: a corner past an axis end has weight 0 inside the grid, and
-    # points outside are masked, so any finite value ("wrap") will do
+        fracs.append(uj - lo)
+        if stride > 1:
+            lo *= stride
+        pos = pos + lo
+        offsets = [o + s for o in offsets for s in (0, stride)]
+    # a corner past an axis end has weight 0 inside the grid, and points
+    # outside are masked, so any in-bounds value ("wrap") will do there
     idx = pos.astype(np.intp)
     vals = [flat[o:].take(idx, mode="wrap") for o in offsets]
-    for w_lo, w_hi in reversed(weights):  # nested lerp, last axis first
-        vals = [a * w_lo + b * w_hi for a, b in zip(vals[::2], vals[1::2])]
+    for frac in reversed(fracs):
+        for a, b in zip(vals[::2], vals[1::2]):
+            b -= a
+            b *= frac
+            b += a
+        vals = vals[1::2]
     if inside is None:
         return vals[0], 0
-    return vals[0] * inside, int(inside.size - np.count_nonzero(inside))
+    vals[0] *= inside
+    return vals[0], int(inside.size - np.count_nonzero(inside))
 
 
 def interp_t_block(block: np.ndarray, t_grid: TGrid, t_pts: np.ndarray) -> np.ndarray:

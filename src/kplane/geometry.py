@@ -218,17 +218,20 @@ def haar_orthogonal_sample(m: int, rng) -> Rotation:
     return Rotation(m, _sign_fixed_qr(g))
 
 
-def complete_frame(frame: Frame) -> np.ndarray:
+def complete_frame(frame: Frame | FrameSet) -> np.ndarray:
     """Orthonormal basis B (d x k) of the k-plane direction space A^perp.
 
     Columns of B complete the rows of A to an orthonormal basis of R^d;
-    deterministic given A (full QR of A^T).
+    deterministic given A (full QR of A^T).  A FrameSet is completed by one
+    batched QR into an (n, d, k) stack, frame by frame bit-identical to the
+    single-frame completion.
     """
-    d, m = frame.d, frame.m
-    q, _ = np.linalg.qr(frame.rows.T, mode="complete")
-    b = q[:, m:]
+    rows = frame.rows
+    d, m = rows.shape[-1], rows.shape[-2]
+    q, _ = np.linalg.qr(np.swapaxes(rows, -1, -2), mode="complete")
+    b = q[..., m:]
     # Align the leading block with A^T so [A^T | B] is orthogonal by construction.
-    resid = np.linalg.norm(frame.rows @ b)
+    resid = np.linalg.norm(rows @ b, axis=(-2, -1)).max()
     if resid > ORTHONORMALITY_TOL * max(1.0, d):
         raise DomainError(f"complement construction failed (residual {resid:.3e})")
     return b
@@ -265,8 +268,12 @@ def orbit_distance(a: np.ndarray | Frame, b: np.ndarray | Frame) -> float:
 
 
 def align_rotation(src: np.ndarray | Frame, dst: np.ndarray | Frame) -> np.ndarray:
-    """Orthogonal V minimizing ||V A_src - A_dst||_F (orthogonal Procrustes)."""
+    """Orthogonal V minimizing ||V A_src - A_dst||_F (orthogonal Procrustes).
+
+    dst may be an (n, m, d) stack of frame rows; the result is then the (n, m, m)
+    stack of rotations from one batched SVD.
+    """
     ra = src.rows if isinstance(src, Frame) else np.asarray(src)
     rb = dst.rows if isinstance(dst, Frame) else np.asarray(dst)
-    p, _, qt = np.linalg.svd(ra @ rb.T)
-    return qt.T @ p.T
+    p, _, qt = np.linalg.svd(ra @ np.swapaxes(rb, -1, -2))
+    return np.swapaxes(qt, -1, -2) @ np.swapaxes(p, -1, -2)

@@ -75,27 +75,29 @@ def _support_radius(fld: GridField, rel_floor: float = 1e-6) -> float:
 
 
 def forward_at(
-    interp: FieldInterpolator, rows: np.ndarray, t_pts: np.ndarray, quad: QuadSpec
+    interp: FieldInterpolator, rows: np.ndarray, t_pts: np.ndarray, quad: QuadSpec,
+    b: np.ndarray | None = None,
 ) -> np.ndarray:
     """Quadrature of the field over the planes {x : A x = t} for each t point.
 
     rows is the (d-k) x d frame matrix; t_pts has shape (..., d-k).  The
     plane is parameterized as x = B y + A^T t with B the orthonormal
-    completion of A, and y running over tensor trapezoid nodes in [-L, L]^k.
+    completion of A (complete_frame, unless the caller passes it as b), and
+    y running over tensor trapezoid nodes in [-L, L]^k.
 
     Only nodes whose point can lie inside the field's bounding box are
     interpolated; the rest contribute exact zeros by the interpolator's
     compact-support convention.  Each row (one t point and one node of the
-    leading k-1 plane axes) is a line along the last column b of B, and the
-    box cuts that line in an interval of y found analytically, widened by a
-    rounding slack and padded by one node on each side.  Every point that is
+    leading k-1 plane axes) is a line along the last column of B, and the
+    box cuts that line in an interval of y found analytically, one box axis
+    at a time, and widened by a rounding slack.  Every point that is
     interpolated is bit-identical to the dense rule's; only zero terms are
     left out of the sum.
     """
     d = rows.shape[1]
     k = d - rows.shape[0]
-    frame = Frame(d, k, rows)
-    b = complete_frame(frame)
+    if b is None:
+        b = complete_frame(Frame(d, k, rows))
     nodes, weights = quad.nodes_weights(k)
     n = quad.nodes_per_axis
     t_pts = np.asarray(t_pts, dtype=float)
@@ -111,18 +113,20 @@ def forward_at(
     scale = np.abs(lo).max() + np.abs(hi).max() + np.abs(row_x).max(initial=0.0)
     slack = 1e-9 * (scale + quad.halfwidth)  # far above rounding in the node points
     lo, hi = lo - slack, hi + slack
-    last = b[:, -1]
-    moving, fixed = last != 0.0, last == 0.0
-    # a box axis the line runs parallel to either holds the whole row or none of it
-    flat = np.all((row_x[:, fixed] >= lo[fixed]) & (row_x[:, fixed] <= hi[fixed]), axis=1)
-    s_lo = (lo[moving] - row_x[:, moving]) / last[moving]
-    s_hi = (hi[moving] - row_x[:, moving]) / last[moving]
-    y_lo = np.minimum(s_lo, s_hi).max(axis=1, initial=-np.inf)
-    y_hi = np.maximum(s_lo, s_hi).min(axis=1, initial=np.inf)
+    y_lo = np.full(row_x.shape[0], -np.inf)
+    y_hi = np.full(row_x.shape[0], np.inf)
+    for i, step in enumerate(b[:, -1]):
+        x = row_x[:, i]
+        if step == 0.0:  # the line runs parallel to this axis: it holds the whole row or none
+            outside = (x < lo[i]) | (x > hi[i])
+            y_lo[outside], y_hi[outside] = np.inf, -np.inf
+        else:
+            s_lo, s_hi = (lo[i] - x) / step, (hi[i] - x) / step
+            np.maximum(y_lo, np.minimum(s_lo, s_hi), out=y_lo)
+            np.minimum(y_hi, np.maximum(s_lo, s_hi), out=y_hi)
     y = nodes[:n, -1]
-    j_lo = np.maximum(np.searchsorted(y, y_lo, side="left") - 1, 0)
-    j_hi = np.minimum(np.searchsorted(y, y_hi, side="right"), n - 1)
-    count = np.where(flat & (y_lo <= y_hi), np.maximum(j_hi - j_lo + 1, 0), 0)
+    j_lo = np.searchsorted(y, y_lo, side="left")  # first node at or above y_lo
+    count = np.maximum(np.searchsorted(y, y_hi, side="right") - j_lo, 0)
 
     # gather the candidate nodes, row by row, and sum them per t point
     row = np.repeat(np.arange(n_t * n_lead), count)
@@ -169,12 +173,16 @@ def forward(
     def generator(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return forward_at(interp, rows, pts, quad)
 
+    def frame_block(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return forward_at(interp, rows, t_pts, quad, b)
+
+    completions = complete_frame(frames)
     n_threads = _thread_count(threads)
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            blocks = list(pool.map(generator, frames.rows, [t_pts] * len(frames)))
+            blocks = list(pool.map(frame_block, frames.rows, completions))
     else:
-        blocks = [generator(rows, t_pts) for rows in frames.rows]
+        blocks = [frame_block(rows, b) for rows, b in zip(frames.rows, completions)]
     return Sinogram(d, k, frames, t_grid, np.stack(blocks), generator)
 
 
@@ -184,9 +192,9 @@ def backproject(
     """Dual transform: Haar mass times the frame average of g(A, A x).
 
     Interpolation is multilinear in t only, never across frames.  A block of
-    about 2^14 frames x grid points is read at once: its t-grid
-    index coordinates u = (A x - o) / h are broadcast over the grid axes and
-    read by one gather (fields.lerp_t).  Grid points whose A x leaves the
+    about 2^14 frames x grid points is read at once: its t-grid index
+    coordinates u = (A x - o) / h come from one small matrix product with the
+    grid's index points and are read by one gather (fields.lerp_t).  Grid points whose A x leaves the
     t-grid on any axis read exactly 0 and raise a truncation warning.  Blocks
     add into fixed 64-frame partial sums, so threads do not change the result.
     """
@@ -194,24 +202,24 @@ def backproject(
     if d != sino.d:
         raise DomainError(f"grid dimension {d} != sinogram d = {sino.d}")
     mass = stiefel_total_mass(sino.d, sino.k)
-    # u[f, j] = sum_i terms[i][f, j]: grid axis i's share, varying along axis i only
-    rows = sino.frames.rows
-    terms = [(rows[..., i, None] * (grid.spacing / tg.spacing) * np.arange(n)).reshape(
-        rows.shape[:2] + tuple(n if a == i else 1 for a in range(d)))
-        for i, n in enumerate(grid.shape)]
-    terms[0] += ((rows @ grid.origin - tg.origin) / tg.spacing).reshape(rows.shape[:2] + (1,) * d)
+    # u[j][f] = coef[j, f] . cells + shift[j, f], with cells the grid's index points
+    rows = np.swapaxes(sino.frames.rows, 0, 1)  # (m, n, d)
+    coef = rows * (grid.spacing / tg.spacing)
+    shift = ((rows @ grid.origin - tg.origin[:, None]) / tg.spacing)[..., None]
+    cells = np.indices(grid.shape, dtype=float).reshape(d, -1)
     flat = sino.values.reshape(-1)
     chunk = 64  # frames per partial sum; fixed so results are reproducible
     block = max(1, (1 << 14) // grid.size)  # frames per gather; larger blocks raise peak RSS
 
     def run_chunk(first: int) -> tuple[np.ndarray, int]:
-        partial = np.zeros(grid.shape)
+        partial = np.zeros(grid.size)
         outside = 0
         stop = min(first + chunk, sino.n_frames)
         for f0 in range(first, stop, block):
             f = slice(f0, min(f0 + block, stop))
-            u = [sum(term[f, j] for term in terms) for j in range(sino.m)]
-            base = (tg.size * np.arange(f.start, f.stop, dtype=float)).reshape((-1,) + (1,) * d)
+            u = coef[:, f] @ cells
+            u += shift[:, f]
+            base = (tg.size * np.arange(f.start, f.stop, dtype=float))[:, None]
             vals, out = lerp_t(flat, tg.shape, u, base)
             partial += vals.sum(axis=0)
             outside += out
@@ -225,7 +233,7 @@ def backproject(
     else:
         results = [run_chunk(s) for s in starts]
 
-    total = np.zeros(grid.shape)
+    total = np.zeros(grid.size)
     truncated = 0
     for partial, outside in results:
         total += partial

@@ -230,6 +230,41 @@ def test_cubic_interpolator_outside_is_zero():
     assert np.abs(vals - truth).max() <= 1e-10
 
 
+@pytest.mark.parametrize("order", [1, 3])
+def test_interpolator_cutoff_at_the_box_faces(order):
+    from kplane import FieldInterpolator
+
+    # origin and spacing are exact binary fractions, so index coordinates survive
+    # the round trip through physical coordinates
+    values = RngSeed(11).generator().normal(size=(12, 9))
+    fld = GridField(np.array([-2.75, -2.0]), 0.5, (12, 9), values)
+    interp = FieldInterpolator(fld, order=order)
+    for axis, n in enumerate(fld.shape):
+        idx = np.array([[5.0, 4.0]] * 5)
+        idx[:, axis] = [0.0, n - 1, -1e-12, n - 1 + 1e-12, n - 0.5]
+        got = interp(fld.origin + fld.spacing * idx)
+        assert np.all(got[2:] == 0.0)
+        node = [fld.values[tuple(int(i) for i in row)] for row in idx[:2]]
+        assert np.abs(got[:2] - node).max() <= (0.0 if order == 1 else 1e-12)
+
+
+def test_lerp_t_reads_outside_as_zero_and_leaves_u_unchanged():
+    from scipy import ndimage
+
+    from kplane.fields import lerp_t
+
+    block = RngSeed(12).generator().normal(size=(7, 5))
+    u = [np.array([0.0, 6.0, 2.5, -1e-12, 6.5, -1e12, 3.25, np.nan, 1.0]),
+         np.array([4.0, 0.0, 1.75, 2.0, 2.0, 1.0, 4.0 + 1e-12, 1.0, -np.inf])]
+    kept = [uj.copy() for uj in u]
+    got, outside = lerp_t(block.ravel(), block.shape, u)
+    assert all(np.array_equal(uj, keep, equal_nan=True) for uj, keep in zip(u, kept))
+    assert outside == 6 and np.all(got[3:] == 0.0)
+    ref = ndimage.map_coordinates(block, np.stack(kept)[:, :3], order=1, mode="constant",
+                                  cval=0.0, prefilter=False)
+    assert np.abs(got[:3] - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 def test_interpolator_rejects_bad_order():
     from kplane import FieldInterpolator
 

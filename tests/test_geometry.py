@@ -6,6 +6,7 @@ import pytest
 from kplane import (
     DomainError,
     Frame,
+    FrameSet,
     RngSeed,
     Rotation,
     align_rotation,
@@ -134,6 +135,24 @@ def test_complete_frame_properties(d, k):
         assert np.linalg.norm(full @ full.T - np.eye(d)) <= 1e-12
         # the complement projector depends only on the row span
         assert np.linalg.norm(b @ b.T - (np.eye(d) - fr.rows.T @ fr.rows)) <= 1e-12
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3)])
+def test_complete_frame_of_frame_set_matches_per_frame_bitwise(d, k):
+    gen = RngSeed(d, k).generator()
+    frames = FrameSet(tuple(haar_frame_sample(d, k, gen) for _ in range(12)), "explicit")
+    stack = complete_frame(frames)
+    assert stack.shape == (12, d, k)
+    assert np.array_equal(stack, np.stack([complete_frame(fr) for fr in frames]))
+
+
+@pytest.mark.parametrize("d,k", [(3, 1), (4, 2), (5, 3)])
+def test_align_rotation_of_row_stack_matches_per_frame_bitwise(d, k):
+    gen = RngSeed(d, k).generator()
+    src = haar_frame_sample(d, k, gen).rows
+    rows = np.stack([haar_frame_sample(d, k, gen).rows for _ in range(12)])
+    stack = align_rotation(src, rows)
+    assert np.array_equal(stack, np.stack([align_rotation(src, r) for r in rows]))
 
 
 def test_complement_projector_rotation_invariant():

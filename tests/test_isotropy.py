@@ -310,17 +310,27 @@ def test_render_delta_iso_alignment_matches_per_frame_loop_bitwise(d, k):
     tg = TGrid.centered(m, 9, 0.4)
     sino = render_delta_iso(atom, frames, tg, n_rotations=0)
 
-    t = tg.points()
     d2 = np.empty(len(frames))
-    tb = np.empty((len(frames), len(t)))
+    centres = np.empty((len(frames), m))
     for i, fr in enumerate(frames.frames):
         v = align_rotation(atom.frame.rows, fr.rows)
         d2[i] = ((v @ atom.frame.rows - fr.rows) ** 2).sum()
-        sq = ((t - v @ atom.offset) ** 2).sum(axis=-1)
-        tb[i] = np.exp(-sq / (2.0 * eps_t**2)) / (2.0 * np.pi * eps_t**2) ** (m / 2.0)
+        centres[i] = v @ atom.offset
     w = np.exp(-d2 / (2.0 * eps_a**2))
-    w /= stiefel_total_mass(d, k) * w.mean()
-    assert np.array_equal(sino.values.reshape(len(frames), -1), w[:, None] * tb)
+    w /= stiefel_total_mass(d, k) * w.mean() * (2.0 * np.pi * eps_t**2) ** (m / 2.0)
+    # per frame: weight times one 1-D Gaussian per t-axis, first axis first
+    ref = np.empty(sino.values.shape)
+    for i, c in enumerate(centres):
+        bump = w[i]
+        for ax, cj in zip(tg.axes(), c):
+            bump = np.multiply.outer(bump, np.exp(-(ax - cj) ** 2 / (2.0 * eps_t**2)))
+        ref[i] = bump
+    assert np.array_equal(sino.values, ref)
+
+    # the closed form, exp of the summed squared distance, agrees to rounding
+    sq = ((tg.points() - centres[:, None, :]) ** 2).sum(axis=-1)
+    closed = w[:, None] * np.exp(-sq / (2.0 * eps_t**2))
+    np.testing.assert_allclose(sino.values.reshape(len(frames), -1), closed, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("n_rotations", [0, 2])
