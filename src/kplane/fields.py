@@ -98,9 +98,13 @@ class FieldInterpolator:
 
     order=1 is multilinear interpolation (the package-wide evaluation
     contract); order=3 is interpolating cubic splines, used by the forward
-    quadrature where multilinear bias would dominate.  Points outside the
-    grid's bounding box evaluate to 0 (compact-support convention): at every
-    order, map_coordinates(mode="constant") returns cval outside [0, n-1].
+    quadrature where multilinear bias would dominate.  ``read`` takes index
+    coordinates u = (x - origin) / spacing: order 1 runs the package's one
+    multilinear kernel (lerp_t), order 3 map_coordinates on the spline
+    coefficients.  Calling the interpolator on physical points is that affine
+    map in front of ``read``.  Points outside the grid's bounding box evaluate
+    to 0 (compact-support convention): both kernels read exactly 0 outside
+    [0, n-1] on any axis.
     """
 
     def __init__(self, fld: GridField, order: int = 1):
@@ -113,6 +117,14 @@ class FieldInterpolator:
         else:
             self._coeff = fld.values
 
+    def read(self, u: np.ndarray) -> np.ndarray:
+        """Values at the index coordinates u, a (d, N) array with one row per axis."""
+        if self.order == 1:
+            return lerp_t(self._coeff.reshape(-1), self.field.shape, u)[0]
+        return ndimage.map_coordinates(
+            self._coeff, u, order=3, mode="constant", cval=0.0, prefilter=False
+        )
+
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         squeeze = pts.ndim == 1
@@ -122,9 +134,7 @@ class FieldInterpolator:
             raise DomainError(f"points must have last dim {self.field.d}")
         lead = pts.shape[:-1]
         coords = ((pts.reshape(-1, self.field.d) - self.field.origin) / self.field.spacing).T
-        out = ndimage.map_coordinates(
-            self._coeff, coords, order=self.order, mode="constant", cval=0.0, prefilter=False
-        ).reshape(lead)
+        out = self.read(coords).reshape(lead)
         return float(out[0]) if squeeze else out
 
 
@@ -235,10 +245,12 @@ class Sinogram:
 
 def lerp_t(flat: np.ndarray, shape: tuple[int, ...], u: list[np.ndarray],
            base: np.ndarray | float = 0.0) -> tuple[np.ndarray, int]:
-    """Multilinear reads of finite row-major t-blocks stored back to back in flat.
+    """Multilinear reads of finite row-major blocks stored back to back in flat.
 
-    u[j] is the index coordinate along t-axis j and base the flat offset of
-    each point's t-block, all broadcasting together; u is only read.  Points
+    This is the package's one multilinear kernel: backproject reads t-blocks
+    with it, and FieldInterpolator(order=1) reads a grid field as one block.
+    u[j] is the index coordinate along axis j and base the flat offset of each
+    point's block, all broadcasting together; u is only read.  Points
     outside [0, n-1] on any axis, or not finite, read exactly 0, as
     map_coordinates(mode="constant") does.  Only when an axis's exact bounds
     leave the grid is its mask built and its u clipped into [0, n-1], so a
@@ -249,7 +261,7 @@ def lerp_t(flat: np.ndarray, shape: tuple[int, ...], u: list[np.ndarray],
     strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
     pos, fracs, offsets, inside = np.asarray(base, dtype=float), [], [0], None
     for uj, n, stride in zip(u, shape, strides):
-        if not (uj.min() >= 0.0 and uj.max() <= n - 1):  # also taken on NaN
+        if not (uj.min(initial=0.0) >= 0.0 and uj.max(initial=0.0) <= n - 1):  # and on NaN
             ok = (uj >= 0.0) & (uj <= n - 1)
             inside = ok if inside is None else inside & ok
             uj = np.nan_to_num(np.clip(uj, 0.0, n - 1), copy=False)

@@ -267,21 +267,30 @@ def green_rbf(s: float, n: int, r_max: float = 12.0, dr: float = 0.02) -> Radial
         raise DomainError(f"need n >= 1, got {n}")
     if not n < s < math.inf:
         raise DomainError(f"need finite s > n for a bounded atom, got s={s}, n={n}")
+    try:
+        gamma = math.gamma(s / 2.0)
+    except OverflowError:
+        raise DomainError(f"Gamma(s/2) overflows float64 for s={s}") from None
 
     def evaluate(radii: np.ndarray) -> np.ndarray:
         lo = -2.0 * 41.0 / (s - n) - 4.0  # tau^((s-n)/2) below 1e-18
         hi = math.log(60.0 + float(np.max(radii, initial=0.0)) * 2.0 + 4.0)
         u = np.arange(lo, hi, 0.02)
         tau = np.exp(u)
-        # integrand of the tau integral times the log-substitution Jacobian tau
-        base = tau ** ((s - n) / 2.0) * np.exp(-tau) * (4.0 * np.pi) ** (-n / 2.0)
+        # integrand of the tau integral times the log-substitution Jacobian tau;
+        # an overflow for large s is caught by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = tau ** ((s - n) / 2.0) * np.exp(-tau) * (4.0 * np.pi) ** (-n / 2.0)
         out = np.empty(radii.shape)
         chunk = 256
         for start in range(0, radii.size, chunk):
             r = radii[start : start + chunk, None]
             vals = base[None, :] * np.exp(-(r**2) / (4.0 * tau[None, :]))
             out[start : start + chunk] = np.trapezoid(vals, u, axis=1)
-        return out / math.gamma(s / 2.0)
+        out /= gamma
+        if not np.all(np.isfinite(out)):
+            raise DomainError(f"rho_s overflows float64 for s={s}")
+        return out
 
     radii = np.arange(0.0, r_max + dr, dr)
     return RadialTable(radii, evaluate(radii), extend=evaluate)

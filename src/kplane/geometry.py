@@ -9,6 +9,7 @@ several helpers below work modulo that identification.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,6 +153,8 @@ def _check_dk(d: int, k: int) -> None:
         raise DomainError(f"d, k must be integers, got {d}, {k}")
     if not (1 <= k <= d - 1):
         raise DomainError(f"need 1 <= k <= d-1, got d={d}, k={k}")
+    if 8 * d * (d - k) > sys.maxsize:  # no float64 frame matrix this large can exist
+        raise DomainError(f"d={d} is too large for a (d-k) x d frame matrix")
 
 
 def c_constant(d: int, k: int) -> float:
@@ -187,23 +190,36 @@ def _sign_fixed_qr(mat: np.ndarray) -> np.ndarray:
     """QR orthonormalization with the R diagonal forced positive.
 
     Applied to a standard Gaussian matrix this yields exactly Haar-distributed
-    orthonormal columns.
+    orthonormal columns.  A stack of matrices is orthonormalized one by one.
     """
     q, r = np.linalg.qr(mat)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
+
+
+def _haar_rows(d: int, k: int, n: int, rng) -> np.ndarray:
+    """Rows of n Haar frames, (n, d-k, d): sign-fixed QR of n d x (d-k) Gaussians.
+
+    One draw, one stacked rank check and one batched QR; unless a matrix has
+    to be re-drawn, frame by frame the same bits as n single draws from the
+    same stream.
+    """
+    _check_dk(d, k)
+    if not 1 <= n <= sys.maxsize // (8 * d * (d - k)):
+        raise DomainError(f"cannot draw {n} frames of shape ({d - k}, {d}) into one array")
+    gen = _as_generator(rng)
+    g = gen.normal(size=(n, d, d - k))
+    bad = np.linalg.matrix_rank(g) < d - k
+    while n_bad := np.count_nonzero(bad):  # a.s. never; re-draw the rank-deficient ones
+        g[bad] = gen.normal(size=(n_bad, d, d - k))
+        bad = np.linalg.matrix_rank(g) < d - k
+    return np.swapaxes(_sign_fixed_qr(g), -1, -2)
 
 
 def haar_frame_sample(d: int, k: int, rng) -> Frame:
     """Haar-distributed frame: sign-fixed QR of a d x (d-k) Gaussian matrix."""
-    _check_dk(d, k)
-    gen = _as_generator(rng)
-    while True:
-        g = gen.normal(size=(d, d - k))
-        if np.linalg.matrix_rank(g) == d - k:  # a.s. true; re-draw otherwise
-            break
-    return Frame(d, k, _sign_fixed_qr(g).T)
+    return Frame(d, k, _haar_rows(d, k, 1, rng)[0])
 
 
 def haar_orthogonal_sample(m: int, rng) -> Rotation:

@@ -1,12 +1,15 @@
 """Discrete k-plane transform, backprojection, and filtered backprojection.
 
 forward() integrates a grid field over the planes {x : A x = t} by tensor
-trapezoid quadrature in the plane coordinates, interpolating only the nodes
-inside the grid box: the rest contribute exact zeros.  backproject() averages a
-sinogram over its frames at t = A x and scales by the total Haar mass of
-the Stiefel manifold, so that ramp-filtered backprojection inverts the
-forward map, reading blocks of frames in one vectorised gather that is exactly
-0 outside the t-grid.  Everything is pure and parallelizes over frames.
+trapezoid quadrature in the plane coordinates: an interpolating ray-driven
+projector (Joseph 1982) vectorised over blocks of frames.  It works in the
+grid's index coordinates and reads only the nodes inside the grid box, the
+rest contributing exact zeros.  backproject() averages a sinogram over its
+frames at t = A x and scales by the total Haar mass of the Stiefel manifold,
+so that ramp-filtered backprojection inverts the forward map, reading blocks
+of frames in one vectorised gather that is exactly 0 outside the t-grid.
+Both read through one multilinear kernel (fields.lerp_t), and everything is
+pure and parallelizes over blocks of frames.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .fields import (
     lerp_t,
 )
 from .filters import ramp_filter
-from .geometry import (Frame, FrameSet, RngSeed, complete_frame, haar_frame_sample,
+from .geometry import (Frame, FrameSet, RngSeed, _haar_rows, complete_frame,
                        stiefel_total_mass)
 
 
@@ -41,8 +44,7 @@ def frameset_circle(n: int) -> FrameSet:
 
 def frameset_haar(d: int, k: int, n: int, seed: RngSeed) -> FrameSet:
     """n independent Haar frames drawn from the given seed."""
-    gen = seed.generator()
-    frames = tuple(haar_frame_sample(d, k, gen) for _ in range(n))
+    frames = tuple(Frame(d, k, rows) for rows in _haar_rows(d, k, n, seed))
     return FrameSet(frames, "monte-carlo", seed)
 
 
@@ -74,71 +76,105 @@ def _support_radius(fld: GridField, rel_floor: float = 1e-6) -> float:
     return float(np.sqrt(((coords - center) ** 2).sum(axis=1)).max())
 
 
+# Tensor quadrature nodes per forward_at block of whole frames (at least one
+# frame).  Fixed, so results do not depend on the thread count; larger blocks
+# raise peak RSS and, once their arrays outgrow the core's cache, cost time.
+_BLOCK_NODES = 1 << 15
+
+
+def _block_frames(n_t: int, quad: QuadSpec, k: int) -> int:
+    """Frames per forward_at block for n_t t points and k plane axes."""
+    return max(1, _BLOCK_NODES // (n_t * quad.nodes_per_axis**k))
+
+
 def forward_at(
     interp: FieldInterpolator, rows: np.ndarray, t_pts: np.ndarray, quad: QuadSpec,
     b: np.ndarray | None = None,
 ) -> np.ndarray:
     """Quadrature of the field over the planes {x : A x = t} for each t point.
 
-    rows is the (d-k) x d frame matrix; t_pts has shape (..., d-k).  The
-    plane is parameterized as x = B y + A^T t with B the orthonormal
-    completion of A (complete_frame, unless the caller passes it as b), and
-    y running over tensor trapezoid nodes in [-L, L]^k.
+    rows is one (d-k) x d frame matrix A, or an (n, d-k, d) stack of them, and
+    the result has shape t_pts.shape[:-1], or (n,) + that; t_pts has shape
+    (..., d-k).  Each plane is parameterized as x = B y + A^T t with B the
+    orthonormal completion of A (complete_frame, unless the caller passes it,
+    or the (n, d, k) stack, as b), and y running over tensor trapezoid nodes
+    in [-L, L]^k.
 
-    Only nodes whose point can lie inside the field's bounding box are
-    interpolated; the rest contribute exact zeros by the interpolator's
-    compact-support convention.  Each row (one t point and one node of the
-    leading k-1 plane axes) is a line along the last column of B, and the
-    box cuts that line in an interval of y found analytically, one box axis
-    at a time, and widened by a rounding slack.  Every point that is
-    interpolated is bit-identical to the dense rule's; only zero terms are
-    left out of the sum.
+    The work runs in the field's index coordinates u = (x - o) / h, in blocks
+    of whole frames holding up to 2^15 tensor nodes (one frame, if it holds
+    more).  Only nodes whose point can lie inside the box [0, n_i - 1] are
+    read; the rest contribute exact zeros by the interpolator's
+    compact-support convention.  Each row (one frame, one t point and one
+    node of the leading k-1 plane axes) is a line along the last column of
+    B, and the box cuts that line in an interval of y found analytically,
+    one box axis at a time, and widened by a rounding slack.  A block's
+    nodes are gathered with searchsorted and repeat, u is built one axis at
+    a time by 1-D takes, all points are read by one FieldInterpolator.read
+    and summed by one bincount over (frame, t).  A frame's values do not
+    depend on the other frames of the call, so one frame alone gives the
+    same bits as in a stack.
     """
-    d = rows.shape[1]
-    k = d - rows.shape[0]
+    shape = np.shape(rows)[:-2] + np.shape(t_pts)[:-1]
+    m, d = np.shape(rows)[-2:]
+    k = d - m
+    rows = np.asarray(rows, dtype=float).reshape(-1, m, d)
     if b is None:
-        b = complete_frame(Frame(d, k, rows))
+        b = complete_frame(FrameSet(tuple(Frame(d, k, r) for r in rows), "explicit"))
+    b = np.reshape(b, (-1, d, k))
     nodes, weights = quad.nodes_weights(k)
     n = quad.nodes_per_axis
-    t_pts = np.asarray(t_pts, dtype=float)
-    lead = t_pts.shape[:-1]
-    base = t_pts.reshape(-1, rows.shape[0]) @ rows  # A^T t for each t
-    n_t, n_lead = base.shape[0], n ** (k - 1)
-
-    # row starts x_r = A^T t + (leading node) . B[:, :-1], rows ordered (t, lead)
-    row_x = (base[:, None, :] + nodes[::n, :-1] @ b[:, :-1].T).reshape(-1, d)
+    t_pts = np.asarray(t_pts, dtype=float).reshape(-1, m)
     fld = interp.field
-    lo = fld.origin
-    hi = fld.origin + fld.spacing * (np.array(fld.shape) - 1)
-    scale = np.abs(lo).max() + np.abs(hi).max() + np.abs(row_x).max(initial=0.0)
-    slack = 1e-9 * (scale + quad.halfwidth)  # far above rounding in the node points
-    lo, hi = lo - slack, hi + slack
-    y_lo = np.full(row_x.shape[0], -np.inf)
-    y_hi = np.full(row_x.shape[0], np.inf)
-    for i, step in enumerate(b[:, -1]):
-        x = row_x[:, i]
-        if step == 0.0:  # the line runs parallel to this axis: it holds the whole row or none
-            outside = (x < lo[i]) | (x > hi[i])
-            y_lo[outside], y_hi[outside] = np.inf, -np.inf
-        else:
-            s_lo, s_hi = (lo[i] - x) / step, (hi[i] - x) / step
-            np.maximum(y_lo, np.minimum(s_lo, s_hi), out=y_lo)
-            np.minimum(y_hi, np.maximum(s_lo, s_hi), out=y_hi)
+    h = fld.spacing
+    n_fr, n_t, n_lead = len(rows), len(t_pts), n ** (k - 1)
+    hi = np.array(fld.shape, dtype=float) - 1
     y = nodes[:n, -1]
-    j_lo = np.searchsorted(y, y_lo, side="left")  # first node at or above y_lo
-    count = np.maximum(np.searchsorted(y, y_hi, side="right") - j_lo, 0)
+    out = np.empty((n_fr, n_t))
+    block = _block_frames(n_t, quad, k)
+    for f0 in range(0, n_fr, block):
+        f = slice(f0, f0 + block)
+        base = t_pts @ rows[f]  # A^T t per frame and t point
+        bu = b[f] / h  # (fb, d, k): u per unit of y
+        fb = len(bu)
+        # row starts u_r = (A^T t - o) / h + (leading node) . B[:, :-1] / h, rows
+        # ordered (frame, t, lead)
+        lead_u = nodes[::n, :-1] @ np.swapaxes(bu[..., :-1], -1, -2)
+        row_u = ((base - fld.origin) / h)[:, :, None, :] + lead_u[:, None]
+        row_u = row_u.reshape(fb, -1, d)
+        slack = 1e-9 * (hi.max() + np.abs(row_u).max(initial=0.0) + quad.halfwidth / h)
+        y_lo = np.full(row_u.shape[:2], -np.inf)
+        y_hi = np.full(row_u.shape[:2], np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(d):
+                # a line parallel to axis i divides by 0: the +-inf bounds then
+                # keep the whole row or none of it
+                x, step_i = row_u[..., i], bu[:, i, -1, None]
+                s_lo, s_hi = (-slack - x) / step_i, (hi[i] + slack - x) / step_i
+                np.maximum(y_lo, np.minimum(s_lo, s_hi), out=y_lo)
+                np.minimum(y_hi, np.maximum(s_lo, s_hi), out=y_hi)
+        j_lo = np.searchsorted(y, y_lo.ravel(), side="left")  # first node at or above y_lo
+        count = np.maximum(np.searchsorted(y, y_hi.ravel(), side="right") - j_lo, 0)
 
-    # gather the candidate nodes, row by row, and sum them per t point
-    row = np.repeat(np.arange(n_t * n_lead), count)
-    j = np.arange(row.size) - np.repeat(np.cumsum(count) - count - j_lo, count)
-    t_idx, node = np.divmod(row, n_lead)
-    node = node * n + j
-    offsets = (nodes @ b.T).T
-    pts = np.empty((d, row.size))
-    for i in range(d):  # one 1-D take per coordinate; row gathers of (N, d) are slower
-        np.add(base[:, i].take(t_idx), offsets[i].take(node), out=pts[i])
-    vals = interp(pts.T)
-    return np.bincount(t_idx, weights=weights[node] * vals, minlength=n_t).reshape(lead)
+        # gather the candidate nodes row by row: idx indexes the block's (frame,
+        # node) offsets and ft = frame * n_t + t its sums
+        ft, lead_row = np.divmod(np.arange(count.size), n_lead)
+        first = (ft // n_t) * len(weights) + lead_row * n + j_lo - (np.cumsum(count) - count)
+        ft = np.repeat(ft, count)
+        idx = np.arange(ft.size) + np.repeat(first, count)
+        offsets = np.moveaxis(nodes @ np.swapaxes(b[f], -1, -2), -1, 0).reshape(d, -1)
+        base = base.reshape(-1, d).T
+        u = np.empty((d, ft.size))
+        for i in range(d):  # one 1-D take per axis; row gathers of (N, d) are slower
+            # u = (x - o) / h of the point x = A^T t + B y, rounded as the dense rule
+            # rounds it, so that which points on a box face read as inside does not
+            # depend on the blocking
+            np.add(base[i].take(ft), offsets[i].take(idx), out=u[i])
+            u[i] -= fld.origin[i]
+            u[i] /= h
+        w = np.tile(weights, fb).take(idx)
+        w *= interp.read(u)
+        out[f] = np.bincount(ft, weights=w, minlength=fb * n_t).reshape(fb, n_t)
+    return out.reshape(shape)
 
 
 def forward(
@@ -151,8 +187,11 @@ def forward(
 ) -> Sinogram:
     """k-plane transform of a grid field, sampled on frames x t-grid.
 
+    All frames go through one forward_at call, or with threads > 1 one call
+    per 64 of its blocks, so the values do not depend on the thread count.
     The returned sinogram carries a generator handle so its underlying
-    function can be re-evaluated exactly at rotated frame coordinates.
+    function can be re-evaluated exactly at rotated frame coordinates; it is
+    the same code with one frame.
     """
     d, k = frames.d, frames.k
     if t_grid.m != d - k:
@@ -173,17 +212,18 @@ def forward(
     def generator(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return forward_at(interp, rows, pts, quad)
 
-    def frame_block(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return forward_at(interp, rows, t_pts, quad, b)
-
-    completions = complete_frame(frames)
+    rows, completions = frames.rows, complete_frame(frames)
     n_threads = _thread_count(threads)
     if n_threads > 1:
+        chunk = 64 * _block_frames(len(t_pts), quad, k)  # frames per task: whole blocks
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            blocks = list(pool.map(frame_block, frames.rows, completions))
+            values = np.concatenate(list(pool.map(
+                lambda f0: forward_at(interp, rows[f0:f0 + chunk], t_pts, quad,
+                                      completions[f0:f0 + chunk]),
+                range(0, len(frames), chunk))))
     else:
-        blocks = [frame_block(rows, b) for rows, b in zip(frames.rows, completions)]
-    return Sinogram(d, k, frames, t_grid, np.stack(blocks), generator)
+        values = forward_at(interp, rows, t_pts, quad, completions)
+    return Sinogram(d, k, frames, t_grid, values, generator)
 
 
 def backproject(

@@ -513,6 +513,26 @@ def test_bad_value_without_traceback_exit_2(tmp_path, capsys, command, patch, ar
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,key_path", [
+    pytest.param("phantom", ("phantom", "atoms", 1, "s"), id="atom-s"),  # math.gamma overflowed
+    pytest.param("forward", ("d",), id="d"),  # numpy's array size limit in the Haar draw
+    pytest.param("forward", ("frames", "count"), id="frames-count"),
+])
+def test_large_finite_value_without_traceback_exit_4(tmp_path, capsys, command, key_path):
+    out = tmp_path / "out"
+    cfg = small_config(out)
+    path = write_config(tmp_path, cfg)
+    assert main(["phantom", "--config", path]) == 0
+    owner = cfg
+    for key in key_path[:-1]:
+        owner = owner[key]
+    owner[key_path[-1]] = 1e300
+    capsys.readouterr()
+    assert main([command, "--config", write_config(tmp_path, cfg, "bad.json")]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and "Traceback" not in err
+
+
 def _key_paths(obj, prefix=()):
     """Every key path into a JSON value: object keys and list indices."""
     if isinstance(obj, dict):

@@ -12,6 +12,7 @@ from kplane import (
     align_rotation,
     c_constant,
     complete_frame,
+    frameset_haar,
     haar_frame_sample,
     haar_orthogonal_sample,
     orbit_distance,
@@ -19,6 +20,7 @@ from kplane import (
     sphere_area,
     stiefel_total_mass,
 )
+from kplane.geometry import _haar_rows
 
 
 def test_sphere_area_small_dims():
@@ -153,6 +155,52 @@ def test_align_rotation_of_row_stack_matches_per_frame_bitwise(d, k):
     rows = np.stack([haar_frame_sample(d, k, gen).rows for _ in range(12)])
     stack = align_rotation(src, rows)
     assert np.array_equal(stack, np.stack([align_rotation(src, r) for r in rows]))
+
+
+def _loop_haar_rows(d, k, n, seed):
+    """The per-frame rule: one draw, rank check and sign-fixed QR per frame."""
+    gen, out = seed.generator(), []
+    for _ in range(n):
+        while True:
+            g = gen.normal(size=(d, d - k))
+            if np.linalg.matrix_rank(g) == d - k:
+                break
+        q, r = np.linalg.qr(g)
+        signs = np.sign(np.diag(r))
+        signs[signs == 0] = 1.0
+        out.append((q * signs).T)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("d,k", [(3, 1), (3, 2), (4, 2), (5, 3)])
+def test_frameset_haar_matches_per_frame_draws_bitwise(d, k):
+    seed = RngSeed(40 + d, k)
+    frames = frameset_haar(d, k, 300, seed)
+    assert np.array_equal(frames.rows, _loop_haar_rows(d, k, 300, seed))
+    assert np.array_equal(haar_frame_sample(d, k, seed).rows, frames.rows[0])
+
+
+def test_frameset_haar_redraws_rank_deficient_matrices():
+    class ZeroFirstFrame(np.random.Generator):
+        draws = 0
+
+        def normal(self, *args, **kwargs):
+            out = super().normal(*args, **kwargs)
+            if self.draws == 0:
+                out[1] = 0.0  # a rank-0 matrix for the second frame
+            self.draws += 1
+            return out
+
+    gen = ZeroFirstFrame(np.random.PCG64(3))
+    frames = FrameSet(tuple(Frame(3, 1, r) for r in _haar_rows(3, 1, 4, gen)), "explicit")
+    assert gen.draws == 2 and len(frames) == 4
+
+
+@pytest.mark.parametrize("d,k,n", [(10**150, 1, 1), (3, 1, 0), (3, 1, 10**30)],
+                         ids=["d-1e150", "n-0", "n-1e30"])
+def test_frameset_haar_rejects_sizes_no_array_can_hold(d, k, n):
+    with pytest.raises(DomainError):
+        frameset_haar(d, k, n, RngSeed(1))
 
 
 def test_complement_projector_rotation_invariant():

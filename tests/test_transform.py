@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy import ndimage
 
 from kplane.fields import interp_t_block
+from kplane import transform
 from kplane.transform import sino_dot
 from kplane import (
     DomainError,
@@ -319,12 +321,30 @@ def test_rotation_pair_consistency_k2():
 
 
 def test_forward_thread_order_independence():
+    # 600 frames span three pool tasks of 64 four-frame blocks; every thread
+    # count must reproduce the same bits
     mix = mixture_field(GRID_2D, [[0.5, -0.3]], [1.0])
-    frames = frameset_circle(16)
+    frames = frameset_circle(600)
     tg = tgrid_1d(64)
     s1 = forward(mix, frames, tg, QUAD_2D_WIDE, threads=1)
-    s2 = forward(mix, frames, tg, QUAD_2D_WIDE, threads=4)
-    assert np.abs(s1.values - s2.values).max() <= 1e-10
+    for threads in (2, 3, 4):
+        assert np.array_equal(forward(mix, frames, tg, QUAD_2D_WIDE, threads=threads).values,
+                              s1.values)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_forward_matches_its_generator_bitwise(order):
+    # the generator is the same blocked code with one frame: every frame of a
+    # multi-block forward gives the same bits alone
+    spec = GridSpec.centered(3, 12, 0.4)
+    fld = gaussian_field(spec, mean=[0.4, -0.2, 0.1])
+    frames = frameset_haar(3, 2, 70, RngSeed(21))
+    tg = TGrid.centered(1, 40, 0.3)
+    quad = QuadSpec(4.5, 16)
+    assert 1 < transform._block_frames(tg.size, quad, 2) < len(frames) // 2
+    sino = forward(fld, frames, tg, quad, order=order)
+    for i, rows in enumerate(frames.rows):
+        assert np.array_equal(sino.generator(rows, tg.points()), sino.values[i])
 
 
 def test_adjointness_shared_mc_frames_3d():
@@ -428,29 +448,36 @@ def _dense_forward_at(interp, rows, t_pts, quad):
 
 
 @pytest.mark.parametrize("order", [1, 3])
-@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3)])
 def test_forward_at_matches_dense_quadrature(d, k, order):
-    n = {2: 24, 3: 10, 4: 6}[d]
+    n = {2: 24, 3: 10, 4: 6, 5: 5}[d]
     spec = GridSpec.centered(d, n, 0.3)
     rng = np.random.default_rng(10 * d + k)
     fld = GridField(spec.origin, spec.spacing, spec.shape, rng.random(spec.shape) + 0.5)
     interp = FieldInterpolator(fld, order=order)
     quad = QuadSpec.default_for(spec)
     m = d - k
-    frames = [fr.rows for fr in frameset_haar(d, k, 4, RngSeed(d, k))]
-    frames.append(np.eye(d)[:m])  # axis aligned: the completion B has zero components
-    if d == 2:
-        frames += [fr.rows for fr in frameset_circle(4)]  # cos(pi/2) is not exactly 0
     half = -spec.origin[0]
     t_pts = rng.uniform(-1.2 * half, 1.2 * half, size=(2, 5, m))
     t_pts[0, 0] = 10.0 * half  # this plane misses the box
     t_pts[0, 1] = half  # on a face of the box for the axis-aligned frame
-    for rows in frames:
-        got = forward_at(interp, rows, t_pts, quad)
+    # a stack one block and three frames long, so the last block is short
+    n_frames = transform._block_frames(t_pts[..., 0].size, quad, k) + 3
+    frames = [fr.rows for fr in frameset_haar(d, k, n_frames - 2, RngSeed(d, k))]
+    frames.append(np.eye(d)[:m])  # axis aligned: the completion B has zero components
+    if d == 2:
+        frames[-4:-1] = [fr.rows for fr in frameset_circle(4)][1:]  # cos(pi/2) is not exactly 0
+    frames.append(-np.eye(d)[::-1][:m])
+    stack = np.stack(frames)
+    got = forward_at(interp, stack, t_pts, quad)
+    assert got.shape == (n_frames, 2, 5)
+    for i, rows in enumerate(stack):
         ref = _dense_forward_at(interp, rows, t_pts, quad)
-        assert got.shape == (2, 5)
-        assert got[0, 0] == 0.0
-        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref).max())
+        assert got[i, 0, 0] == 0.0
+        assert np.all(np.abs(got[i] - ref) <= 1e-12 * np.abs(ref).max())
+    for i in (0, n_frames - 4, n_frames - 1):  # a frame alone gives its bits in the stack
+        assert np.array_equal(forward_at(interp, stack[i], t_pts, quad), got[i])
+    assert forward_at(interp, stack, t_pts[0, 0], quad).tolist() == [0.0] * n_frames  # no node read
 
 
 def test_forward_interpolates_only_near_box(monkeypatch):
@@ -459,17 +486,16 @@ def test_forward_interpolates_only_near_box(monkeypatch):
     frames = frameset_haar(3, 2, 8, RngSeed(5))
     tg = TGrid.centered(1, 24, 0.3)
     quad = QuadSpec.default_for(spec)
-    hi = spec.origin + spec.spacing * (np.array(spec.shape) - 1)
+    hi = np.array(spec.shape) - 1
     counts = {"points": 0, "inbox": 0}
-    call = FieldInterpolator.__call__
+    read = FieldInterpolator.read
 
-    def counting(self, pts):
-        flat = np.asarray(pts).reshape(-1, 3)
-        counts["points"] += flat.shape[0]
-        counts["inbox"] += int(np.all((flat >= spec.origin) & (flat <= hi), axis=1).sum())
-        return call(self, pts)
+    def counting(self, u):
+        counts["points"] += u.shape[1]
+        counts["inbox"] += int(np.all((u >= 0) & (u <= hi[:, None]), axis=0).sum())
+        return read(self, u)
 
-    monkeypatch.setattr(FieldInterpolator, "__call__", counting)
+    monkeypatch.setattr(FieldInterpolator, "read", counting)
     forward(fld, frames, tg, quad, order=1, threads=1)
     clipped = dict(counts)
     counts.update(points=0, inbox=0)
@@ -477,6 +503,26 @@ def test_forward_interpolates_only_near_box(monkeypatch):
     for fr in frames:
         _dense_forward_at(interp, fr.rows, tg.points(), quad)
     assert clipped["inbox"] == counts["inbox"] == clipped["points"] > 0
+
+
+def test_forward_peak_memory_is_set_by_the_block_budget():
+    # the radon3d size: 24^3 field, 480 frames, 48 t, 32^2 nodes.  Beyond its
+    # result, forward holds one block's arrays at a time, so its peak is
+    # bounded by the block budget, whatever the frame count.
+    spec = GridSpec.centered(3, 24, 0.4)
+    fld = mixture_field(spec, [[1.2, 0.0, 0.6], [-1.0, -0.8, 0.0]], [1.0, 0.7])
+    frames = frameset_haar(3, 2, 480, RngSeed(1))
+    tg = TGrid.centered(1, 48, 0.4)
+    quad = QuadSpec(8.0, 32)
+    quad.nodes_weights(2)  # cached tensor rule, built once per QuadSpec
+    tracemalloc.start()
+    try:
+        forward(fld, frames, tg, quad, order=1, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # sixteen float64 arrays of the block budget, which is pinned at 4 MiB of them
+    assert peak <= 16 * 8 * transform._BLOCK_NODES <= 4 * 2**20
 
 
 def _loop_backproject(sino, grid):
