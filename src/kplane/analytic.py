@@ -2,8 +2,9 @@
 
 Gaussian plane integrals, Fourier-slice comparisons, radial (Hankel) routes
 for isotropic functions, ridge-atom evaluation, and the phantom builders the
-tests and CLI share.  All Fourier factors follow the e^{-i xi.x} forward /
-(2 pi)^-d inverse convention.
+tests and CLI share (the Gaussian ones live in fields and are re-exported
+here).  All Fourier factors follow the e^{-i xi.x} forward / (2 pi)^-d
+inverse convention.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .fields import FieldInterpolator, GridField, GridSpec, QuadSpec, TGrid
+from .fields import (FieldInterpolator, GridField, GridSpec, QuadSpec, TGrid,
+                     gaussian_field, mixture_field)
 from .filters import RadialTable, green_rbf, hankel_profile, inverse_radial_profile
 from .geometry import Frame
 from .transform import forward_at
@@ -151,23 +153,6 @@ def ridge_field(atom: RidgeAtom, spec: GridSpec) -> GridField:
 
 
 # --- phantom builders ---------------------------------------------------------
-
-
-def gaussian_field(spec: GridSpec, mean=None) -> GridField:
-    """Unit-mass isotropic Gaussian density with unit covariance."""
-    return mixture_field(spec, [np.zeros(spec.d) if mean is None else mean], [1.0])
-
-
-def mixture_field(spec: GridSpec, means, weights) -> GridField:
-    """Weighted sum of unit-covariance Gaussians (empty mixture = zero field)."""
-    pts = spec.points()
-    vals = np.zeros(pts.shape[0])
-    for mean, w in zip(means, weights):
-        mean = np.asarray(mean, dtype=float)
-        vals += w * np.exp(-((pts - mean) ** 2).sum(axis=-1) / 2.0) / (2.0 * np.pi) ** (
-            spec.d / 2.0
-        )
-    return GridField(spec.origin, spec.spacing, spec.shape, vals.reshape(spec.shape))
 
 
 def ridge_sum_field(spec: GridSpec, atoms) -> GridField:

@@ -287,11 +287,34 @@ def lerp_t(flat: np.ndarray, shape: tuple[int, ...], u: list[np.ndarray],
     return vals[0], int(inside.size - np.count_nonzero(inside))
 
 
-def interp_t_block(block: np.ndarray, t_grid: TGrid, t_pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of one frame's t-block; 0 outside the grid."""
-    t_pts = np.asarray(t_pts, dtype=float)
+def interp_t_block(blocks: np.ndarray, t_grid: TGrid, t_pts: np.ndarray) -> np.ndarray:
+    """Multilinear reads of one frame's t-block, or an (n,) + t_grid.shape stack,
+    at shared (..., m) t points: shape (...) or (n, ...); 0 outside the grid.
+
+    A stack is one lerp_t call with a flat offset per frame, as in backproject.
+    """
+    blocks, t_pts = np.asarray(blocks, dtype=float), np.asarray(t_pts, dtype=float)
     u = [(t_pts[..., j] - t_grid.origin[j]) / t_grid.spacing for j in range(t_grid.m)]
-    return lerp_t(np.ravel(block), t_grid.shape, u)[0]
+    base = t_grid.size * np.arange(blocks.size // t_grid.size, dtype=float)
+    base = base.reshape(blocks.shape[:blocks.ndim - t_grid.m] + (1,) * (t_pts.ndim - 1))
+    return lerp_t(blocks.reshape(-1), t_grid.shape, u, base)[0]
+
+
+def gaussian_field(spec: GridSpec, mean=None) -> GridField:
+    """Unit-mass isotropic Gaussian density with unit covariance."""
+    return mixture_field(spec, [np.zeros(spec.d) if mean is None else mean], [1.0])
+
+
+def mixture_field(spec: GridSpec, means, weights) -> GridField:
+    """Weighted sum of unit-covariance Gaussians (empty mixture = zero field)."""
+    pts = spec.points()
+    vals = np.zeros(pts.shape[0])
+    for mean, w in zip(means, weights):
+        mean = np.asarray(mean, dtype=float)
+        vals += w * np.exp(-((pts - mean) ** 2).sum(axis=-1) / 2.0) / (2.0 * np.pi) ** (
+            spec.d / 2.0
+        )
+    return GridField(spec.origin, spec.spacing, spec.shape, vals.reshape(spec.shape))
 
 
 # --- KPT1 binary format ----------------------------------------------------

@@ -39,14 +39,6 @@ class RngSeed:
         return RngSeed(self.seed, self.stream + 1 + offset)
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngSeed):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngSeed or numpy Generator, got {type(rng)!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class Frame:
     """Element of V_{d-k}(R^d): a (d-k) x d matrix with orthonormal rows."""
@@ -198,23 +190,31 @@ def _sign_fixed_qr(mat: np.ndarray) -> np.ndarray:
     return q * signs[..., None, :]
 
 
-def _haar_rows(d: int, k: int, n: int, rng) -> np.ndarray:
-    """Rows of n Haar frames, (n, d-k, d): sign-fixed QR of n d x (d-k) Gaussians.
+def _haar_stack(n: int, p: int, q: int, rng) -> np.ndarray:
+    """n Haar p x q matrices with orthonormal columns, (n, p, q), by sign-fixed QR.
 
-    One draw, one stacked rank check and one batched QR; unless a matrix has
-    to be re-drawn, frame by frame the same bits as n single draws from the
-    same stream.
+    One Gaussian draw, one stacked rank check (re-drawing only rank-deficient
+    matrices, a.s. never) and one batched QR: unless a re-draw happens, the
+    same bits as n single draws from the same stream.  Frames, single frames
+    and Monte-Carlo rotations all come from here.
     """
+    if not 1 <= n <= sys.maxsize // (8 * p * q):
+        raise DomainError(f"cannot draw {n} matrices of shape ({p}, {q}) into one array")
+    if not isinstance(rng, (RngSeed, np.random.Generator)):
+        raise TypeError(f"expected RngSeed or numpy Generator, got {type(rng)!r}")
+    gen = rng.generator() if isinstance(rng, RngSeed) else rng
+    g = gen.normal(size=(n, p, q))
+    bad = np.linalg.matrix_rank(g) < q
+    while n_bad := np.count_nonzero(bad):
+        g[bad] = gen.normal(size=(n_bad, p, q))
+        bad = np.linalg.matrix_rank(g) < q
+    return _sign_fixed_qr(g)
+
+
+def _haar_rows(d: int, k: int, n: int, rng) -> np.ndarray:
+    """Rows of n Haar frames, (n, d-k, d): the transposed d x (d-k) Haar stack."""
     _check_dk(d, k)
-    if not 1 <= n <= sys.maxsize // (8 * d * (d - k)):
-        raise DomainError(f"cannot draw {n} frames of shape ({d - k}, {d}) into one array")
-    gen = _as_generator(rng)
-    g = gen.normal(size=(n, d, d - k))
-    bad = np.linalg.matrix_rank(g) < d - k
-    while n_bad := np.count_nonzero(bad):  # a.s. never; re-draw the rank-deficient ones
-        g[bad] = gen.normal(size=(n_bad, d, d - k))
-        bad = np.linalg.matrix_rank(g) < d - k
-    return np.swapaxes(_sign_fixed_qr(g), -1, -2)
+    return np.swapaxes(_haar_stack(n, d, d - k, rng), -1, -2)
 
 
 def haar_frame_sample(d: int, k: int, rng) -> Frame:
@@ -226,23 +226,19 @@ def haar_orthogonal_sample(m: int, rng) -> Rotation:
     """Haar-distributed element of O(m) (for m=1: +1 or -1 with probability 1/2)."""
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
-    gen = _as_generator(rng)
-    while True:
-        g = gen.normal(size=(m, m))
-        if np.linalg.matrix_rank(g) == m:
-            break
-    return Rotation(m, _sign_fixed_qr(g))
+    return Rotation(m, _haar_stack(1, m, m, rng)[0])
 
 
-def complete_frame(frame: Frame | FrameSet) -> np.ndarray:
+def complete_frame(frame: Frame | FrameSet | np.ndarray) -> np.ndarray:
     """Orthonormal basis B (d x k) of the k-plane direction space A^perp.
 
     Columns of B complete the rows of A to an orthonormal basis of R^d;
-    deterministic given A (full QR of A^T).  A FrameSet is completed by one
-    batched QR into an (n, d, k) stack, frame by frame bit-identical to the
-    single-frame completion.
+    deterministic given A (full QR of A^T).  A FrameSet, or a bare (n, d-k, d)
+    rows array, is completed by one batched QR into an (n, d, k) stack, frame
+    by frame bit-identical to the single-frame completion; a bare (d-k, d)
+    array is one frame.  Bare rows are taken as orthonormal, not checked.
     """
-    rows = frame.rows
+    rows = frame.rows if isinstance(frame, (Frame, FrameSet)) else np.asarray(frame, dtype=float)
     d, m = rows.shape[-1], rows.shape[-2]
     q, _ = np.linalg.qr(np.swapaxes(rows, -1, -2), mode="complete")
     b = q[..., m:]

@@ -22,8 +22,8 @@ from .geometry import (
     Frame,
     FrameSet,
     RngSeed,
+    _haar_stack,
     align_rotation,
-    haar_orthogonal_sample,
     stiefel_total_mass,
 )
 from .transform import backproject, forward
@@ -33,19 +33,33 @@ DEFAULT_N_ROTATIONS = 64
 
 
 def _eval_at(sino: Sinogram, rows: np.ndarray, t_pts: np.ndarray, tol: float) -> np.ndarray:
-    """Sinogram values at an arbitrary frame: from its generator when it has one,
-    else from the t-block of the nearest stored frame (Frobenius metric, first on
-    a tie), which must lie within ``tol``."""
+    """Sinogram values at an (n, d-k, d) frame stack and shared t points, (n, P).
+
+    One generator call when the sinogram has one; else the t-blocks of each
+    frame's nearest stored frame (Frobenius metric, first on a tie), which must
+    lie within ``tol``, read by one interp_t_block call.
+    """
     if sino.generator is not None:
         return sino.generator(rows, t_pts)
-    dists = np.linalg.norm(sino.frames.rows - rows, axis=(1, 2))
-    j = int(np.argmin(dists))
-    if dists[j] > tol:
+    stored = sino.frames.rows
+    block = max(1, (1 << 14) // len(stored))  # frames per search: <= 2^14 distances at once
+    nearest = np.concatenate([
+        np.linalg.norm(stored - rows[f0:f0 + block, None], axis=(2, 3)).argmin(axis=1)
+        for f0 in range(0, len(rows), block)])
+    dist = np.linalg.norm(stored[nearest] - rows, axis=(1, 2))
+    if np.any(miss := dist > tol):
         raise DomainError(
-            f"no stored frame within chordal tolerance {tol} (nearest {dists[j]:.3f}) "
+            f"no stored frame within chordal tolerance {tol} (nearest {dist[miss][0]:.3f}) "
             "and the sinogram has no generator"
         )
-    return interp_t_block(sino.values[j], sino.t_grid, t_pts)
+    return interp_t_block(sino.values[nearest], sino.t_grid, t_pts)
+
+
+def _haar_rotations(m: int, n_rotations: int, rng: RngSeed | None) -> np.ndarray:
+    """(n, m, m) stack of Haar draws from O(m), one draw of rng (None: RngSeed(0, 0))."""
+    if n_rotations < 1:
+        raise DomainError(f"need n_rotations >= 1 for Haar rotations, got {n_rotations}")
+    return _haar_stack(n_rotations, m, m, RngSeed(0, 0) if rng is None else rng)
 
 
 def project_iso(
@@ -57,37 +71,31 @@ def project_iso(
     """Isotropic part of a sinogram: average of g(U A, U t) over Haar O(d-k).
 
     For d-k = 1 the average is exact over O(1) = {+1, -1}; otherwise it is a
-    Monte-Carlo average over ``n_rotations`` Haar draws.  Values at rotated
-    frames come from the sinogram's generator when it has one, else from
-    nearest-frame lookup.  The t-grid must be symmetric about 0.
+    Monte-Carlo average over ``n_rotations`` >= 1 Haar draws.  Each rotation U
+    is one _eval_at call on the whole frame stack U A.  The result's generator
+    is the same average over the base generator, on one frame or a stack.
+    The t-grid must be symmetric about 0.
     """
-    tg = sino.t_grid
+    tg, m = sino.t_grid, sino.m
     if not np.allclose(tg.origin, -(tg.origin + tg.spacing * (np.array(tg.shape) - 1)),
                        atol=1e-9 * tg.spacing):
         raise DomainError("project_iso needs a t-grid symmetric about 0")
-    m, t_pts = sino.m, tg.points()
-    # for d-k = 1 the identity term is the stored values (or the base generator)
-    if m == 1:
-        rotations, acc, count = [-np.eye(1)], sino.values.copy(), 2
-    else:
-        gen = (RngSeed(0, 0) if rng is None else rng).generator()
-        rotations = [haar_orthogonal_sample(m, gen).mat for _ in range(n_rotations)]
-        acc, count = np.zeros_like(sino.values), n_rotations
-    for u in rotations:
-        rotated_t = t_pts @ u.T
-        for i, rows in enumerate(sino.frames.rows):
-            acc[i] += _eval_at(sino, u @ rows, rotated_t, chordal_tol).reshape(tg.shape)
-    acc /= count
+    rotations = -np.eye(1)[None] if m == 1 else _haar_rotations(m, n_rotations, rng)
     base_gen = sino.generator
 
-    def generator(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts)
-        total = base_gen(rows, pts) if m == 1 else 0.0
+    def average(first, evaluate, rows, pts):
+        # for d-k = 1 the identity term comes first: stored values or the base generator
         for u in rotations:
-            total = total + base_gen(u @ rows, pts @ u.T)
-        return total / count
+            first = first + evaluate(u @ rows, pts @ u.T)
+        return first / (2 if m == 1 else n_rotations)
 
-    return sino.copy_with(acc, generator if base_gen is not None else None)
+    def generator(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        return average(base_gen(rows, pts) if m == 1 else 0.0, base_gen, rows, pts)
+
+    values = average(sino.values.reshape(sino.n_frames, -1) if m == 1 else 0.0,
+                     lambda rows, pts: _eval_at(sino, rows, pts, chordal_tol),
+                     sino.frames.rows, tg.points())
+    return sino.copy_with(values, generator if base_gen is not None else None)
 
 
 def pk_project(
@@ -143,7 +151,7 @@ def render_delta_iso(
     Averages product bumps centered at the rotated pairs (U A0, U t0): a
     Gaussian frame factor of unit discrete mass over the frame set times a
     normalized Gaussian t factor.  U runs over O(1) = {+1, -1} exactly for
-    d-k = 1, else over Haar draws; n_rotations = 0 uses alignment transport
+    d-k = 1, else over n_rotations >= 1 Haar draws; 0 uses alignment transport
     instead (the bump at frame A is centered at V t0 with V the rotation best
     aligning A0 to A, all V from one batched SVD), which is exactly isotropic.
 
@@ -169,8 +177,7 @@ def render_delta_iso(
         # alignment transport: exactly isotropic, no Monte-Carlo noise
         rotations = [align_rotation(atom.frame.rows, rows)]
     else:
-        gen = (RngSeed(0, 0) if rng is None else rng).generator()
-        rotations = [haar_orthogonal_sample(m, gen).mat for _ in range(n_rotations)]
+        rotations = _haar_rotations(m, n_rotations, rng)
 
     vals = np.zeros((n_fr, t_grid.size))
     tw2 = atom.t_width**2

@@ -28,6 +28,7 @@ from .fields import (
     QuadSpec,
     Sinogram,
     TGrid,
+    gaussian_field,
     lerp_t,
 )
 from .filters import ramp_filter
@@ -119,7 +120,7 @@ def forward_at(
     k = d - m
     rows = np.asarray(rows, dtype=float).reshape(-1, m, d)
     if b is None:
-        b = complete_frame(FrameSet(tuple(Frame(d, k, r) for r in rows), "explicit"))
+        b = complete_frame(rows)
     b = np.reshape(b, (-1, d, k))
     nodes, weights = quad.nodes_weights(k)
     n = quad.nodes_per_axis
@@ -208,10 +209,6 @@ def forward(
         )
     interp = FieldInterpolator(fld, order=order)
     t_pts = t_grid.points()
-
-    def generator(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return forward_at(interp, rows, pts, quad)
-
     rows, completions = frames.rows, complete_frame(frames)
     n_threads = _thread_count(threads)
     if n_threads > 1:
@@ -223,7 +220,8 @@ def forward(
                 range(0, len(frames), chunk))))
     else:
         values = forward_at(interp, rows, t_pts, quad, completions)
-    return Sinogram(d, k, frames, t_grid, values, generator)
+    return Sinogram(d, k, frames, t_grid, values,
+                    lambda rows, pts: forward_at(interp, rows, pts, quad))
 
 
 def backproject(
@@ -311,9 +309,7 @@ def calibrate_gain(
     least-squares scalar s minimizing ||s * fbp - truth||; s should be 1 up
     to discretization error.  Guards the Haar-mass convention.
     """
-    pts = grid.points()
-    gauss = np.exp(-(pts**2).sum(axis=-1) / 2.0) / (2.0 * np.pi) ** (d / 2.0)
-    fld = GridField(grid.origin, grid.spacing, grid.shape, gauss.reshape(grid.shape))
+    fld = gaussian_field(grid)
     sino = forward(fld, frames, t_grid, quad, order=order, threads=threads)
     recon = fbp(sino, d, k, grid, pad_factor, threads=threads)
     num = float((recon.values * fld.values).sum())

@@ -253,12 +253,11 @@ def _haar_closure_sinogram(n_frames, delta, seed):
     x1 = np.array([0.6, -0.3, 0.2])
 
     def gen(rows, pts):
-        pts = np.asarray(pts)
-        sq = ((pts - rows @ x1) ** 2).sum(axis=-1)
-        return np.exp(-sq / 2.0) * (1.0 + delta * rows[0, 0])
+        # one (2, 3) frame or an (n, 2, 3) stack, at (P, 2) points
+        sq = ((pts - (rows @ x1)[..., None, :]) ** 2).sum(axis=-1)
+        return np.exp(-sq / 2.0) * (1.0 + delta * rows[..., 0, 0, None])
 
-    vals = np.stack([gen(fr.rows, t_grid.points()).reshape(t_grid.shape) for fr in frames])
-    return Sinogram(3, 1, list(frames.frames), t_grid, vals, gen)
+    return Sinogram(3, 1, frames, t_grid, gen(frames.rows, t_grid.points()), gen)
 
 
 def test_criterion_07_projector_suite():
@@ -288,14 +287,10 @@ def test_criterion_07_projector_suite():
     x2 = np.array([-0.4, 0.5, 0.1])
 
     def gen2(rows, pts):
-        pts = np.asarray(pts)
-        sq = ((pts - rows @ x2) ** 2).sum(axis=-1)
-        return np.exp(-sq / 1.5) * (1.0 + 0.3 * rows[1, 2])
+        sq = ((pts - (rows @ x2)[..., None, :]) ** 2).sum(axis=-1)
+        return np.exp(-sq / 1.5) * (1.0 + 0.3 * rows[..., 1, 2, None])
 
-    vals = np.stack(
-        [gen2(fr.rows, f.t_grid.points()).reshape(f.t_grid.shape) for fr in f.frames]
-    )
-    g2 = Sinogram(3, 1, list(f.frames), f.t_grid, vals, gen2)
+    g2 = Sinogram(3, 1, f.frames, f.t_grid, gen2(f.frames.rows, f.t_grid.points()), gen2)
     pf = kp.project_iso(f, 64, RngSeed(7))
     pg = kp.project_iso(g2, 64, RngSeed(7))
     adj_resid = abs(sino_dot(pf, g2) - sino_dot(f, pg)) / (sino_norm(f) * sino_norm(g2))
@@ -307,15 +302,12 @@ def test_criterion_07_projector_suite():
     assert fix_rel <= 0.05
 
     def gen_aniso(rows, pts):
-        pts = np.asarray(pts)
-        center = 0.8 * rows[0, 0] + 0.3 * rows[0, 1]
+        a = rows[..., 0, :]
+        center = (0.8 * a[..., 0] + 0.3 * a[..., 1])[..., None, None]
         sq = ((pts - center) ** 2).sum(axis=-1)
-        return np.exp(-sq / 2.0) * (1.0 + 0.5 * rows[0, 0])
+        return np.exp(-sq / 2.0) * (1.0 + 0.5 * a[..., 0, None])
 
-    vals = np.stack(
-        [gen_aniso(fr.rows, t_grid.points()).reshape(t_grid.shape) for fr in frames]
-    )
-    g_aniso = Sinogram(2, 1, list(frames.frames), t_grid, vals, gen_aniso)
+    g_aniso = Sinogram(2, 1, frames, t_grid, gen_aniso(frames.rows, t_grid.points()), gen_aniso)
     iso_part = kp.project_iso(g_aniso)
     anti = g_aniso.copy_with(g_aniso.values - iso_part.values, None)
     anti_out = kp.pk_project(anti, spec, quad, order=1)

@@ -513,20 +513,23 @@ def test_bad_value_without_traceback_exit_2(tmp_path, capsys, command, patch, ar
     assert err.startswith("config error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command,key_path", [
-    pytest.param("phantom", ("phantom", "atoms", 1, "s"), id="atom-s"),  # math.gamma overflowed
-    pytest.param("forward", ("d",), id="d"),  # numpy's array size limit in the Haar draw
-    pytest.param("forward", ("frames", "count"), id="frames-count"),
+@pytest.mark.parametrize("command,patch", [
+    pytest.param("phantom", {("phantom", "atoms", 1, "s"): 1e300}, id="atom-s"),  # math.gamma
+    pytest.param("forward", {("d",): 1e300}, id="d"),  # numpy's array size limit in the Haar draw
+    pytest.param("forward", {("frames", "count"): 1e300}, id="frames-count"),
+    # an array numpy refuses to allocate at once (MemoryError), so nothing is allocated
+    pytest.param("forward", {("d",): 1e9, ("frames", "count"): 1}, id="d-1e9-one-frame"),
 ])
-def test_large_finite_value_without_traceback_exit_4(tmp_path, capsys, command, key_path):
+def test_large_finite_value_without_traceback_exit_4(tmp_path, capsys, command, patch):
     out = tmp_path / "out"
     cfg = small_config(out)
     path = write_config(tmp_path, cfg)
     assert main(["phantom", "--config", path]) == 0
-    owner = cfg
-    for key in key_path[:-1]:
-        owner = owner[key]
-    owner[key_path[-1]] = 1e300
+    for key_path, value in patch.items():
+        owner = cfg
+        for key in key_path[:-1]:
+            owner = owner[key]
+        owner[key_path[-1]] = value
     capsys.readouterr()
     assert main([command, "--config", write_config(tmp_path, cfg, "bad.json")]) == EXIT_NUMERIC
     err = capsys.readouterr().err

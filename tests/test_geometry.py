@@ -20,7 +20,7 @@ from kplane import (
     sphere_area,
     stiefel_total_mass,
 )
-from kplane.geometry import _haar_rows
+from kplane.geometry import _haar_rows, _haar_stack
 
 
 def test_sphere_area_small_dims():
@@ -146,6 +146,9 @@ def test_complete_frame_of_frame_set_matches_per_frame_bitwise(d, k):
     stack = complete_frame(frames)
     assert stack.shape == (12, d, k)
     assert np.array_equal(stack, np.stack([complete_frame(fr) for fr in frames]))
+    # a bare row stack, or one frame's rows, completes to the same bits
+    assert np.array_equal(complete_frame(frames.rows), stack)
+    assert np.array_equal(complete_frame(frames.rows[5]), stack[5])
 
 
 @pytest.mark.parametrize("d,k", [(3, 1), (4, 2), (5, 3)])
@@ -178,6 +181,17 @@ def test_frameset_haar_matches_per_frame_draws_bitwise(d, k):
     frames = frameset_haar(d, k, 300, seed)
     assert np.array_equal(frames.rows, _loop_haar_rows(d, k, 300, seed))
     assert np.array_equal(haar_frame_sample(d, k, seed).rows, frames.rows[0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_rotation_stack_matches_per_draw_samples_bitwise(m):
+    # the Monte-Carlo rotations: one stacked draw, the bits of n single draws
+    seed = RngSeed(60 + m, 2)
+    stack = _haar_stack(200, m, m, seed)
+    gen = seed.generator()
+    assert np.array_equal(stack, np.stack([haar_orthogonal_sample(m, gen).mat
+                                           for _ in range(200)]))
+    assert np.array_equal(stack, np.swapaxes(_loop_haar_rows(m, 0, 200, seed), -1, -2))
 
 
 def test_frameset_haar_redraws_rank_deficient_matrices():

@@ -15,6 +15,7 @@ from kplane import (
     frameset_circle,
     frameset_haar,
     forward,
+    haar_orthogonal_sample,
     mixture_field,
     pk_project,
     project_iso,
@@ -36,13 +37,13 @@ def circle_closure_sinogram(n_frames=180, delta=0.5, n_t=63):
     tg = TGrid.centered(1, n_t, 0.25)
 
     def gen(rows, pts):
-        pts = np.asarray(pts)
-        center = 0.8 * rows[0, 0] + 0.3 * rows[0, 1]
+        # one (1, 2) frame or an (n, 1, 2) stack, at (P, 1) points
+        a = rows[..., 0, :]
+        center = (0.8 * a[..., 0] + 0.3 * a[..., 1])[..., None, None]
         sq = ((pts - center) ** 2).sum(axis=-1)
-        return np.exp(-sq / 2.0) * (1.0 + delta * rows[0, 0])
+        return np.exp(-sq / 2.0) * (1.0 + delta * a[..., 0, None])
 
-    vals = np.stack([gen(fr.rows, tg.points()).reshape(tg.shape) for fr in frames])
-    return Sinogram(2, 1, list(frames.frames), tg, vals, gen)
+    return Sinogram(2, 1, frames, tg, gen(frames.rows, tg.points()), gen)
 
 
 def haar_closure_sinogram(n_frames=240, delta=0.15, seed=21, x1=(0.6, -0.3, 0.2)):
@@ -52,12 +53,11 @@ def haar_closure_sinogram(n_frames=240, delta=0.15, seed=21, x1=(0.6, -0.3, 0.2)
     x1 = np.asarray(x1, dtype=float)
 
     def gen(rows, pts):
-        pts = np.asarray(pts)
-        sq = ((pts - rows @ x1) ** 2).sum(axis=-1)
-        return np.exp(-sq / 2.0) * (1.0 + delta * rows[0, 0])
+        # one (2, 3) frame or an (n, 2, 3) stack, at (P, 2) points
+        sq = ((pts - (rows @ x1)[..., None, :]) ** 2).sum(axis=-1)
+        return np.exp(-sq / 2.0) * (1.0 + delta * rows[..., 0, 0, None])
 
-    vals = np.stack([gen(fr.rows, tg.points()).reshape(tg.shape) for fr in frames])
-    return Sinogram(3, 1, list(frames.frames), tg, vals, gen)
+    return Sinogram(3, 1, frames, tg, gen(frames.rows, tg.points()), gen)
 
 
 # --- exact O(1) branch (d - k = 1) -------------------------------------------
@@ -188,12 +188,10 @@ def test_project_iso_self_adjoint_mc():
     x2 = np.array([-0.4, 0.5, 0.1])
 
     def gen2(rows, pts):
-        pts = np.asarray(pts)
-        sq = ((pts - rows @ x2) ** 2).sum(axis=-1)
-        return np.exp(-sq / 1.5) * (1.0 + 0.3 * rows[1, 2])
+        sq = ((pts - (rows @ x2)[..., None, :]) ** 2).sum(axis=-1)
+        return np.exp(-sq / 1.5) * (1.0 + 0.3 * rows[..., 1, 2, None])
 
-    vals = np.stack([gen2(fr.rows, f.t_grid.points()).reshape(f.t_grid.shape) for fr in frames])
-    g = Sinogram(3, 1, list(frames), f.t_grid, vals, gen2)
+    g = Sinogram(3, 1, frames, f.t_grid, gen2(frames.rows, f.t_grid.points()), gen2)
     pf = project_iso(f, 64, RngSeed(7))
     pg = project_iso(g, 64, RngSeed(7))
     resid = abs(sino_dot(pf, g) - sino_dot(f, pg))
@@ -201,12 +199,69 @@ def test_project_iso_self_adjoint_mc():
 
 
 def test_project_iso_lookup_miss_raises():
-    # sparse free-standing Haar frames cannot resolve rotated coordinates
+    # sparse free-standing Haar frames cannot resolve rotated coordinates; the
+    # error names the first miss in (rotation, frame) order
     frames = frameset_haar(3, 1, 10, RngSeed(2))
     tg = TGrid.centered(2, 9, 0.5)
     sino = Sinogram(3, 1, list(frames.frames), tg, np.ones((10, 9, 9)))
-    with pytest.raises(DomainError):
+    gen = RngSeed(3).generator()
+    u = haar_orthogonal_sample(2, gen).mat
+    nearest = [np.linalg.norm(frames.rows - u @ rows, axis=(1, 2)).min() for rows in frames.rows]
+    first = next(dist for dist in nearest if dist > 0.15)
+    with pytest.raises(DomainError, match=rf"tolerance 0.15 \(nearest {first:.3f}\) and the"):
         project_iso(sino, n_rotations=8, rng=RngSeed(3))
+
+
+def _project_iso_per_frame(sino, rotations):
+    """Reference rule: one evaluation per (rotation, frame), in that order."""
+    tg, t_pts = sino.t_grid, sino.t_grid.points()
+    acc = sino.values.copy() if sino.m == 1 else np.zeros_like(sino.values)
+    for u in rotations:
+        for i, rows in enumerate(sino.frames.rows):
+            rows_u, pts_u = u @ rows, t_pts @ u.T
+            if sino.generator is not None:
+                vals = sino.generator(rows_u, pts_u)
+            else:
+                j = int(np.argmin(np.linalg.norm(sino.frames.rows - rows_u, axis=(1, 2))))
+                vals = interp_t_block(sino.values[j], tg, pts_u)
+            acc[i] += vals.reshape(tg.shape)
+    return acc / (2 if sino.m == 1 else len(rotations))
+
+
+@pytest.mark.parametrize("m,route", [(1, "generator"), (1, "lookup"), (2, "generator"),
+                                     (2, "lookup")])
+def test_project_iso_matches_per_frame_loop_bitwise(m, route):
+    if m == 1:
+        sino = circle_closure_sinogram(n_frames=60)
+        rotations, kwargs = [-np.eye(1)], {}
+    else:
+        # dense frames and a wide tolerance, so every rotated frame has a match
+        sino = haar_closure_sinogram(n_frames=600 if route == "lookup" else 30, seed=4)
+        gen = RngSeed(3).generator()
+        rotations = [haar_orthogonal_sample(2, gen).mat for _ in range(5)]
+        kwargs = {"n_rotations": 5, "rng": RngSeed(3), "chordal_tol": 1.0}
+    if route == "lookup":
+        sino = sino.copy_with(sino.values, None)
+    proj = project_iso(sino, **kwargs)
+    assert np.array_equal(proj.values, _project_iso_per_frame(sino, rotations))
+    if route == "generator":
+        rows, pts = sino.frames.rows[:7], sino.t_grid.points()[::4] + 0.013
+        single = np.stack([proj.generator(r, pts) for r in rows])
+        assert np.array_equal(proj.generator(rows, pts), single)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda sino, atom: project_iso(sino, n_rotations=0), id="project-0"),
+    pytest.param(lambda sino, atom: project_iso(sino, n_rotations=-1), id="project-negative"),
+    pytest.param(lambda sino, atom: render_delta_iso(atom, sino.frames, sino.t_grid,
+                                                     n_rotations=-3), id="render-negative"),
+])
+def test_rotation_count_below_minimum_raises(call):
+    # at d-k = 2 these returned all-zero sinograms (or failed on a finiteness check)
+    sino = haar_closure_sinogram(n_frames=8)
+    atom = MollifiedAtom(sino.frames[0], np.zeros(2), frame_width=0.5, t_width=1.0)
+    with pytest.raises(DomainError, match="n_rotations"):
+        call(sino, atom)
 
 
 # --- range projector P_k -------------------------------------------------------
