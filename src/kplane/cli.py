@@ -226,6 +226,7 @@ def cmd_forward(cfg: dict, out_dir: str | None, seed: int | None, threads: int |
     write_kpt(sino_path, sino)
     report = {
         "timings_ms": {"forward": elapsed},
+        "rule": transform.forward_rule(fld.spec, frames, t_grid, quad),
         "warnings": [str(w.message) for w in caught],
     }
     _write_report(sino_path.with_suffix(".report.json"), report)

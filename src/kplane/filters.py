@@ -92,22 +92,27 @@ def _padded_size(n: int, pad_factor: float) -> int:
     return size + (size % 2)
 
 
-def _apply_multiplier(values: np.ndarray, lead: int, spacing: float, spec: RadialSpec,
-                      pad_factor: float) -> np.ndarray:
-    """Radial multiplier on the signal axes after the first ``lead`` (batch) axes.
-
-    Zero-pads each signal axis to pad_factor * N rounded up to the next even
-    size, multiplies DFT bin m by the profile at rho = ||omega||_2 with
-    omega_i = 2 pi freq_i(m) / (N_pad h), inverse-transforms and crops; the
-    batch runs in chunks of about 4e6 padded points, one residue check each.
-    """
-    shape = values.shape[lead:]
+def _profile_multiplier(spec: RadialSpec, shape: tuple[int, ...], spacing: float,
+                        pad_factor: float) -> np.ndarray:
+    """The profile at rho = ||omega||_2 of every DFT bin, omega_i = 2 pi freq_i / (N_pad h),
+    each axis of shape padded to pad_factor * N rounded up to the next even size."""
     padded = tuple(_padded_size(n, pad_factor) for n in shape)
     freqs = [2.0 * np.pi * np.fft.fftfreq(n, d=spacing) for n in padded]
     prof = spec.profile(np.sqrt(sum(g**2 for g in np.meshgrid(*freqs, indexing="ij"))))
     if not np.all(np.isfinite(prof)):
         bad = np.unravel_index(int(np.argmin(np.isfinite(prof))), prof.shape)
         raise DomainError(f"multiplier not finite at frequency bin {bad}")
+    return prof
+
+
+def _apply_multiplier(values: np.ndarray, lead: int, prof: np.ndarray) -> np.ndarray:
+    """DFT multiplier prof on the signal axes after the first ``lead`` (batch) axes.
+
+    Zero-pads each signal axis to prof's shape, multiplies, inverse-transforms
+    and crops; the batch runs in chunks of about 4e6 padded points, one
+    residue check each.
+    """
+    shape, padded = values.shape[lead:], prof.shape
     batch = values.reshape((-1,) + shape)
     axes = tuple(range(1, 1 + len(shape)))
     crop = (slice(None),) + tuple(slice(0, n) for n in shape)
@@ -125,11 +130,30 @@ def _apply_multiplier(values: np.ndarray, lead: int, spacing: float, spec: Radia
     return out.reshape(values.shape)
 
 
+def _band_limited_ramp(k: int, size: int) -> np.ndarray:
+    """DFT of the kernel of |omega|^k band-limited to |omega| <= pi, sampled at
+    the lags r = 0, +-1, ... of a period of size (unit spacing).
+
+    The kernel is (1/pi) int_0^pi u^k cos(r u) du, by parts in closed form.
+    """
+    r = np.minimum(np.arange(size), size - np.arange(size)).astype(float)
+    r[0] = 1.0  # lag 0 is set below
+    sign = np.where(r % 2 == 0, 1.0, -1.0)  # (-1)^r
+    cos_int = np.zeros(size)  # int_0^pi u^j cos(r u) du, j = 0
+    sin_int = (1.0 - sign) / r  # int_0^pi u^j sin(r u) du, j = 0
+    for j in range(1, k + 1):
+        cos_int, sin_int = -(j / r) * sin_int, -(np.pi**j) * sign / r + (j / r) * cos_int
+    cos_int[0] = np.pi ** (k + 1) / (k + 1)
+    return np.fft.fft(cos_int / np.pi).real
+
+
 def apply_radial_array(
     values: np.ndarray, spacing: float, spec: RadialSpec, pad_factor: float = 2.0
 ) -> np.ndarray:
     """Apply an isotropic Fourier multiplier to every axis of a uniformly sampled block."""
-    return _apply_multiplier(np.asarray(values, dtype=float), 0, spacing, spec, pad_factor)
+    values = np.asarray(values, dtype=float)
+    prof = _profile_multiplier(spec, values.shape, spacing, pad_factor)
+    return _apply_multiplier(values, 0, prof)
 
 
 def apply_radial(
@@ -140,19 +164,31 @@ def apply_radial(
         out = apply_radial_array(target.values, target.spacing, spec, pad_factor)
         return GridField(target.origin, target.spacing, target.shape, out)
     if isinstance(target, Sinogram):
-        out = _apply_multiplier(target.values, 1, target.t_grid.spacing, spec, pad_factor)
-        return target.copy_with(out)
+        prof = _profile_multiplier(spec, target.t_grid.shape, target.t_grid.spacing, pad_factor)
+        return target.copy_with(_apply_multiplier(target.values, 1, prof))
     raise DomainError(f"cannot filter {type(target)!r}")
 
 
 def ramp_filter(sino: Sinogram, d: int | None = None, k: int | None = None,
                 pad_factor: float = 2.0) -> Sinogram:
-    """Backprojection filter: multiplier c_{d,k} ||omega||^k on each t-block."""
+    """Backprojection filter: multiplier c_{d,k} ||omega||^k on each t-block.
+
+    For d-k = 1 the multiplier is the DFT of the kernel of c_{d,k} |omega|^k
+    band-limited to |omega| <= pi / h, sampled at the lags of the padded period
+    (Kak & Slaney 1988, ch. 3): with the default padding (N_pad >= 2N - 1) each
+    t-block is convolved linearly with that kernel.  Sampling the profile
+    itself, as for d-k >= 2, wraps the kernel's 1/t^2 tail around the period,
+    which for odd k adds an offset to every filtered value.
+    """
     d = sino.d if d is None else d
     k = sino.k if k is None else k
     if (d, k) != (sino.d, sino.k):
         raise DomainError(f"(d, k)=({d}, {k}) does not match sinogram ({sino.d}, {sino.k})")
-    return apply_radial(sino, ramp_spec(d, k), pad_factor)
+    if sino.m > 1:
+        return apply_radial(sino, ramp_spec(d, k), pad_factor)
+    size, h = _padded_size(sino.t_grid.shape[0], pad_factor), sino.t_grid.spacing
+    prof = (c_constant(d, k) / h**k) * _band_limited_ramp(k, size)
+    return sino.copy_with(_apply_multiplier(sino.values, 1, prof))
 
 
 # --- Bessel functions ---------------------------------------------------------

@@ -1,15 +1,21 @@
 """Discrete k-plane transform, backprojection, and filtered backprojection.
 
-forward() integrates a grid field over the planes {x : A x = t} by tensor
-trapezoid quadrature in the plane coordinates: an interpolating ray-driven
-projector (Joseph 1982) vectorised over blocks of frames.  It works in the
-grid's index coordinates and reads only the nodes inside the grid box, the
-rest contributing exact zeros.  backproject() averages a sinogram over its
-frames at t = A x and scales by the total Haar mass of the Stiefel manifold,
-so that ramp-filtered backprojection inverts the forward map, reading blocks
-of frames in one vectorised gather that is exactly 0 outside the t-grid.
-Both read through one multilinear kernel (fields.lerp_t), and everything is
-pure and parallelizes over blocks of frames.
+forward() has two rules.  For hyperplanes (d - k = 1) it uses the Fourier
+slice identity g^(alpha, sigma) = f^(sigma alpha): one zero-padded FFT of
+the field serves every frame, the spectrum is gathered along each frame's
+ray with an "exponential of semicircle" kernel (Barnett, Magland & af
+Klinteberg 2019; Kaiser-Bessel gridding, Fessler & Sutton 2003, is the
+classical form), and g is summed directly over the sigma samples at any t.
+For d - k >= 2 forward_at integrates the field over the planes {x : A x = t}
+by tensor trapezoid quadrature in the plane coordinates: an interpolating
+ray-driven projector (Joseph 1982) vectorised over blocks of frames, which
+works in the grid's index coordinates and reads only the nodes inside the
+grid box, the rest contributing exact zeros.  backproject() averages a
+sinogram over its frames at t = A x and scales by the total Haar mass of the
+Stiefel manifold, so that ramp-filtered backprojection inverts the forward
+map, reading blocks of frames in one vectorised gather that is exactly 0
+outside the t-grid; it and forward_at read through one multilinear kernel
+(fields.lerp_t).  Everything is pure and parallelizes over blocks of frames.
 """
 
 from __future__ import annotations
@@ -178,6 +184,149 @@ def forward_at(
     return out.reshape(shape)
 
 
+# Fourier-slice rule (d - k = 1).  The kernel is the "exponential of
+# semicircle" exp(beta (sqrt(1 - (2 z / W)^2) - 1)) on |z| <= W / 2 padded-grid
+# cells (Barnett, Magland & af Klinteberg 2019), with their beta for 2x
+# oversampling.  W and the gather budget were picked by measurement on a
+# 2-core x86-64 VM (CHANGES.md): W = 6 holds the Gaussian oracle to about 2e-6
+# of its peak (W = 4: 2e-4), and gathers of 2^16 taps keep the peak RSS of a
+# radon3d pass within 4% of plane quadrature's (2^18 taps: +13%).
+_ES_WIDTH = 6
+_ES_BETA = 2.30 * _ES_WIDTH
+_OVERSAMPLE = 2  # padded FFT length per axis, in grid lengths
+_GATHER_TAPS = 1 << 16  # kernel taps per gather block; bounds peak memory
+
+
+def _es_kernel(z: np.ndarray) -> np.ndarray:
+    """The kernel at offsets z (padded-grid cells), |z| <= W / 2, less its value
+    e^-beta at the ends, so that a tap at |z| = W / 2 weighs exactly 0 and the
+    gathers at nu and -nu use mirrored taps."""
+    root = np.sqrt(np.maximum(1.0 - (z * (2.0 / _ES_WIDTH)) ** 2, 0.0))
+    return np.exp(_ES_BETA * (root - 1.0)) - np.exp(-_ES_BETA)
+
+
+def _es_transform(n: np.ndarray, size: int) -> np.ndarray:
+    """int phi(z) cos(2 pi z n / size) dz at grid offsets n, by Gauss-Legendre."""
+    s, w = np.polynomial.legendre.leggauss(4 * _ES_WIDTH)
+    z = 0.25 * _ES_WIDTH * (s + 1.0)  # nodes on [0, W / 2]
+    return 0.5 * _ES_WIDTH * (np.cos((2.0 * np.pi / size) * np.outer(n, z)) @ (w * _es_kernel(z)))
+
+
+def _slice_lattice(spec: GridSpec, t_spacing: float) -> tuple[float, int]:
+    """Period P = 2 R of the sigma lattice sigma_j = 2 pi j / P, with R the grid
+    box's half-diagonal, and its top index J: sigma_J <= min(pi / h, pi / h_t)."""
+    radius = 0.5 * spec.spacing * float(np.linalg.norm(np.array(spec.shape) - 1))
+    return 2.0 * radius, int(radius / max(spec.spacing, t_spacing))
+
+
+def _dot(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """rows @ x over the last axis, summed in a fixed order.
+
+    A BLAS product may round a frame differently alone and in a stack.
+    """
+    out = rows[..., 0] * x[0]
+    for i in range(1, len(x)):
+        out += rows[..., i] * x[i]
+    return out
+
+
+def _slice_generator(fld: GridField, t_spacing: float):
+    """g(alpha, t) of a grid field by the Fourier slice identity, for d - k = 1.
+
+    The field's spectrum F(xi) = h^d sum_n f_n e^{-i xi . x_n} is one
+    zero-padded FFT of the deapodized field; F(sigma_j alpha) is gathered from
+    it with the ES kernel on W^d taps, and
+    g(alpha, t) = (1/P) [F(0) + 2 Re sum_{j=1..J} F(sigma_j alpha) e^{i sigma_j t}]
+    is summed directly at any t, one j after another; it is exactly 0 where
+    |t - alpha . c| > R, c being the box center.  The returned function takes
+    one (1, d) frame or an (n, 1, d) stack and (..., 1) t points.  Every
+    operation is elementwise or a fixed-order loop, so a frame gives the same
+    bits alone and in any stack; the gather runs in blocks of whole frames of
+    up to _GATHER_TAPS taps.  A grid of one node has no box to project and
+    raises DomainError.
+    """
+    d, h, shape = fld.d, fld.spacing, fld.shape
+    period, top = _slice_lattice(fld.spec, t_spacing)
+    if period == 0.0:
+        raise DomainError("the Fourier slice rule needs a grid of more than one node")
+    size = [_OVERSAMPLE * n for n in shape]
+    lead = np.array([n // 2 for n in shape])  # the reference node: phases are about it
+    # node n sits at offset n - lead from the reference node, stored at (n - lead) mod size
+    offsets = [np.arange(n) - c for n, c in zip(shape, lead)]
+    deapod = fld.values * (2.0 * h**d / period)
+    for i, (off, s) in enumerate(zip(offsets, size)):
+        deapod = deapod / _es_transform(off, s).reshape((-1,) + (1,) * (d - 1 - i))
+    padded = np.zeros(size, dtype=complex)
+    padded[np.ix_(*[off % s for off, s in zip(offsets, size)])] = deapod
+    np.fft.fftn(padded, out=padded)  # in place: no second padded-size array
+    spectrum = padded.reshape(-1).view(float).reshape(-1, 2)  # (re, im) per cell
+    dc = h**d * float(fld.values.sum()) / period
+    ref = fld.origin + h * lead
+    center = fld.origin + 0.5 * h * (np.array(shape) - 1)
+    radius = 0.5 * period
+    j = np.arange(1, top + 1, dtype=float)
+    sigma = (2.0 * np.pi / period) * j
+    scale = h * np.array(size, dtype=float) / period  # padded cells per j per unit alpha_i
+    taps = np.arange(_ES_WIDTH)[:, None]
+    block = max(1, _GATHER_TAPS // max(1, top * _ES_WIDTH**d))  # frames per gather
+
+    def gather(alpha: np.ndarray) -> np.ndarray:
+        """Re and im of (2/P) h^d e^{i sigma_j alpha . ref} F(sigma_j alpha), (2, n, J)."""
+        n_s = len(alpha) * top  # samples, frame-major
+        idx, weights = np.zeros(n_s, dtype=np.intp), []
+        for i in range(d):
+            nu = ((alpha[:, i] * scale[i])[:, None] * j).reshape(-1)  # padded-grid coordinate
+            lo = np.floor(nu - 0.5 * _ES_WIDTH) + 1.0  # first tap
+            # (W, 2 n_s): each sample's weight twice, for its re and im
+            weights.append(np.repeat(_es_kernel(nu - lo - taps), 2, axis=1))
+            cells = (lo.astype(np.intp) + taps) % size[i]
+            idx = idx[..., None, :] * size[i] + cells
+        vals = spectrum.take(idx, axis=0).reshape(idx.shape[:-1] + (2 * n_s,))
+        for w in reversed(weights):  # fold the last tap axis, one tap at a time
+            acc = vals[..., 0, :] * w[0]
+            for q in range(1, _ES_WIDTH):
+                acc += vals[..., q, :] * w[q]
+            vals = acc
+        return np.moveaxis(vals.reshape(len(alpha), top, 2), -1, 0)
+
+    def generator(rows: np.ndarray, t_pts: np.ndarray) -> np.ndarray:
+        out_shape = np.shape(rows)[:-2] + np.shape(t_pts)[:-1]
+        alpha = np.asarray(rows, dtype=float).reshape(-1, d)
+        t = np.asarray(t_pts, dtype=float).reshape(-1)
+        phase = sigma[:, None] * t  # (J, T), shared by every frame
+        cos_t, sin_t = np.cos(phase), np.sin(phase)
+        out = np.empty((len(alpha), t.size))
+        for f0 in range(0, len(alpha), block):
+            a = alpha[f0:f0 + block]
+            f_re, f_im = gather(a)
+            shift = _dot(a, ref)[:, None] * sigma  # to (2/P) F(sigma alpha): phases about t = 0
+            c, s = np.cos(shift), np.sin(shift)
+            g_re, g_im = f_re * c + f_im * s, f_im * c - f_re * s
+            acc = np.full((len(a), t.size), dc)
+            for i in range(top):  # one sigma at a time: a fixed order
+                acc += g_re[:, i, None] * cos_t[i]
+                acc -= g_im[:, i, None] * sin_t[i]
+            acc[np.abs(t - _dot(a, center)[:, None]) > radius] = 0.0
+            out[f0:f0 + block] = acc
+        return out.reshape(out_shape)
+
+    return generator
+
+
+def forward_rule(spec: GridSpec, frames: FrameSet, t_grid: TGrid,
+                 quad: QuadSpec | None = None) -> dict:
+    """The rule forward() applies and its samples per (frame, t point).
+
+    "fourier-slice" (d - k = 1) with its count of sigma samples, sigma_0 = 0
+    included; else "plane-quadrature" with its tensor node count.
+    """
+    if frames.d - frames.k == 1:
+        top = _slice_lattice(spec, t_grid.spacing)[1]
+        return {"name": "fourier-slice", "sigma_samples": top + 1}
+    quad = QuadSpec.default_for(spec) if quad is None else quad
+    return {"name": "plane-quadrature", "quad_nodes": quad.nodes_per_axis**frames.k}
+
+
 def forward(
     fld: GridField,
     frames: FrameSet,
@@ -188,18 +337,44 @@ def forward(
 ) -> Sinogram:
     """k-plane transform of a grid field, sampled on frames x t-grid.
 
-    All frames go through one forward_at call, or with threads > 1 one call
-    per 64 of its blocks, so the values do not depend on the thread count.
+    For d - k = 1 (hyperplanes) the values come from the Fourier slice
+    identity (_slice_generator: one padded FFT, a kernel gather per frame and
+    a direct sum over the sigma samples); quad, order and threads are unused
+    there.  A t-grid that does not hold the field's support, projected on
+    every frame, raises a TruncationWarning.
+
+    For d - k >= 2 all frames go through one forward_at call (plane
+    quadrature), or with threads > 1 one call per 64 of its blocks, so the
+    values do not depend on the thread count; a quadrature halfwidth below
+    the field's support radius raises a TruncationWarning.
+
     The returned sinogram carries a generator handle so its underlying
     function can be re-evaluated exactly at rotated frame coordinates; it is
-    the same code with one frame.
+    the same code with one frame or a stack, so forward values equal
+    generator values bit for bit.
     """
     d, k = frames.d, frames.k
     if t_grid.m != d - k:
         raise DomainError(f"t-grid dimension {t_grid.m} != d-k = {d - k}")
+    support_radius = _support_radius(fld)
+    if d - k == 1:
+        center = fld.origin + 0.5 * fld.spacing * (np.array(fld.shape) - 1)
+        reach = frames.rows[:, 0] @ center
+        t_lo = float(t_grid.origin[0])
+        t_hi = t_lo + t_grid.spacing * (t_grid.shape[0] - 1)
+        if reach.min() - support_radius < t_lo or reach.max() + support_radius > t_hi:
+            warnings.warn(
+                f"the field support, radius {support_radius:.3g} about the grid center, "
+                f"projects outside the t-grid [{t_lo:.3g}, {t_hi:.3g}] on some frames; "
+                "the sinogram may be truncated",
+                TruncationWarning,
+                stacklevel=2,
+            )
+        generator = _slice_generator(fld, t_grid.spacing)
+        return Sinogram(d, k, frames, t_grid, generator(frames.rows, t_grid.points()),
+                        generator)
     if quad is None:
         quad = QuadSpec.default_for(fld.spec)
-    support_radius = _support_radius(fld)
     if quad.halfwidth < support_radius:
         warnings.warn(
             f"quadrature halfwidth {quad.halfwidth} is below the field support "

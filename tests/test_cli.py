@@ -84,11 +84,28 @@ def test_forward_fbp_pipeline_report(tmp_path):
     path = write_config(tmp_path, cfg)
     assert main(["phantom", "--config", path]) == 0
     assert main(["forward", "--config", path]) == 0
+    # grid half-diagonal 6.3 sqrt(2) over the spacing 0.2: sigma_0 .. sigma_44
+    rule = json.loads((out / "sinogram.report.json").read_text())["rule"]
+    assert rule == {"name": "fourier-slice", "sigma_samples": 45}
     assert main(["fbp", "--config", path]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["rel_l2_vs_reference"] <= 0.05
     assert "timings_ms" in report and "warnings" in report
     assert (out / "recon.slice.csv").read_text().startswith("coord,value")
+
+
+def test_forward_report_names_the_plane_quadrature_rule(tmp_path):
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg.update(d=3, k=1, grid={"origin": [-1.5] * 3, "spacing": 0.5, "shape": [7, 7, 7]},
+               frames={"mode": "monte-carlo", "count": 3},
+               t_grid={"origin": [-2.0, -2.0], "spacing": 0.5, "shape": [9, 9]},
+               quad={"halfwidth": 3.0, "nodes": 12}, phantom={"kind": "gaussian"})
+    path = write_config(tmp_path, cfg)
+    assert main(["phantom", "--config", path]) == 0
+    assert main(["forward", "--config", path]) == 0
+    rule = json.loads((out / "sinogram.report.json").read_text())["rule"]
+    assert rule == {"name": "plane-quadrature", "quad_nodes": 12}
 
 
 def test_pipeline_rerun_is_byte_identical(tmp_path):

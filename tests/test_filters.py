@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from kplane import (
     DomainError,
@@ -110,12 +111,24 @@ def test_ramp_filter_commutes_with_frame_reordering():
     assert np.array_equal(out2.values, out1.values[perm])
 
 
-def test_ramp_filter_zero_mean_unpadded():
-    # without cropping, the DC bin is annihilated exactly
-    sino = make_sino()
-    out = ramp_filter(sino, pad_factor=1.0)
-    sums = out.values.sum(axis=1)
-    assert np.abs(sums).max() <= 1e-8
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
+def test_ramp_filter_is_linear_convolution_with_band_limited_kernel(d, k):
+    # d-k = 1: padded to at least 2n - 1 points, each t-block is convolved
+    # linearly (no wrap-around) with the kernel of c |w|^k band-limited to pi/h,
+    # ker(r h) = (1/pi) int_0^(pi/h) w^k cos(w r h) dw, here by QAWO quadrature
+    h, n = 0.25, 64
+    frames = frameset_haar(d, k, 3, RngSeed(d))
+    t = TGrid.centered(1, n, h).axes()[0]
+    values = np.stack([np.exp(-((t - 0.7 * i) ** 2) / 2) + 0.1 * (t > 2) for i in range(3)])
+    sino = Sinogram(d, k, frames, TGrid.centered(1, n, h), values)
+    lags = np.arange(n)
+    ker = np.array([integrate.quad(lambda u: u**k, 0, np.pi, weight="cos", wvar=r)[0]
+                    for r in lags]) / (np.pi * h ** (k + 1))
+    conv = ker[np.abs(lags[:, None] - lags[None, :])]  # (output, input) lag table
+    ref = c_constant(d, k) * h * values @ conv.T
+    for pad in (2.0, 3.0):
+        got = ramp_filter(sino, pad_factor=pad).values
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_ramp_filter_dimension_check():

@@ -82,13 +82,13 @@ def test_haar_frame_deterministic():
 
 
 def test_haar_frame_angle_uniform_ks():
-    # d=2, k=1: the frame row is a unit vector whose angle must be uniform
-    gen = RngSeed(2024, 0).generator()
+    # d=2, k=1: the frame row is a unit vector whose angle must be uniform.  One
+    # stacked draw is the stream of n haar_frame_sample calls, bit for bit.
     n = 100_000
-    angles = np.empty(n)
-    for i in range(n):
-        row = haar_frame_sample(2, 1, gen).rows[0]
-        angles[i] = np.arctan2(row[1], row[0])
+    rows = _haar_rows(2, 1, n, RngSeed(2024, 0).generator())[:, 0]
+    gen = RngSeed(2024, 0).generator()
+    assert all(np.array_equal(haar_frame_sample(2, 1, gen).rows[0], row) for row in rows[:300])
+    angles = np.arctan2(rows[:, 1], rows[:, 0])
     sorted_u = np.sort(np.mod(angles, 2 * np.pi)) / (2 * np.pi)
     i = np.arange(1, n + 1)
     ks = max(np.abs(i / n - sorted_u).max(), np.abs(sorted_u - (i - 1) / n).max())
@@ -113,8 +113,11 @@ def test_haar_orthogonal_properties():
 
 
 def test_haar_orthogonal_det_split():
+    # one stacked draw is the stream of 100,000 haar_orthogonal_sample calls
+    mats = _haar_stack(100_000, 2, 2, RngSeed(8, 0).generator())
     gen = RngSeed(8, 0).generator()
-    dets = np.array([haar_orthogonal_sample(2, gen).det for _ in range(100_000)])
+    assert all(np.array_equal(haar_orthogonal_sample(2, gen).mat, mat) for mat in mats[:300])
+    dets = np.linalg.det(mats)
     frac_neg = np.mean(dets < 0)
     assert abs(frac_neg - 0.5) <= 0.01
 

@@ -14,6 +14,7 @@ from kplane import (
     DomainError,
     FieldInterpolator,
     Frame,
+    FrameSet,
     GridField,
     GridSpec,
     MollifiedAtom,
@@ -136,9 +137,37 @@ def test_forward_linearity():
 
 
 def test_forward_truncation_warning():
+    # d-k = 1: the quadrature is unused; the warning says the t-grid does not
+    # hold the field's support (radius about 5.3) projected on every frame
     fld = gaussian_field(GRID_2D)
-    with pytest.warns(TruncationWarning):
+    with pytest.warns(TruncationWarning, match="projects outside the t-grid"):
         forward(fld, frameset_circle(3), tgrid_1d(16), QuadSpec(1.0, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        forward(fld, frameset_circle(3), tgrid_1d(63), QuadSpec(1.0, 16))
+    # a grid centred at (3, 0): its support projects to 3 cos(theta) +- 5.3, which
+    # the t-grid [-6.2, 6.2] holds on the frames (0, +-1) but not on (1, 0)
+    spec = GridSpec(GRID_2D.origin + [3.0, 0.0], GRID_2D.spacing, GRID_2D.shape)
+    shifted = gaussian_field(spec, mean=[3.0, 0.0])
+    vertical = FrameSet((Frame(2, 1, np.array([[0.0, 1.0]])), Frame(2, 1, np.array([[0.0, -1.0]]))),
+                        "explicit")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        forward(shifted, vertical, tgrid_1d(63))
+    with pytest.warns(TruncationWarning, match="projects outside the t-grid"):
+        forward(shifted, frameset_circle(4), tgrid_1d(63))
+
+
+def test_forward_truncation_warning_plane_quadrature():
+    # d-k = 2: a quadrature halfwidth below the support radius warns
+    spec = GridSpec.centered(3, 16, 0.4)
+    fld = gaussian_field(spec)
+    frames = frameset_haar(3, 1, 2, RngSeed(4))
+    with pytest.warns(TruncationWarning, match="quadrature halfwidth"):
+        forward(fld, frames, TGrid.centered(2, 9, 0.5), QuadSpec(1.0, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        forward(fld, frames, TGrid.centered(2, 9, 0.5), QuadSpec(6.0, 8))
 
 
 def test_backproject_constant_sinogram():
@@ -321,30 +350,106 @@ def test_rotation_pair_consistency_k2():
 
 
 def test_forward_thread_order_independence():
-    # 600 frames span three pool tasks of 64 four-frame blocks; every thread
-    # count must reproduce the same bits
-    mix = mixture_field(GRID_2D, [[0.5, -0.3]], [1.0])
-    frames = frameset_circle(600)
-    tg = tgrid_1d(64)
-    s1 = forward(mix, frames, tg, QUAD_2D_WIDE, threads=1)
+    # plane quadrature (d-k = 2): 200 frames span four pool tasks of 64 one-frame
+    # blocks; every thread count must reproduce the same bits
+    spec = GridSpec.centered(3, 16, 0.4)
+    mix = mixture_field(spec, [[0.5, -0.3, 0.2]], [1.0])
+    frames = frameset_haar(3, 1, 200, RngSeed(9))
+    tg = TGrid.centered(2, 16, 0.5)
+    quad = QuadSpec(5.5, 128)
+    assert transform._block_frames(tg.size, quad, 1) == 1
+    s1 = forward(mix, frames, tg, quad, order=1, threads=1)
     for threads in (2, 3, 4):
-        assert np.array_equal(forward(mix, frames, tg, QUAD_2D_WIDE, threads=threads).values,
+        assert np.array_equal(forward(mix, frames, tg, quad, order=1, threads=threads).values,
                               s1.values)
 
 
 @pytest.mark.parametrize("order", [1, 3])
 def test_forward_matches_its_generator_bitwise(order):
-    # the generator is the same blocked code with one frame: every frame of a
-    # multi-block forward gives the same bits alone
+    # plane quadrature (d-k = 2): the generator is the same blocked code with one
+    # frame, so every frame of a multi-block forward gives the same bits alone
     spec = GridSpec.centered(3, 12, 0.4)
     fld = gaussian_field(spec, mean=[0.4, -0.2, 0.1])
-    frames = frameset_haar(3, 2, 70, RngSeed(21))
-    tg = TGrid.centered(1, 40, 0.3)
+    frames = frameset_haar(3, 1, 70, RngSeed(21))
+    tg = TGrid.centered(2, 9, 0.5)
     quad = QuadSpec(4.5, 16)
-    assert 1 < transform._block_frames(tg.size, quad, 2) < len(frames) // 2
+    assert 1 < transform._block_frames(tg.size, quad, 1) < len(frames) // 2
     sino = forward(fld, frames, tg, quad, order=order)
     for i, rows in enumerate(frames.rows):
+        assert np.array_equal(sino.generator(rows, tg.points()), sino.values[i].ravel())
+
+
+@pytest.mark.parametrize("d,k,n", [(2, 1, 64), (3, 2, 12), (4, 3, 8)])
+def test_slice_forward_matches_its_generator_bitwise(d, k, n):
+    # Fourier slice (d-k = 1): forward is the generator on the whole stack, whose
+    # gather runs in blocks of frames; each frame alone, and a sub-stack that
+    # starts mid-block, give the same bits
+    spec = GridSpec.centered(d, n, 0.2 if d == 2 else 0.4)
+    fld = gaussian_field(spec, mean=[0.3, -0.2, 0.1, 0.2][:d])
+    frames = frameset_haar(d, k, 160, RngSeed(20 + d))
+    tg = TGrid.centered(1, 40, 0.3)
+    top = transform._slice_lattice(spec, tg.spacing)[1]
+    block = transform._GATHER_TAPS // (top * transform._ES_WIDTH**d)
+    assert 1 < block < len(frames) // 2
+    sino = forward(fld, frames, tg)
+    for i, rows in enumerate(frames.rows):
         assert np.array_equal(sino.generator(rows, tg.points()), sino.values[i])
+    assert np.array_equal(sino.generator(frames.rows[5:117], tg.points()), sino.values[5:117])
+
+
+def test_slice_generator_shapes():
+    # one (1, d) frame or an (n, 1, d) stack, at t points of shape (..., 1)
+    spec = GridSpec.centered(3, 12, 0.4)
+    frames = frameset_haar(3, 2, 4, RngSeed(2))
+    sino = forward(gaussian_field(spec), frames, TGrid.centered(1, 21, 0.4))
+    rows = sino.frames.rows
+    t = np.linspace(-2.0, 2.0, 10).reshape(2, 5, 1)
+    stack = sino.generator(rows, t)
+    assert stack.shape == (4, 2, 5)
+    assert sino.generator(rows[1], t).shape == (2, 5)
+    assert np.array_equal(sino.generator(rows[1], t), stack[1])
+    assert np.array_equal(sino.generator(rows, t.reshape(-1, 1)), stack.reshape(4, -1))
+    assert sino.generator(rows[2], np.zeros(1)).shape == ()
+
+
+def test_slice_generator_is_zero_outside_the_projected_box():
+    # exact zeros where |t - alpha . c| > R (R the box's half-diagonal, c its
+    # centre), at a cost that does not grow with |t|
+    spec = GridSpec(np.array([1.0, -2.0, 0.5]), 0.4, (12, 10, 14))
+    fld = gaussian_field(spec, mean=[3.2, -0.2, 3.1])
+    frames = frameset_haar(3, 2, 6, RngSeed(12))
+    sino = forward(fld, frames, TGrid.centered(1, 64, 0.3))
+    center = spec.origin + 0.5 * spec.spacing * (np.array(spec.shape) - 1)
+    radius = 0.5 * spec.spacing * np.linalg.norm(np.array(spec.shape) - 1)
+    reach = frames.rows[:, 0] @ center
+    for i, rows in enumerate(frames.rows):
+        edge = reach[i] + radius * np.array([-1 - 1e-9, -1 + 1e-9, 1 - 1e-9, 1 + 1e-9])
+        vals = sino.generator(rows, edge[:, None])
+        assert vals[0] == vals[3] == 0.0 and vals[1] != 0.0 and vals[2] != 0.0
+    far = np.concatenate([np.geomspace(1e3, 1e12, 5000), -np.geomspace(1e3, 1e12, 5000)])
+    start = time.perf_counter()
+    vals = sino.generator(frames.rows, far[:, None])
+    assert time.perf_counter() - start < 1.0
+    assert np.all(vals == 0.0)
+    assert np.all(sino.generator(frames.rows, np.array([[1e6], [-1e6]])) == 0.0)
+
+
+def test_slice_forward_rejects_one_node_grid():
+    fld = GridField(np.zeros(2), 0.5, (1, 1), np.ones((1, 1)))
+    with pytest.raises(DomainError, match="more than one node"):
+        forward(fld, frameset_circle(3), tgrid_1d(8))
+
+
+def test_forward_gaussian_4d_hyperplanes():
+    # Fourier slice at (4, 3) against the analytic Gaussian plane integral
+    spec = GridSpec.centered(4, 16, 0.55)
+    fld = gaussian_field(spec)
+    frames = frameset_haar(4, 3, 3, RngSeed(63))
+    tg = TGrid.centered(1, 37, 0.3)
+    sino = forward(fld, frames, tg)
+    for i, fr in enumerate(frames):
+        truth = gaussian_kplane(fr, tg.points(), np.zeros(4))
+        assert np.abs(sino.values[i] - truth).max() / truth.max() <= 1e-3
 
 
 def test_adjointness_shared_mc_frames_3d():
@@ -481,6 +586,7 @@ def test_forward_at_matches_dense_quadrature(d, k, order):
 
 
 def test_forward_interpolates_only_near_box(monkeypatch):
+    # plane quadrature, through forward_at: forward takes it only for d-k >= 2
     spec = GridSpec.centered(3, 16, 0.3)
     fld = gaussian_field(spec)
     frames = frameset_haar(3, 2, 8, RngSeed(5))
@@ -496,33 +602,57 @@ def test_forward_interpolates_only_near_box(monkeypatch):
         return read(self, u)
 
     monkeypatch.setattr(FieldInterpolator, "read", counting)
-    forward(fld, frames, tg, quad, order=1, threads=1)
+    interp = FieldInterpolator(fld, order=1)
+    forward_at(interp, frames.rows, tg.points(), quad)
     clipped = dict(counts)
     counts.update(points=0, inbox=0)
-    interp = FieldInterpolator(fld, order=1)
     for fr in frames:
         _dense_forward_at(interp, fr.rows, tg.points(), quad)
     assert clipped["inbox"] == counts["inbox"] == clipped["points"] > 0
 
 
 def test_forward_peak_memory_is_set_by_the_block_budget():
-    # the radon3d size: 24^3 field, 480 frames, 48 t, 32^2 nodes.  Beyond its
-    # result, forward holds one block's arrays at a time, so its peak is
-    # bounded by the block budget, whatever the frame count.
+    # plane quadrature, through forward_at, at the radon3d size: 24^3 field, 480
+    # frames, 48 t, 32^2 nodes.  Beyond its result, forward_at holds one block's
+    # arrays at a time, so its peak is bounded by the block budget, whatever the
+    # frame count.
     spec = GridSpec.centered(3, 24, 0.4)
     fld = mixture_field(spec, [[1.2, 0.0, 0.6], [-1.0, -0.8, 0.0]], [1.0, 0.7])
     frames = frameset_haar(3, 2, 480, RngSeed(1))
     tg = TGrid.centered(1, 48, 0.4)
     quad = QuadSpec(8.0, 32)
     quad.nodes_weights(2)  # cached tensor rule, built once per QuadSpec
+    interp = FieldInterpolator(fld, order=1)
+    t_pts = tg.points()
     tracemalloc.start()
     try:
-        forward(fld, frames, tg, quad, order=1, threads=1)
+        forward_at(interp, frames.rows, t_pts, quad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # sixteen float64 arrays of the block budget, which is pinned at 4 MiB of them
     assert peak <= 16 * 8 * transform._BLOCK_NODES <= 4 * 2**20
+
+
+def test_slice_forward_peak_memory_does_not_grow_with_frames():
+    # Fourier slice at the radon3d size (24^3 field, 48 t): beyond its result
+    # and the result's finiteness mask (one byte a value, in Sinogram), forward
+    # holds the padded spectrum and one gather block of a fixed tap budget, so
+    # its peak does not grow from 480 to 4,800 frames
+    spec = GridSpec.centered(3, 24, 0.4)
+    fld = mixture_field(spec, [[1.2, 0.0, 0.6], [-1.0, -0.8, 0.0]], [1.0, 0.7])
+    tg = TGrid.centered(1, 48, 0.4)
+    excess = []
+    for n in (480, 4800):
+        frames = frameset_haar(3, 2, n, RngSeed(1))
+        tracemalloc.start()
+        try:
+            sino = forward(fld, frames, tg, order=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        excess.append(peak - sino.values.nbytes - sino.values.size)
+    assert excess[1] <= excess[0] <= 16 * 2**20
 
 
 def _loop_backproject(sino, grid):
