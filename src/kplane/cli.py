@@ -2,7 +2,9 @@
 
 All randomness flows from config seeds, so reruns of any pipeline with the
 same config produce byte-identical KPT outputs.  Reports are machine-readable
-JSON; grid outputs also get a center-line CSV slice for external plotting.
+JSON, each command report stamped with ``schema_version`` and ``env``
+(versions, thread count, whether scipy.ndimage or scipy.special was loaded);
+grid outputs also get a center-line CSV slice for external plotting.
 
 Exit codes: 0 success, 1 verification check failed, 2 bad config,
 3 I/O failure, 4 numeric domain error (also an array too large to allocate).
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic, filters, geometry, isotropy, sparse, transform
+from . import __version__, analytic, filters, geometry, isotropy, sparse, transform
 from .errors import DomainError, FormatError, TruncationWarning
 from .fields import GridField, GridSpec, QuadSpec, Sinogram, TGrid, integrate, read_kpt, write_kpt
 from .geometry import RngSeed
@@ -166,10 +168,36 @@ def _out_path(cfg: dict, out_dir: str | None, key: str, default: str) -> Path:
     return Path(base) / name
 
 
-def _write_report(path: Path, report: dict) -> None:
+def _write_json(path: Path, obj: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+REPORT_SCHEMA_VERSION = 1
+
+
+def _env(threads: int) -> dict:
+    """Versions, thread count, and whether a scipy submodule has been loaded.
+
+    The scipy version comes from the top-level package, which loads neither
+    scipy.ndimage nor scipy.special.
+    """
+    import scipy
+
+    return {
+        "kplane": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "threads": threads,
+        "scipy_loaded": any(m in sys.modules for m in ("scipy.ndimage", "scipy.special")),
+    }
+
+
+def _write_report(path: Path, report: dict, threads: int) -> None:
+    """A command report, stamped with the schema version and the environment."""
+    _write_json(path, {**report, "schema_version": REPORT_SCHEMA_VERSION, "env": _env(threads)})
 
 
 def _write_slice_csv(path: Path, fld: GridField) -> None:
@@ -205,7 +233,7 @@ def cmd_phantom(cfg: dict, out_dir: str | None, seed: int | None, threads: int |
         "mass": integrate(fld),
         "warnings": [],
     }
-    _write_report(path.with_suffix(".report.json"), report)
+    _write_report(path.with_suffix(".report.json"), report, threads)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -229,7 +257,7 @@ def cmd_forward(cfg: dict, out_dir: str | None, seed: int | None, threads: int |
         "rule": transform.forward_rule(fld.spec, frames, t_grid, quad),
         "warnings": [str(w.message) for w in caught],
     }
-    _write_report(sino_path.with_suffix(".report.json"), report)
+    _write_report(sino_path.with_suffix(".report.json"), report, threads)
     print(f"wrote {sino_path}")
     return EXIT_OK
 
@@ -241,13 +269,16 @@ def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None, threads: int | Non
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
-        recon = transform.fbp(sino, sino.d, sino.k, grid, pad, threads=threads)
-    elapsed = 1000 * (time.perf_counter() - t0)
+        filtered = filters.ramp_filter(sino, sino.d, sino.k, pad)  # transform.fbp, timed by stage
+        t1 = time.perf_counter()
+        recon = transform.backproject(filtered, grid, threads=threads)
+    t2 = time.perf_counter()
+    timings = {"fbp": 1000 * (t2 - t0), "ramp": 1000 * (t1 - t0), "backproject": 1000 * (t2 - t1)}
     recon_path = _out_path(cfg, out_dir, "reconstruction", "recon.kpt")
     write_kpt(recon_path, recon)
     _write_slice_csv(recon_path.with_suffix(".slice.csv"), recon)
 
-    report = {"timings_ms": {"fbp": elapsed}, "warnings": [str(w.message) for w in caught]}
+    report = {"timings_ms": timings, "warnings": [str(w.message) for w in caught]}
     phantom_path = _out_path(cfg, out_dir, "phantom", "phantom.kpt")
     if phantom_path.exists():
         reference = _read_kind(phantom_path, GridField)
@@ -257,7 +288,7 @@ def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None, threads: int | Non
             float((recon.values * reference.values).sum()) / denom if denom else None
         )
     report_path = _out_path(cfg, out_dir, "report", "report.json")
-    _write_report(report_path, report)
+    _write_report(report_path, report, threads)
     print(f"wrote {recon_path}")
     return EXIT_OK
 
@@ -282,7 +313,7 @@ def cmd_calibrate(cfg: dict, out_dir: str | None, seed: int | None, threads: int
         "warnings": [],
     }
     report_path = _out_path(cfg, out_dir, "report", "report.json")
-    _write_report(report_path, report)
+    _write_report(report_path, report, threads)
     print(f"gain = {gain:.6f}")
     return EXIT_OK
 
@@ -364,14 +395,14 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
         "kkt": {"inactive_excess": inactive_excess, "active_mismatch": active_mismatch},
     }
     sol_path = _out_path(cfg, out_dir, "solution", "solution.json")
-    _write_report(sol_path, solution)
+    _write_json(sol_path, solution)
     report = {
         "timings_ms": timings,
         "counters": problem.stats,
         "support_size": len(solution["support"]),
         "warnings": [],
     }
-    _write_report(_out_path(cfg, out_dir, "report", "report.json"), report)
+    _write_report(_out_path(cfg, out_dir, "report", "report.json"), report, threads)
     print(f"wrote {recon_path} (support {len(solution['support'])})")
     return EXIT_OK
 
@@ -522,7 +553,7 @@ def cmd_verify(cfg: dict | None, out_dir: str | None, seed: int | None, threads:
         report_path = Path(out_dir) / "verify.json"
         report_path.parent.mkdir(parents=True, exist_ok=True)
     if report_path is not None:
-        _write_report(report_path, verdict)
+        _write_json(report_path, verdict)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 

@@ -8,6 +8,7 @@ written to and read back bit-exactly from the "KPT1" binary format.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DomainError, FormatError
 from .geometry import Frame, FrameSet
@@ -100,11 +100,13 @@ class FieldInterpolator:
     contract); order=3 is interpolating cubic splines, used by the forward
     quadrature where multilinear bias would dominate.  ``read`` takes index
     coordinates u = (x - origin) / spacing: order 1 runs the package's one
-    multilinear kernel (lerp_t), order 3 map_coordinates on the spline
-    coefficients.  Calling the interpolator on physical points is that affine
-    map in front of ``read``.  Points outside the grid's bounding box evaluate
-    to 0 (compact-support convention): both kernels read exactly 0 outside
-    [0, n-1] on any axis.
+    multilinear kernel (lerp_t), order 3 scipy.ndimage.map_coordinates on the
+    spline coefficients.  Only order 3 needs scipy, so scipy.ndimage is
+    imported when the first order-3 interpolator is built (plane quadrature
+    at d - k >= 2 with interp_order 3), never at order 1.  Calling the
+    interpolator on physical points is that affine map in front of ``read``.
+    Points outside the grid's bounding box evaluate to 0 (compact-support
+    convention): both kernels read exactly 0 outside [0, n-1] on any axis.
     """
 
     def __init__(self, fld: GridField, order: int = 1):
@@ -113,17 +115,18 @@ class FieldInterpolator:
         self.field = fld
         self.order = order
         if order == 3:
-            self._coeff = ndimage.spline_filter(fld.values, order=3, mode="constant")
-        else:
-            self._coeff = fld.values
+            from scipy import ndimage
+
+            coeff = ndimage.spline_filter(fld.values, order=3, mode="constant")
+            self._spline_read = functools.partial(
+                ndimage.map_coordinates, coeff, order=3, mode="constant", cval=0.0,
+                prefilter=False)
 
     def read(self, u: np.ndarray) -> np.ndarray:
         """Values at the index coordinates u, a (d, N) array with one row per axis."""
         if self.order == 1:
-            return lerp_t(self._coeff.reshape(-1), self.field.shape, u)[0]
-        return ndimage.map_coordinates(
-            self._coeff, u, order=3, mode="constant", cval=0.0, prefilter=False
-        )
+            return lerp_t(self.field.values.reshape(-1), self.field.shape, u)[0]
+        return self._spline_read(u)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 from .fields import GridField, Sinogram
@@ -198,12 +197,19 @@ _SUPPORTED_ORDERS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
 def bessel_j(nu: float, x) -> float | np.ndarray:
     """Bessel function of the first kind (``scipy.special.jv``) for orders
-    {0, 1/2, 1, 3/2, 2} and x >= 0; a scalar argument gives a float."""
+    {0, 1/2, 1, 3/2, 2} and x >= 0; a scalar argument gives a float.
+
+    scipy.special is imported on the first call that passes the argument
+    checks, so a bad order or a negative x raises DomainError without it and
+    a process that never evaluates a Bessel function never loads it.
+    """
     if float(nu) not in _SUPPORTED_ORDERS:
         raise DomainError(f"unsupported Bessel order {nu}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("bessel_j requires x >= 0")
+    from scipy import special
+
     out = special.jv(float(nu), x)
     return float(out) if out.ndim == 0 else out
 

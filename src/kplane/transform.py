@@ -234,8 +234,11 @@ def _slice_generator(fld: GridField, t_spacing: float):
     """g(alpha, t) of a grid field by the Fourier slice identity, for d - k = 1.
 
     The field's spectrum F(xi) = h^d sum_n f_n e^{-i xi . x_n} is one
-    zero-padded FFT of the deapodized field; F(sigma_j alpha) is gathered from
-    it with the ES kernel on W^d taps, and
+    zero-padded real FFT of the deapodized field: the half spectrum of the
+    last axis, widened by the columns the kernel reaches past either end
+    through F(-xi) = conj F(xi).  F(sigma_j alpha) is gathered from it with
+    the ES kernel on W^d taps, a frame with alpha_d < 0 at -alpha and then
+    conjugated, and
     g(alpha, t) = (1/P) [F(0) + 2 Re sum_{j=1..J} F(sigma_j alpha) e^{i sigma_j t}]
     is summed directly at any t, one j after another; it is exactly 0 where
     |t - alpha . c| > R, c being the box center.  The returned function takes
@@ -256,10 +259,28 @@ def _slice_generator(fld: GridField, t_spacing: float):
     deapod = fld.values * (2.0 * h**d / period)
     for i, (off, s) in enumerate(zip(offsets, size)):
         deapod = deapod / _es_transform(off, s).reshape((-1,) + (1,) * (d - 1 - i))
-    padded = np.zeros(size, dtype=complex)
-    padded[np.ix_(*[off % s for off, s in zip(offsets, size)])] = deapod
-    np.fft.fftn(padded, out=padded)  # in place: no second padded-size array
-    spectrum = padded.reshape(-1).view(float).reshape(-1, 2)  # (re, im) per cell
+    # the gather reads columns -(W/2 - 1) .. N/2 + W/2 of the last axis (N = size[-1],
+    # alpha_d >= 0).  Columns 0 .. N/2 are numpy's rfftn of the padded field, done in
+    # place (the last axis only on the rows that hold the field); a column c with
+    # c mod N past N/2 holds conj F at the opposite frequency.
+    left, half = _ES_WIDTH // 2 - 1, size[-1] // 2
+    spectrum = np.zeros(size[:-1] + [left + half + 1 + _ES_WIDTH // 2], dtype=complex)
+    inner = spectrum[..., left:left + half + 1]
+    rows = np.zeros(shape[:-1] + (size[-1],))
+    rows[..., offsets[-1] % size[-1]] = deapod
+    inner[np.ix_(*[off % s for off, s in zip(offsets[:-1], size[:-1])])] = np.fft.rfft(rows)
+    del rows
+    for i in range(d - 2, -1, -1):
+        np.fft.fft(inner, axis=i, out=inner)
+    neg = np.ix_(*[(-np.arange(s)) % s for s in size[:-1]])  # -xi along the other axes
+    for c in (*range(-left, 0), *range(half + 1, half + 1 + _ES_WIDTH // 2)):
+        r = c % size[-1]
+        if r <= half:  # only when the last axis is shorter than the kernel
+            spectrum[..., left + c] = spectrum[..., left + r]
+        else:
+            np.conjugate(spectrum[..., left + size[-1] - r][neg], out=spectrum[..., left + c])
+    dims = spectrum.shape
+    spectrum = spectrum.reshape(-1).view(float).reshape(-1, 2)  # (re, im) per cell
     dc = h**d * float(fld.values.sum()) / period
     ref = fld.origin + h * lead
     center = fld.origin + 0.5 * h * (np.array(shape) - 1)
@@ -279,8 +300,12 @@ def _slice_generator(fld: GridField, t_spacing: float):
             lo = np.floor(nu - 0.5 * _ES_WIDTH) + 1.0  # first tap
             # (W, 2 n_s): each sample's weight twice, for its re and im
             weights.append(np.repeat(_es_kernel(nu - lo - taps), 2, axis=1))
-            cells = (lo.astype(np.intp) + taps) % size[i]
-            idx = idx[..., None, :] * size[i] + cells
+            cells = lo.astype(np.intp) + taps
+            if i < d - 1:
+                cells %= size[i]
+            else:  # the stored columns start at -(W/2 - 1)
+                cells += left
+            idx = idx[..., None, :] * dims[i] + cells
         vals = spectrum.take(idx, axis=0).reshape(idx.shape[:-1] + (2 * n_s,))
         for w in reversed(weights):  # fold the last tap axis, one tap at a time
             acc = vals[..., 0, :] * w[0]
@@ -298,7 +323,9 @@ def _slice_generator(fld: GridField, t_spacing: float):
         out = np.empty((len(alpha), t.size))
         for f0 in range(0, len(alpha), block):
             a = alpha[f0:f0 + block]
-            f_re, f_im = gather(a)
+            flip = a[:, -1] < 0.0  # gathered at -alpha: F(sigma alpha) = conj F(-sigma alpha)
+            f_re, f_im = gather(np.where(flip[:, None], -a, a))
+            f_im[flip] *= -1.0
             shift = _dot(a, ref)[:, None] * sigma  # to (2/P) F(sigma alpha): phases about t = 0
             c, s = np.cos(shift), np.sin(shift)
             g_re, g_im = f_re * c + f_im * s, f_im * c - f_re * s

@@ -1,14 +1,20 @@
 import contextlib
+import io
 import json
+import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kplane import integrate, read_kpt, transform
+import kplane
+from kplane import FormatError, integrate, read_kpt, transform
 from kplane.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
 
 
@@ -91,6 +97,9 @@ def test_forward_fbp_pipeline_report(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["rel_l2_vs_reference"] <= 0.05
     assert "timings_ms" in report and "warnings" in report
+    timings = report["timings_ms"]
+    assert set(timings) == {"fbp", "ramp", "backproject"}
+    assert 0 < timings["ramp"] + timings["backproject"] <= timings["fbp"]
     assert (out / "recon.slice.csv").read_text().startswith("coord,value")
 
 
@@ -595,3 +604,104 @@ def test_mutated_config_exits_with_documented_code(small_inputs, command, key_pa
         owner[key_path[-1]] = value
         Path("cfg.json").write_text(json.dumps(cfg))
         assert main([command, "--config", "cfg.json"]) in (0, 2, 3, 4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+                      min_size=1, max_size=3))
+def test_mutated_sinogram_header_fbp_exits_3(small_inputs, edits):
+    # random bytes in the sinogram's magic, header length or JSON header: a file
+    # read_kpt rejects makes fbp exit 3 with a one-line message; one it accepts
+    # (a changed digit can describe another valid sinogram) ends in 0, 3 or 4;
+    # no other exception escapes main
+    blob = small_inputs["sinogram.kpt"]
+    head = 8 + int.from_bytes(blob[4:8], "little")
+    mutated = bytearray(blob)
+    for pos, byte in edits:
+        mutated[pos % head] = byte
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("phantom.kpt").write_bytes(small_inputs["phantom.kpt"])
+        Path("sinogram.kpt").write_bytes(bytes(mutated))
+        Path("cfg.json").write_text(json.dumps(small_config(tmp)))
+        try:
+            read_kpt("sinogram.kpt")
+            expected = (0, 3, 4)
+        except FormatError:
+            expected = (3,)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["fbp", "--config", "cfg.json"])
+    assert code in expected
+    assert code == 0 or (err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue())
+
+
+_SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import kplane
+from kplane import FieldInterpolator, GridSpec, RngSeed, TGrid, bessel_j, cli, isotropy, transform
+from kplane.fields import gaussian_field
+
+LAZY = ("scipy.ndimage", "scipy.special")
+loaded = {"import": [m for m in LAZY if m in sys.modules]}
+for d, k, n in ((2, 1, 12), (3, 2, 10)):
+    spec = GridSpec.centered(d, n, 0.5)
+    sino = transform.forward(gaussian_field(spec), transform.frameset_haar(d, k, 6, RngSeed(1)),
+                             TGrid.centered(1, 2 * n, 0.5))
+    transform.backproject(transform.ramp_filter(sino), spec)
+frames = transform.frameset_haar(3, 1, 40, RngSeed(2))
+atom = isotropy.MollifiedAtom(frames.frames[0], np.array([0.3, -0.2]), 0.5, 0.6)
+sino = isotropy.render_delta_iso(atom, frames, TGrid.centered(2, 11, 0.3))
+transform.backproject(sino, GridSpec.centered(3, 6, 0.5))
+for command in ("phantom", "forward", "fbp", "calibrate", "reconstruct"):
+    assert cli.main([command, "--config", sys.argv[2]]) == 0, command
+loaded["pipelines"] = [m for m in LAZY if m in sys.modules]
+out = json.load(open(sys.argv[2]))["output"]["dir"]
+loaded["report_env"] = json.load(open(out + "/report.json"))["env"]
+fld = gaussian_field(GridSpec.centered(2, 9, 0.5))
+loaded["spline_at_node"] = float(FieldInterpolator(fld, order=3)(np.array([0.5, -1.0])))
+loaded["node"] = float(fld.values[5, 2])
+loaded["j_half"] = bessel_j(0.5, np.pi / 2)
+loaded["first_use"] = [m for m in LAZY if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_d_minus_k_1_pipelines_run_without_scipy(tmp_path):
+    # `import kplane` and every d - k = 1 path (forward, ramp, backprojection,
+    # the O(1) projector rendering, the CLI pipeline on numpy alone) load neither
+    # scipy.ndimage nor scipy.special; an order-3 interpolator and bessel_j load
+    # them on first use, in a fresh interpreter
+    src = str(Path(kplane.__file__).resolve().parent.parent)
+    cfg = write_config(tmp_path, small_config(tmp_path / "out"))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, src, cfg],
+                          capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["import"] == loaded["pipelines"] == []
+    assert loaded["report_env"]["scipy_loaded"] is False
+    assert loaded["spline_at_node"] == pytest.approx(loaded["node"], rel=1e-12)
+    assert loaded["j_half"] == pytest.approx(2 / np.pi, rel=1e-12)
+    assert loaded["first_use"] == ["scipy.ndimage", "scipy.special"]
+
+
+def test_every_command_report_is_stamped(tmp_path):
+    # schema_version and env on every command report; solution.json holds the
+    # solution only
+    out = tmp_path / "out"
+    path = write_config(tmp_path, small_config(out))
+    reports = {}
+    for command in ("phantom", "forward", "fbp", "calibrate", "reconstruct"):
+        assert main([command, "--config", path, "--threads", "2"]) == 0
+        name = {"phantom": "phantom.report.json", "forward": "sinogram.report.json"}
+        reports[command] = json.loads((out / name.get(command, "report.json")).read_text())
+    for command, report in reports.items():
+        assert report["schema_version"] == 1, command
+        assert report["env"] == {
+            "kplane": kplane.__version__, "numpy": np.__version__, "scipy": scipy.__version__,
+            "python": platform.python_version(), "threads": 2,
+            "scipy_loaded": report["env"]["scipy_loaded"],
+        }, command
+        assert isinstance(report["env"]["scipy_loaded"], bool)
+    assert "env" not in json.loads((out / "solution.json").read_text())

@@ -1,7 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kplane import (
     DomainError,
@@ -13,6 +18,7 @@ from kplane import (
     RngSeed,
     Sinogram,
     TGrid,
+    frameset_haar,
     haar_frame_sample,
     integrate,
     interpolate,
@@ -355,3 +361,90 @@ def test_kpt_header_invalid_geometry(tmp_path, patch, n_values):
     with pytest.raises(FormatError) as err:
         read_kpt(path)
     assert err.value.offset == 8
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SPACING = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _axes(draw, m):
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=m, max_size=m)))
+    return np.array(draw(st.lists(_FINITE, min_size=m, max_size=m))), draw(_SPACING), shape
+
+
+@st.composite
+def grid_fields(draw):
+    origin, spacing, shape = _axes(draw, draw(st.integers(1, 4)))
+    return GridField(origin, spacing, shape, draw(hnp.arrays(np.float64, shape, elements=_FINITE)))
+
+
+@st.composite
+def sinograms(draw):
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(1, d - 1))
+    n = draw(st.integers(1, 4))
+    frames = frameset_haar(d, k, n, RngSeed(draw(st.integers(0, 2**32))))
+    t_grid = TGrid(*_axes(draw, d - k))
+    values = draw(hnp.arrays(np.float64, (n,) + t_grid.shape, elements=_FINITE))
+    return Sinogram(d, k, frames, t_grid, values)
+
+
+def _kpt_round_trip(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "obj.kpt"
+        write_kpt(path, obj)
+        return read_kpt(path)
+
+
+def _assert_same_bits(a, b):
+    """Same kind, geometry, frames and values, compared as bytes (so -0.0 != 0.0)."""
+    assert type(a) is type(b)
+    grid_a, grid_b = (a, b) if isinstance(a, GridField) else (a.t_grid, b.t_grid)
+    assert grid_a.shape == grid_b.shape
+    assert grid_a.origin.tobytes() == grid_b.origin.tobytes()
+    assert np.float64(grid_a.spacing).tobytes() == np.float64(grid_b.spacing).tobytes()
+    assert a.values.shape == b.values.shape and a.values.tobytes() == b.values.tobytes()
+    if isinstance(a, Sinogram):
+        assert (a.d, a.k) == (b.d, b.k)
+        assert a.frames.rows.tobytes() == b.frames.rows.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(obj=st.one_of(grid_fields(), sinograms()))
+def test_kpt_round_trip_is_bit_exact(obj):
+    # random grids (d = 1..4) and sinograms (d = 2..4, any k): shapes, spacing,
+    # origin, frames and values all come back bit for bit
+    _assert_same_bits(obj, _kpt_round_trip(obj))
+
+
+def _small_kpt(kind):
+    obj = make_field(d=2, n=4) if kind == "grid" else make_sinogram()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_kpt(Path(tmp) / "obj.kpt", obj)
+        return obj, (Path(tmp) / "obj.kpt").read_bytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["grid", "sinogram"]),
+       edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+                      min_size=1, max_size=3))
+def test_kpt_header_mutation_reads_valid_or_format_error(kind, edits):
+    # bytes of the magic, the header length or the JSON header replaced at random:
+    # read_kpt raises FormatError and nothing else, or returns a valid object;
+    # KPT1 has no checksum, so a changed digit may describe another valid object,
+    # which then round-trips bit for bit itself
+    original, blob = _small_kpt(kind)
+    head = 8 + int.from_bytes(blob[4:8], "little")
+    mutated = bytearray(blob)
+    for pos, byte in edits:
+        mutated[pos % head] = byte
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.kpt"
+        path.write_bytes(bytes(mutated))
+        try:
+            obj = read_kpt(path)
+        except FormatError:
+            return
+    if bytes(mutated) == blob:
+        _assert_same_bits(obj, original)
+    _assert_same_bits(obj, _kpt_round_trip(obj))

@@ -452,6 +452,24 @@ def test_forward_gaussian_4d_hyperplanes():
         assert np.abs(sino.values[i] - truth).max() / truth.max() <= 1e-3
 
 
+def test_slice_generator_holds_the_half_spectrum():
+    # the generator keeps numpy's rfftn half of the 2x-padded spectrum, plus the
+    # columns the kernel reaches past either end of the last axis: 32^3 x 22
+    # complex cells here, where the full spectrum (32^4) held 16,781,752 B
+    spec = GridSpec.centered(4, 16, 0.55)
+    fld = gaussian_field(spec)
+    frames = frameset_haar(4, 3, 3, RngSeed(63))
+    tg = TGrid.centered(1, 37, 0.3)
+    forward(fld, frames, tg)  # numpy imports its fft modules on first use
+    tracemalloc.start()
+    try:
+        sino = forward(fld, frames, tg)
+        held = tracemalloc.get_traced_memory()[0] - sino.values.nbytes
+    finally:
+        tracemalloc.stop()
+    assert 32**3 * 22 * 16 <= held <= 0.75 * 16_781_752
+
+
 def test_adjointness_shared_mc_frames_3d():
     # both sides of the pairing share the same Monte-Carlo frames
     spec = GridSpec.centered(3, 24, 0.4)
