@@ -398,7 +398,7 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
     _write_json(sol_path, solution)
     report = {
         "timings_ms": timings,
-        "counters": problem.stats,
+        "counters": {**problem.stats, **dico.atoms[0].table().counts},
         "support_size": len(solution["support"]),
         "warnings": [],
     }

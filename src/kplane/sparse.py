@@ -14,6 +14,7 @@ most lambda/2 in size off it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -121,11 +122,32 @@ def build_dictionary(frame_grid, offset_grid, s: float, d: int, k: int) -> Dicti
 
 def assemble(dictionary: Dictionary, meas: MeasurementSet, field_grid: GridSpec) -> np.ndarray:
     """Gram matrix G[m, j] = h^d sum_x h_m(x) * atom_j(x) over the grid."""
-    pts = field_grid.points()
-    atom_mat = np.stack([ridge_eval(atom, pts) for atom in dictionary.atoms])  # J x N
+    atom_mat = _atom_rows(dictionary.atoms, field_grid.points())               # J x N
     h_mat = np.stack([h.values.ravel() for h in meas.functionals])             # M x N
     cell = field_grid.spacing**field_grid.d
     return cell * (h_mat @ atom_mat.T)
+
+
+def _atom_rows(atoms: list[RidgeAtom], pts: np.ndarray) -> np.ndarray:
+    """ridge_eval of each atom at pts (one row each), one frame group at a time: a
+    run of rbf atoms sharing one Frame and one RadialTable costs one pts @ A^T,
+    one broadcast offset subtraction and one table lookup.  Other atoms go
+    through ridge_eval."""
+    out = np.empty((len(atoms), len(pts)))
+    start = 0
+    for key, run in itertools.groupby(atoms, lambda at: (at.frame, at.table())
+                                      if at.profile == "rbf" else None):
+        run = list(run)
+        rows = out[start : start + len(run)]
+        start += len(run)
+        if key is None:
+            rows[:] = [ridge_eval(atom, pts) for atom in run]
+            continue
+        frame, table = key
+        arg = (pts @ frame.rows.T)[None] - np.stack([atom.offset for atom in run])[:, None]
+        weights = np.array([atom.weight for atom in run])[:, None]
+        np.multiply(weights, table(np.sqrt((arg**2).sum(axis=-1))), out=rows)
+    return out
 
 
 def solve_lasso(problem: LassoProblem, on_iterate=None) -> np.ndarray:
@@ -241,9 +263,9 @@ def reconstruct(a: np.ndarray, dictionary: Dictionary, grid: GridSpec) -> GridFi
     a = np.asarray(a, dtype=float)
     if a.shape != (len(dictionary),):
         raise DomainError(f"coefficients must have length {len(dictionary)}")
-    pts = grid.points()
+    keep = np.abs(a) > 1e-10
+    rows = _atom_rows([atom for atom, k in zip(dictionary.atoms, keep) if k], grid.points())
     vals = np.zeros(grid.size)
-    for coeff, atom in zip(a, dictionary.atoms):
-        if abs(coeff) > 1e-10:
-            vals += coeff * ridge_eval(atom, pts)
+    for coeff, row in zip(a[keep], rows):
+        vals += coeff * row
     return GridField(grid.origin, grid.spacing, grid.shape, vals.reshape(grid.shape))

@@ -211,9 +211,23 @@ def test_reconstruct_planted(tmp_path):
     assert set(timings) == {"dictionary", "assemble", "solve", "reconstruct"}
     assert timings["assemble"] + timings["solve"] <= timings["reconstruct"]
     counters = report["counters"]
-    assert set(counters) == {"steps", "adds", "drops"}
+    assert set(counters) == {"steps", "adds", "drops", "green_nodes", "table_lookups"}
     assert counters["steps"] > 0
     assert counters["adds"] - counters["drops"] == len(solution["support"])
+    # one table for the dictionary: the Gram reads every atom, the image the support
+    assert 0 < counters["green_nodes"] < 200
+    assert counters["table_lookups"] == (12 * 16 + len(solution["support"])) * 64 * 64
+
+
+def test_reconstruct_s_just_above_n(tmp_path):
+    # s - n = 0.1 once made green_rbf divide 0 by 0 at r = 0 and exit 4
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["sparse"] = {**planted_sparse(), "s": 1.1}
+    path = write_config(tmp_path, cfg)
+    assert main(["reconstruct", "--config", path]) == 0
+    recon = read_kpt(out / "sparse_recon.kpt")
+    assert np.all(np.isfinite(recon.values)) and np.any(recon.values != 0.0)
 
 
 @pytest.mark.parametrize("item", [

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from kplane import (
     DomainError,
@@ -258,6 +258,42 @@ def test_green_rbf_matches_matern_closed_form():
     assert np.abs(table(r) - np.exp(-r) / 2).max() <= 1e-4
 
 
+def matern(s, n, r):
+    """rho_s(r) = (2 pi)^(-n/2) 2^(1 - s/2) / Gamma(s/2) r^nu K_nu(r), nu = (s - n)/2,
+    through kve in log form where K_nu overflows; Gamma(nu) / ((4 pi)^(n/2) Gamma(s/2)) at 0."""
+    nu, r = (s - n) / 2.0, r[1:]
+    const = (2 * math.pi) ** (-n / 2) * 2 ** (1 - s / 2) / math.gamma(s / 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = const * r**nu * special.kv(nu, r)
+    logged = np.exp(math.log(const) + nu * np.log(r) + np.log(special.kve(nu, r)) - r)
+    at_zero = math.gamma(nu) / ((4 * math.pi) ** (n / 2) * math.gamma(s / 2))
+    return np.concatenate([[at_zero], np.where(np.isfinite(direct), direct, logged)])
+
+
+@pytest.mark.parametrize("s, n", [
+    (1.2, 1), (1.5, 1), (2.0, 1), (2.5, 2), (3.0, 2), (5.0, 3), (12.0, 1),
+    (20.0, 1), (40.0, 1), (80.0, 2), (150.0, 1),
+    (1.02, 1), (1.1, 1), (2.02, 2), (3.1, 3),  # s - n in {0.02, 0.1}
+])
+def test_green_rbf_nodes_match_matern_closed_form(s, n):
+    # every node within 1e-13 of rho_s(0); the step and limits follow s - n
+    radii, values = green_rbf(s, n).table
+    exact = matern(s, n, radii)
+    assert np.all(np.isfinite(values))
+    assert np.abs(values - exact).max() <= 1e-13 * exact[0]
+
+
+@pytest.mark.parametrize("s", [12.0, 40.0, 150.0, 300.0, 342.0])
+def test_green_rbf_unit_mass_by_poisson_summation(s):
+    # n = 1: h sum_j rho_s(j h) over Z equals sum_k (1 + (2 pi k / h)^2)^(-s/2) = 1
+    # to double precision; the s = 300 atom is wider than the default table
+    table = green_rbf(s, 1)
+    table(400.0)
+    radii, values = table.table
+    assert values[-1] <= 1e-60 * values[0]
+    assert radii[1] * (values[0] + 2.0 * values[1:].sum()) == pytest.approx(1.0, abs=1e-13)
+
+
 def test_green_rbf_even_symmetry():
     table = green_rbf(2.5, 1)
     r = np.linspace(0, 5, 11)
@@ -288,6 +324,13 @@ def test_radial_table_extension_keeps_readers_consistent():
     assert np.allclose(out, np.exp(-np.array([0.5, 3.0])), rtol=1e-3)
 
 
+def test_radial_table_rejects_radii_off_the_uniform_nodes():
+    # lerp_t reads node j at r = j * step, so any other layout would be misread
+    for radii in ([0.0], [0.1, 0.2, 0.3], [0.0, 0.1, 0.25], np.linspace(0, 1, 11) ** 2):
+        with pytest.raises(DomainError, match="j \\* step"):
+            RadialTable(radii, np.ones(len(radii)))
+
+
 def test_radial_table_shared_across_threads():
     # eight threads grow one shared table with a short switch interval
     table = green_rbf(2.0, 1, r_max=1.0)
@@ -310,6 +353,7 @@ def test_radial_table_shared_across_threads():
     assert worst <= 1e-4
     radii, values = table.table
     assert radii.size == values.size and radii[-1] >= 1.0 + 0.1 * 199
+    assert table.counts["table_lookups"] == 8 * 25 * 2  # no lost count
 
 
 def test_green_rbf_domain():
@@ -317,6 +361,8 @@ def test_green_rbf_domain():
         green_rbf(1.0, 1)
     with pytest.raises(DomainError):
         green_rbf(2.0, 2)
+    with pytest.raises(DomainError, match="Gamma"):
+        green_rbf(344.0, 1)
     for s in (np.nan, np.inf):  # NaN passed the s <= n test; inf gave a NaN table
         with pytest.raises(DomainError, match="finite"):
             green_rbf(s, 1)

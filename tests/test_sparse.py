@@ -18,6 +18,7 @@ from kplane import (
     align_rotation,
     assemble,
     build_dictionary,
+    green_rbf,
     haar_frame_sample,
     haar_orthogonal_sample,
     kkt_residuals,
@@ -28,7 +29,7 @@ from kplane import (
     solve_lasso,
     support,
 )
-from kplane.sparse import DEDUP_TOL
+from kplane.sparse import DEDUP_TOL, Dictionary
 
 
 def half_circle_frames(n):
@@ -117,6 +118,42 @@ def test_assemble_entry_matches_fine_grid_quadrature():
     fh = np.exp(-((fpts - np.array([0.5, -0.3])) ** 2).sum(-1) / (2 * 0.8**2))
     oracle = fine.spacing**2 * (fh * ridge_eval(atom, fpts)).sum()
     assert coarse == pytest.approx(oracle, abs=1e-4)
+
+
+def mixed_dictionary():
+    """Not frame-major: frames recur in runs of 1-3, weights are mixed, two
+    tables (s = 2 and 3) alternate inside frame runs, one atom is Gaussian."""
+    frames, gen = half_circle_frames(5), RngSeed(11).generator()
+    tables = {2.0: green_rbf(2.0, 1), 3.0: green_rbf(3.0, 1)}
+    atoms = []
+    for j, f in enumerate([0, 0, 1, 3, 3, 3, 2, 4, 0, 1, 1, 4] * 3):
+        s = 2.0 if j % 5 < 3 else 3.0
+        atom = RidgeAtom(gen.normal(), frames[f], [gen.uniform(-3, 3)], profile="rbf", s=s)
+        atom._table = tables[s]
+        atoms.append(atom)
+    atoms[7] = RidgeAtom(0.6, frames[2], [0.4])
+    return Dictionary(atoms, 2, 1, 2.0)
+
+
+def test_assemble_matches_per_atom_ridge_eval_stack():
+    dico, meas = mixed_dictionary(), gaussian_bumps(7)
+    g = assemble(dico, meas, GRID)
+    stack = np.stack([ridge_eval(atom, GRID.points()) for atom in dico.atoms])
+    h_mat = np.stack([h.values.ravel() for h in meas.functionals])
+    expect = GRID.spacing**2 * (h_mat @ stack.T)
+    assert np.abs(g - expect).max() <= 1e-15 * np.abs(expect).max()
+
+
+def test_reconstruct_matches_per_atom_ridge_eval_sum():
+    dico, grid = mixed_dictionary(), GridSpec.centered(2, 32, 0.3)
+    a = RngSeed(5).generator().normal(size=len(dico))
+    a[::3] = 0.0
+    expect = np.zeros(grid.size)
+    for coeff, atom in zip(a, dico.atoms):
+        if coeff != 0.0:
+            expect += coeff * ridge_eval(atom, grid.points())
+    got = reconstruct(a, dico, grid).values.ravel()
+    assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
 
 
 def test_solve_lasso_identity_gram_soft_threshold():
