@@ -69,13 +69,21 @@ def _section(cfg: dict, key: str, required: bool = False) -> dict:
     return sec
 
 
+def _to(kind: type, raw):
+    """kind(raw) for kind int or float; a JSON boolean, or a fraction where an int
+    is due, raises ValueError instead of being read as 0/1 or truncated."""
+    if isinstance(raw, bool) or kind is int and isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"{raw!r} is not {'an integer' if kind is int else 'a number'}")
+    return kind(raw)
+
+
 def _number(sec: dict, key: str, kind: type, default=None):
-    """sec[key] (default, if given, when absent) converted by kind: int or float."""
+    """sec[key] (default, if given, when absent) converted by _to: int or float."""
     raw = _require(sec, key) if default is None else sec.get(key, default)
     try:
-        return kind(raw)
+        return _to(kind, raw)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {key!r} must be a number, got {raw!r}") from exc
+        raise ConfigError(f"config key {key!r} must be a number, got {raw!r} ({exc})") from exc
 
 
 def _interp_order(cfg: dict, default: int) -> int:
@@ -88,8 +96,8 @@ def _interp_order(cfg: dict, default: int) -> int:
 def _grid_from(cfg: dict, key: str = "grid", cls: type = GridSpec) -> GridSpec:
     g = _require(cfg, key)
     try:
-        return cls(np.array(g["origin"], dtype=float), float(g["spacing"]),
-                   tuple(int(n) for n in g["shape"]))
+        return cls(np.array(g["origin"], dtype=float), _to(float, g["spacing"]),
+                   tuple(_to(int, n) for n in g["shape"]))
     except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise ConfigError(f"bad {key} spec: {exc}") from exc
 
@@ -99,7 +107,7 @@ def _quad_from(cfg: dict) -> QuadSpec:
     if q is None:
         return QuadSpec.default_for(_grid_from(cfg))
     try:
-        return QuadSpec(float(q["halfwidth"]), int(q["nodes"]))
+        return QuadSpec(_to(float, q["halfwidth"]), _to(int, q["nodes"]))
     except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise ConfigError(f"bad quad spec: {exc}") from exc
 
@@ -138,7 +146,7 @@ def _phantom_field(cfg: dict, grid: GridSpec) -> GridField:
         if kind == "mixture":
             comps = p.get("components", [])
             means = [c["mean"] for c in comps]
-            weights = [float(c.get("weight", 1.0)) for c in comps]
+            weights = [_to(float, c.get("weight", 1.0)) for c in comps]
             return analytic.mixture_field(grid, means, weights)
         if kind == "ridge-sum":
             d, k = _number(cfg, "d", int), _number(cfg, "k", int)
@@ -146,7 +154,7 @@ def _phantom_field(cfg: dict, grid: GridSpec) -> GridField:
             for spec in p.get("atoms", []):
                 frame = geometry.Frame(d, k, np.array(spec["frame"], dtype=float))
                 atoms.append(
-                    analytic.RidgeAtom(float(spec.get("weight", 1.0)), frame,
+                    analytic.RidgeAtom(_to(float, spec.get("weight", 1.0)), frame,
                                        np.array(spec["offset"], dtype=float),
                                        profile=spec.get("profile", "gaussian"),
                                        s=spec.get("s"))
@@ -334,7 +342,8 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
         raise ConfigError("sparse frame_count, offset_count and measurements must be >= 1")
     offsets, rng = np.linspace(lo, hi, n_offsets), _rng_seed(sp, seed)
     try:
-        planted = [(int(item["frame_index"]), int(item["offset_index"]), float(item["weight"]))
+        planted = [(_to(int, item["frame_index"]), _to(int, item["offset_index"]),
+                    _to(float, item["weight"]))
                    for item in sp.get("planted") or []]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad sparse spec: {exc}") from exc

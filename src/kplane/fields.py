@@ -8,7 +8,7 @@ written to and read back bit-exactly from the "KPT1" binary format.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
 import math
 import struct
@@ -99,14 +99,13 @@ class FieldInterpolator:
     order=1 is multilinear interpolation (the package-wide evaluation
     contract); order=3 is interpolating cubic splines, used by the forward
     quadrature where multilinear bias would dominate.  ``read`` takes index
-    coordinates u = (x - origin) / spacing: order 1 runs the package's one
-    multilinear kernel (lerp_t), order 3 scipy.ndimage.map_coordinates on the
-    spline coefficients.  Only order 3 needs scipy, so scipy.ndimage is
-    imported when the first order-3 interpolator is built (plane quadrature
-    at d - k >= 2 with interp_order 3), never at order 1.  Calling the
-    interpolator on physical points is that affine map in front of ``read``.
-    Points outside the grid's bounding box evaluate to 0 (compact-support
-    convention): both kernels read exactly 0 outside [0, n-1] on any axis.
+    coordinates u = (x - origin) / spacing and runs the package's one
+    multilinear kernel (lerp_t) or its cubic B-spline kernel (spline_t).
+    Order 3 imports scipy.ndimage, for spline_filter alone, when the first
+    order-3 interpolator is built (plane quadrature at d - k >= 2 with
+    interp_order 3).  Calling the interpolator on physical points is that
+    affine map in front of ``read``.  Both kernels read exactly 0 outside
+    [0, n-1] on any axis (compact-support convention).
     """
 
     def __init__(self, fld: GridField, order: int = 1):
@@ -118,15 +117,13 @@ class FieldInterpolator:
             from scipy import ndimage
 
             coeff = ndimage.spline_filter(fld.values, order=3, mode="constant")
-            self._spline_read = functools.partial(
-                ndimage.map_coordinates, coeff, order=3, mode="constant", cval=0.0,
-                prefilter=False)
+            self._coeff = np.pad(coeff, 2, mode="reflect").reshape(-1)  # scipy's "mirror"
 
     def read(self, u: np.ndarray) -> np.ndarray:
         """Values at the index coordinates u, a (d, N) array with one row per axis."""
         if self.order == 1:
             return lerp_t(self.field.values.reshape(-1), self.field.shape, u)[0]
-        return self._spline_read(u)
+        return spline_t(self._coeff, self.field.shape, u)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -246,6 +243,14 @@ class Sinogram:
         return Sinogram(self.d, self.k, self.frames, self.t_grid, values, generator)
 
 
+def _into_box(uj: np.ndarray, n: int, inside: np.ndarray | None):
+    """(uj, inside) as given if uj lies in [0, n-1]; else uj clipped (NaN to 0), mask narrowed."""
+    if uj.min(initial=0.0) >= 0.0 and uj.max(initial=0.0) <= n - 1:  # False on NaN
+        return uj, inside
+    ok = (uj >= 0.0) & (uj <= n - 1)
+    return np.nan_to_num(np.clip(uj, 0.0, n - 1), copy=False), ok if inside is None else inside & ok
+
+
 def lerp_t(flat: np.ndarray, shape: tuple[int, ...], u: list[np.ndarray],
            base: np.ndarray | float = 0.0) -> tuple[np.ndarray, int]:
     """Multilinear reads of finite row-major blocks stored back to back in flat.
@@ -254,8 +259,8 @@ def lerp_t(flat: np.ndarray, shape: tuple[int, ...], u: list[np.ndarray],
     with it, and FieldInterpolator(order=1) reads a grid field as one block.
     u[j] is the index coordinate along axis j and base the flat offset of each
     point's block, all broadcasting together; u is only read.  Points
-    outside [0, n-1] on any axis, or not finite, read exactly 0, as
-    map_coordinates(mode="constant") does.  Only when an axis's exact bounds
+    outside [0, n-1] on any axis, or not finite, read exactly 0, as the
+    order-3 kernel (spline_t) does.  Only when an axis's exact bounds
     leave the grid is its mask built and its u clipped into [0, n-1], so a
     read far outside costs no more than one inside.  The corners are gathered
     into fresh arrays and each axis, last first, is folded into them in place
@@ -264,10 +269,7 @@ def lerp_t(flat: np.ndarray, shape: tuple[int, ...], u: list[np.ndarray],
     strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
     pos, fracs, offsets, inside = np.asarray(base, dtype=float), [], [0], None
     for uj, n, stride in zip(u, shape, strides):
-        if not (uj.min(initial=0.0) >= 0.0 and uj.max(initial=0.0) <= n - 1):  # and on NaN
-            ok = (uj >= 0.0) & (uj <= n - 1)
-            inside = ok if inside is None else inside & ok
-            uj = np.nan_to_num(np.clip(uj, 0.0, n - 1), copy=False)
+        uj, inside = _into_box(uj, n, inside)
         lo = np.floor(uj)
         fracs.append(uj - lo)
         if stride > 1:
@@ -288,6 +290,45 @@ def lerp_t(flat: np.ndarray, shape: tuple[int, ...], u: list[np.ndarray],
         return vals[0], 0
     vals[0] *= inside
     return vals[0], int(inside.size - np.count_nonzero(inside))
+
+
+_SPLINE_POINTS = 1 << 13  # points per spline_t pass, so that its temporaries stay in cache
+
+
+def spline_t(coeff: np.ndarray, shape: tuple[int, ...], u: np.ndarray) -> np.ndarray:
+    """Cubic B-spline reads of a grid of this shape at index coordinates u, (d, N).
+
+    coeff holds the spline coefficients, row-major and padded by 2 on every axis,
+    so no tap floor(u)-1..floor(u)+2 needs bounds work.  Values are those of
+    map_coordinates(order=3, mode="constant", prefilter=False) to rounding, with
+    lerp_t's bounds rule; u is only read.  Per block of 2^13 points the 4^d taps
+    are takes at fixed offsets from one base index per point, each folded into
+    its axis's running sum as it is read, last axis first: O(d) blocks of memory.
+    """
+    strides = [math.prod(n + 4 for n in shape[j + 1:]) for j in range(len(shape))]
+    out = np.empty(u.shape[1:])
+    for p in range(0, len(out), _SPLINE_POINTS):
+        pos, weights, inside = float(sum(strides)), [], None  # tap i-1 is padded index i+1
+        for uj, n, stride in zip(u[:, p:p + _SPLINE_POINTS], shape, strides):
+            uj, inside = _into_box(uj, n, inside)
+            lo = np.floor(uj)
+            y = uj - lo
+            z = 1.0 - y
+            weights.append((z * z * z / 6.0, (y * y * (y - 2.0) * 3.0 + 4.0) / 6.0,
+                            (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0, y * y * y / 6.0))
+            pos = pos + lo * stride
+        idx = pos.astype(np.intp)
+        acc = [None] * len(shape)  # acc[j]: the running sum over axis j's taps
+        for taps in itertools.product(range(4), repeat=len(shape)):  # last axis fastest
+            part = coeff[sum(s * stride for s, stride in zip(taps, strides)):].take(idx)
+            for j in reversed(range(len(shape))):  # a complete axis sum joins the next
+                part *= weights[j][taps[j]]
+                acc[j] = part if taps[j] == 0 else np.add(acc[j], part, out=acc[j])
+                if taps[j] < 3:
+                    break
+                part = acc[j]
+        out[p:p + _SPLINE_POINTS] = acc[0] if inside is None else acc[0] * inside
+    return out
 
 
 def interp_t_block(blocks: np.ndarray, t_grid: TGrid, t_pts: np.ndarray) -> np.ndarray:

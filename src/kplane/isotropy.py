@@ -78,7 +78,7 @@ def project_iso(
     """
     tg, m = sino.t_grid, sino.m
     if not np.allclose(tg.origin, -(tg.origin + tg.spacing * (np.array(tg.shape) - 1)),
-                       atol=1e-9 * tg.spacing):
+                       rtol=0.0, atol=1e-9 * tg.spacing):
         raise DomainError("project_iso needs a t-grid symmetric about 0")
     rotations = -np.eye(1)[None] if m == 1 else _haar_rotations(m, n_rotations, rng)
     base_gen = sino.generator

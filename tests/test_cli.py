@@ -565,15 +565,66 @@ def test_large_finite_value_without_traceback_exit_4(tmp_path, capsys, command, 
     cfg = small_config(out)
     path = write_config(tmp_path, cfg)
     assert main(["phantom", "--config", path]) == 0
+    capsys.readouterr()
+    bad = write_config(tmp_path, _patched(cfg, patch), "bad.json")
+    assert main([command, "--config", bad]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and "Traceback" not in err
+
+
+def _patched(cfg, patch):
     for key_path, value in patch.items():
         owner = cfg
         for key in key_path[:-1]:
             owner = owner[key]
         owner[key_path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command,patch", [
+    pytest.param("forward", {("interp_order",): 3.7}, id="interp-order-3.7"),
+    pytest.param("forward", {("interp_order",): True}, id="interp-order-true"),
+    pytest.param("forward", {("frames", "count"): 60.9}, id="frames-count-60.9"),
+    pytest.param("forward", {("frames", "count"): True}, id="frames-count-true"),
+    pytest.param("forward", {("frames", "seed"): 1.5}, id="frames-seed-1.5"),
+    pytest.param("forward", {("d",): 2.5}, id="d-2.5"),
+    pytest.param("forward", {("quad", "nodes"): 16.5}, id="quad-nodes-16.5"),
+    pytest.param("forward", {("quad", "halfwidth"): True}, id="quad-halfwidth-true"),
+    pytest.param("phantom", {("grid", "shape"): [9.5, 9]}, id="grid-shape-9.5"),
+    pytest.param("phantom", {("grid", "shape"): [9, True]}, id="grid-shape-true"),
+    pytest.param("phantom", {("grid", "spacing"): True}, id="grid-spacing-true"),
+    pytest.param("phantom", {("phantom", "atoms", 0, "weight"): False}, id="atom-weight-false"),
+    pytest.param("fbp", {("filter", "pad_factor"): True}, id="pad-factor-true"),
+    pytest.param("reconstruct", {("sparse", "frame_count"): 4.5}, id="sparse-frames-4.5"),
+    pytest.param("reconstruct", {("sparse", "measurements"): True}, id="sparse-meas-true"),
+    pytest.param("reconstruct", {("sparse", "s"): True}, id="sparse-s-true"),
+    pytest.param("reconstruct", {("sparse", "planted", 0, "frame_index"): 1.5},
+                 id="planted-frame-1.5"),
+    pytest.param("reconstruct", {("sparse", "planted", 0, "offset_index"): True},
+                 id="planted-offset-true"),
+    pytest.param("reconstruct", {("sparse", "planted", 0, "weight"): True},
+                 id="planted-weight-true"),
+])
+def test_boolean_or_fractional_number_exits_2(tmp_path, capsys, command, patch):
+    # these used to be truncated by int() or read as 0/1 and run with exit 0
+    cfg = small_config(tmp_path / "out")
+    path = write_config(tmp_path, cfg)
+    assert main(["phantom", "--config", path]) == 0
+    assert main(["forward", "--config", path]) == 0
     capsys.readouterr()
-    assert main([command, "--config", write_config(tmp_path, cfg, "bad.json")]) == EXIT_NUMERIC
+    bad = write_config(tmp_path, _patched(cfg, patch), "bad.json")
+    assert main([command, "--config", bad]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("numeric error:") and "Traceback" not in err
+    assert err.startswith("config error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_integral_float_config_values_run(tmp_path):
+    cfg = _patched(small_config(tmp_path / "out"), {
+        ("interp_order",): 1.0, ("frames", "count"): 8.0, ("quad", "nodes"): 16.0,
+        ("grid", "shape"): [9.0, 9], ("sparse", "planted", 0, "frame_index"): 1.0})
+    path = write_config(tmp_path, cfg)
+    for command in ("phantom", "forward", "reconstruct"):
+        assert main([command, "--config", path]) == 0
 
 
 def _key_paths(obj, prefix=()):

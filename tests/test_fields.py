@@ -271,6 +271,57 @@ def test_lerp_t_reads_outside_as_zero_and_leaves_u_unchanged():
     assert np.abs(got[:3] - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("shape", [(7,), (1,), (2,), (3,), (24, 5), (1, 4), (2, 1),
+                                   (5, 6, 7), (3, 3, 3), (2, 3, 5), (1, 4, 4), (3, 2, 1, 4),
+                                   (4, 1, 2, 3)])
+def test_spline_kernel_matches_map_coordinates(shape):
+    # the order-3 read against scipy's cubic B-spline read of the same
+    # coefficients: random inside points, nodes and box faces
+    from scipy import ndimage
+
+    from kplane import FieldInterpolator
+
+    gen = RngSeed(sum(shape), len(shape)).generator()
+    fld = GridField(np.zeros(len(shape)), 1.0, shape, gen.normal(size=shape))
+    hi = np.array(shape, dtype=float)[:, None] - 1
+    inside = gen.uniform(size=(len(shape), 400)) * hi
+    nodes = np.floor(gen.uniform(size=(len(shape), 50)) * (hi + 1))
+    faces = gen.uniform(size=(len(shape), 2 * len(shape))) * hi
+    for j in range(len(shape)):
+        faces[j, 2 * j:2 * j + 2] = [0.0, hi[j, 0]]
+    u = np.concatenate([inside, nodes, faces], axis=1)
+    coeff = ndimage.spline_filter(fld.values, order=3, mode="constant")
+    ref = ndimage.map_coordinates(coeff, u, order=3, mode="constant", prefilter=False)
+    got = FieldInterpolator(fld, order=3).read(u)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("shape", [(6,), (1,), (4, 5), (2, 1, 3), (3, 2, 2, 2)])
+def test_spline_kernel_outside_empty_and_concatenation(shape):
+    from kplane import FieldInterpolator
+
+    gen = RngSeed(7, len(shape)).generator()
+    interp = FieldInterpolator(GridField(np.zeros(len(shape)), 1.0, shape,
+                                         gen.normal(size=shape)), order=3)
+    d, hi = len(shape), np.array(shape, dtype=float) - 1
+    # one coordinate just or far outside, or not finite, the others inside
+    bad = [-1e-12, 1e-12, -1e12, 1e12, np.nan, np.inf, -np.inf]
+    u = np.repeat((0.5 * hi)[:, None], d * len(bad), axis=1)
+    for j in range(d):
+        for b, v in enumerate(bad):
+            u[j, j * len(bad) + b] = hi[j] + v if v == 1e-12 else v
+    kept = u.copy()
+    assert np.all(interp.read(u) == 0.0)
+    assert np.array_equal(u, kept, equal_nan=True)
+    assert interp.read(np.empty((d, 0))).shape == (0,)
+    # a read does not depend on the other points of the call, inside or out,
+    # nor on where spline_t's 2^13-point blocks begin
+    parts = [gen.uniform(-0.5, 1.5, size=(d, n)) * hi[:, None] for n in (5, 9000, 1)]
+    parts[1] = np.concatenate([parts[1], u], axis=1)
+    whole = interp.read(np.concatenate(parts, axis=1))
+    assert np.array_equal(whole, np.concatenate([interp.read(p) for p in parts]))
+
+
 def test_interpolator_rejects_bad_order():
     from kplane import FieldInterpolator
 

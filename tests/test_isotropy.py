@@ -165,6 +165,18 @@ def test_project_iso_requires_symmetric_grid():
         project_iso(sino)
 
 
+def test_project_iso_rejects_off_centre_grid():
+    # the end 999.996 is within np.allclose's default rtol of 1000.004, but the
+    # O(1) average on such a grid is not idempotent
+    frames = frameset_circle(4)
+    tg = TGrid(np.array([-1000.004]), 0.25, (8001,))
+    with pytest.raises(DomainError):
+        project_iso(Sinogram(2, 1, frames, tg, np.zeros((4, 8001))))
+    for n, h in [(8001, 0.25), (2, 0.1), (127, 0.2), (16, 0.45), (4, 1e-7), (5, 1e6)]:
+        tg = TGrid.centered(1, n, h)
+        assert project_iso(Sinogram(2, 1, frames, tg, np.ones((4, n)))).values.shape == (4, n)
+
+
 # --- Monte-Carlo branch (d - k = 2) -------------------------------------------
 
 
@@ -174,6 +186,17 @@ def test_project_iso_idempotent_mc():
     p2 = project_iso(p1, n_rotations=64, rng=RngSeed(6))
     defect = sino_norm(p1.copy_with(p2.values - p1.values)) / sino_norm(p1)
     assert defect <= 2e-2
+
+
+def test_project_iso_fixes_plane_quadrature_forward_3d():
+    # the paper's range condition at d - k = 2: the order-3 plane quadrature
+    # turns its nodes with the frame, so forward(f) is isotropic to rounding
+    mix = mixture_field(GridSpec.centered(3, 16, 0.5), [[0.6, -0.3, 0.2], [-0.8, 0.5, -0.4]],
+                        [1.0, 0.7])
+    sino = forward(mix, frameset_haar(3, 1, 12, RngSeed(4)), TGrid.centered(2, 11, 0.6),
+                   QuadSpec(6.0, 32), order=3)
+    proj = project_iso(sino, n_rotations=8, rng=RngSeed(9))
+    assert np.abs(proj.values - sino.values).max() <= 1e-13 * np.abs(sino.values).max()
 
 
 def test_project_iso_nonexpansive_mc():
