@@ -29,17 +29,14 @@ from .fields import (
     Sinogram,
     TGrid,
     integrate,
-    interpolate,
     read_kpt,
     write_kpt,
 )
 from .filters import (
-    RadialSpec,
     RadialTable,
     apply_radial,
     bessel_j,
     bessel_spec,
-    custom_spec,
     gaussian_spec,
     green_rbf,
     hankel_profile,
@@ -60,7 +57,6 @@ from .transform import (
     moment_integral,
     rel_l2_error,
     sino_dot,
-    sino_mass,
     sino_norm,
 )
 from .analytic import (
@@ -71,7 +67,6 @@ from .analytic import (
     mixture_centroid,
     mixture_field,
     ridge_eval,
-    ridge_field,
     ridge_sum_field,
     slice_pair,
 )

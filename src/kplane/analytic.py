@@ -147,11 +147,6 @@ def ridge_eval(atom: RidgeAtom, x: np.ndarray) -> float | np.ndarray:
     return float(out[0]) if squeeze else out
 
 
-def ridge_field(atom: RidgeAtom, spec: GridSpec) -> GridField:
-    vals = ridge_eval(atom, spec.points()).reshape(spec.shape)
-    return GridField(spec.origin, spec.spacing, spec.shape, vals)
-
-
 # --- phantom builders ---------------------------------------------------------
 
 

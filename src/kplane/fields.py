@@ -138,11 +138,6 @@ class FieldInterpolator:
         return float(out[0]) if squeeze else out
 
 
-def interpolate(fld: GridField, x: np.ndarray) -> float | np.ndarray:
-    """Multilinear interpolation of the field at x; 0 outside the bounding box."""
-    return FieldInterpolator(fld, order=1)(x)
-
-
 def integrate(fld: GridField) -> float:
     """Rectangle-rule integral h^d * sum(values)."""
     return float(fld.spacing**fld.d * fld.values.sum())
@@ -162,18 +157,14 @@ class QuadSpec:
         if self.nodes_per_axis < 2:
             raise DomainError(f"need >= 2 nodes per axis, got {self.nodes_per_axis}")
 
-    def nodes_weights_1d(self) -> tuple[np.ndarray, np.ndarray]:
-        y = np.linspace(-self.halfwidth, self.halfwidth, self.nodes_per_axis)
-        step = y[1] - y[0]
-        w = np.full(self.nodes_per_axis, step)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return y, w
-
     def nodes_weights(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Tensor nodes (n^k, k) and weights (n^k,) summing to (2L)^k; built once, read-only."""
         if k not in self._tensor:
-            y, w = self.nodes_weights_1d()
+            y = np.linspace(-self.halfwidth, self.halfwidth, self.nodes_per_axis)
+            step = y[1] - y[0]
+            w = np.full(self.nodes_per_axis, step)
+            w[0] *= 0.5
+            w[-1] *= 0.5
             nodes = np.stack([g.ravel() for g in np.meshgrid(*([y] * k), indexing="ij")], axis=-1)
             weights = np.prod(np.meshgrid(*([w] * k), indexing="ij"), axis=0).ravel()
             nodes.flags.writeable = weights.flags.writeable = False

@@ -2,17 +2,18 @@
 
 The central object is the backprojection ("ramp") filter with frequency
 response c_{d,k} ||omega||^k applied in the offset variable of a sinogram;
-the same engine applies Bessel-potential, Gaussian, and tabulated radial
-multipliers to grid fields.  Also here: Bessel-J evaluation, the radial
-(Hankel) transform of isotropic profiles, and the radial-basis profile
-rho_s obtained as the Green's function of the Bessel potential.
+the same engine applies Bessel-potential and Gaussian radial multipliers to
+grid fields, each given as its profile, a function of rho = ||omega||.  Also
+here: Bessel-J evaluation, the radial (Hankel) transform of isotropic
+profiles, and the radial-basis profile rho_s obtained as the Green's function
+of the Bessel potential.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -24,61 +25,38 @@ from .geometry import c_constant, sphere_area
 IMAG_RESIDUE_TOL = 1e-10
 
 
-# --- radial multiplier specifications ---------------------------------------
+# --- radial multiplier profiles (rho = ||omega||, an array) ------------------
+
+Profile = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True, eq=False)
-class RadialSpec:
-    """Isotropic multiplier defined by a radial frequency profile.
-
-    kinds:
-      ramp     params (d, k): profile c_{d,k} * rho^k, exactly 0 at rho = 0
-      bessel   params (s, sign): profile (1 + rho^2)^(sign * s / 2)
-      gaussian params (sigma,): profile exp(-sigma^2 rho^2 / 2)
-      custom   params (rho_table, value_table): linear interpolation
-    """
-
-    kind: str
-    params: tuple
-
-    def profile(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        if self.kind == "ramp":
-            d, k = self.params
-            out = c_constant(d, k) * rho**k
-            return np.where(rho == 0.0, 0.0, out)
-        if self.kind == "bessel":
-            s, sign = self.params
-            return (1.0 + rho**2) ** (sign * s / 2.0)
-        if self.kind == "gaussian":
-            (sigma,) = self.params
-            return np.exp(-(sigma**2) * rho**2 / 2.0)
-        if self.kind == "custom":
-            rho_tab, val_tab = self.params
-            return np.interp(rho, rho_tab, val_tab)
-        raise DomainError(f"unknown radial kind {self.kind!r}")
+def _ramp(d: int, k: int, rho: np.ndarray) -> np.ndarray:
+    return np.where(rho == 0.0, 0.0, c_constant(d, k) * rho**k)
 
 
-def ramp_spec(d: int, k: int) -> RadialSpec:
-    return RadialSpec("ramp", (d, k))
+def _bessel(s: float, sign: int, rho: np.ndarray) -> np.ndarray:
+    return (1.0 + rho**2) ** (sign * s / 2.0)
 
 
-def bessel_spec(s: float, sign: int = 1) -> RadialSpec:
+def _gaussian(sigma: float, rho: np.ndarray) -> np.ndarray:
+    return np.exp(-(sigma**2) * rho**2 / 2.0)
+
+
+def ramp_spec(d: int, k: int) -> Profile:
+    """Profile c_{d,k} rho^k, exactly 0 at rho = 0."""
+    return partial(_ramp, d, k)
+
+
+def bessel_spec(s: float, sign: int = 1) -> Profile:
+    """Profile (1 + rho^2)^(sign s / 2), sign +1 or -1."""
     if sign not in (1, -1):
         raise DomainError(f"bessel sign must be +1 or -1, got {sign}")
-    return RadialSpec("bessel", (float(s), sign))
+    return partial(_bessel, float(s), sign)
 
 
-def gaussian_spec(sigma: float) -> RadialSpec:
-    return RadialSpec("gaussian", (float(sigma),))
-
-
-def custom_spec(rho_table: np.ndarray, value_table: np.ndarray) -> RadialSpec:
-    rho_table = np.asarray(rho_table, dtype=float)
-    value_table = np.asarray(value_table, dtype=float)
-    if rho_table.shape != value_table.shape or rho_table.ndim != 1:
-        raise DomainError("custom profile needs matching 1-d tables")
-    return RadialSpec("custom", (rho_table, value_table))
+def gaussian_spec(sigma: float) -> Profile:
+    """Profile exp(-sigma^2 rho^2 / 2)."""
+    return partial(_gaussian, float(sigma))
 
 
 # --- FFT application ---------------------------------------------------------
@@ -91,13 +69,13 @@ def _padded_size(n: int, pad_factor: float) -> int:
     return size + (size % 2)
 
 
-def _profile_multiplier(spec: RadialSpec, shape: tuple[int, ...], spacing: float,
+def _profile_multiplier(profile: Profile, shape: tuple[int, ...], spacing: float,
                         pad_factor: float) -> np.ndarray:
     """The profile at rho = ||omega||_2 of every DFT bin, omega_i = 2 pi freq_i / (N_pad h),
     each axis of shape padded to pad_factor * N rounded up to the next even size."""
     padded = tuple(_padded_size(n, pad_factor) for n in shape)
     freqs = [2.0 * np.pi * np.fft.fftfreq(n, d=spacing) for n in padded]
-    prof = spec.profile(np.sqrt(sum(g**2 for g in np.meshgrid(*freqs, indexing="ij"))))
+    prof = profile(np.sqrt(sum(g**2 for g in np.meshgrid(*freqs, indexing="ij"))))
     if not np.all(np.isfinite(prof)):
         bad = np.unravel_index(int(np.argmin(np.isfinite(prof))), prof.shape)
         raise DomainError(f"multiplier not finite at frequency bin {bad}")
@@ -147,23 +125,23 @@ def _band_limited_ramp(k: int, size: int) -> np.ndarray:
 
 
 def apply_radial_array(
-    values: np.ndarray, spacing: float, spec: RadialSpec, pad_factor: float = 2.0
+    values: np.ndarray, spacing: float, profile: Profile, pad_factor: float = 2.0
 ) -> np.ndarray:
     """Apply an isotropic Fourier multiplier to every axis of a uniformly sampled block."""
     values = np.asarray(values, dtype=float)
-    prof = _profile_multiplier(spec, values.shape, spacing, pad_factor)
+    prof = _profile_multiplier(profile, values.shape, spacing, pad_factor)
     return _apply_multiplier(values, 0, prof)
 
 
 def apply_radial(
-    target: GridField | Sinogram, spec: RadialSpec, pad_factor: float = 2.0
+    target: GridField | Sinogram, profile: Profile, pad_factor: float = 2.0
 ) -> GridField | Sinogram:
     """Apply a radial multiplier to a field (d-dim) or per-frame to a sinogram."""
     if isinstance(target, GridField):
-        out = apply_radial_array(target.values, target.spacing, spec, pad_factor)
+        out = apply_radial_array(target.values, target.spacing, profile, pad_factor)
         return GridField(target.origin, target.spacing, target.shape, out)
     if isinstance(target, Sinogram):
-        prof = _profile_multiplier(spec, target.t_grid.shape, target.t_grid.spacing, pad_factor)
+        prof = _profile_multiplier(profile, target.t_grid.shape, target.t_grid.spacing, pad_factor)
         return target.copy_with(_apply_multiplier(target.values, 1, prof))
     raise DomainError(f"cannot filter {type(target)!r}")
 

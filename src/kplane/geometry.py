@@ -34,10 +34,6 @@ class RngSeed:
         seq = np.random.SeedSequence(entropy=(int(self.seed), int(self.stream)))
         return np.random.Generator(np.random.PCG64(seq))
 
-    def substream(self, offset: int) -> "RngSeed":
-        """Independent stream for a concurrent worker."""
-        return RngSeed(self.seed, self.stream + 1 + offset)
-
 
 @dataclass(frozen=True, eq=False)
 class Frame:

@@ -37,7 +37,10 @@ def _eval_at(sino: Sinogram, rows: np.ndarray, t_pts: np.ndarray, tol: float) ->
 
     One generator call when the sinogram has one; else the t-blocks of each
     frame's nearest stored frame (Frobenius metric, first on a tie), which must
-    lie within ``tol``, read by one interp_t_block call.
+    lie within ``tol``.  For d-k = 1 the points are project_iso's -t, read
+    exactly as the stored row reversed on its symmetric grid; for d-k >= 2 U t
+    falls off the nodes, so one interp_t_block call reads it, and reads near
+    the grid's edge (0 outside it) are inherent there.
     """
     if sino.generator is not None:
         return sino.generator(rows, t_pts)
@@ -52,6 +55,8 @@ def _eval_at(sino: Sinogram, rows: np.ndarray, t_pts: np.ndarray, tol: float) ->
             f"no stored frame within chordal tolerance {tol} (nearest {dist[miss][0]:.3f}) "
             "and the sinogram has no generator"
         )
+    if sino.m == 1:
+        return sino.values[nearest][..., ::-1]
     return interp_t_block(sino.values[nearest], sino.t_grid, t_pts)
 
 
@@ -74,7 +79,8 @@ def project_iso(
     Monte-Carlo average over ``n_rotations`` >= 1 Haar draws.  Each rotation U
     is one _eval_at call on the whole frame stack U A.  The result's generator
     is the same average over the base generator, on one frame or a stack.
-    The t-grid must be symmetric about 0.
+    The t-grid must be symmetric about 0.  Without a generator the d-k = 1
+    term is exact, so that projection is idempotent (see _eval_at).
     """
     tg, m = sino.t_grid, sino.m
     if not np.allclose(tg.origin, -(tg.origin + tg.spacing * (np.array(tg.shape) - 1)),

@@ -27,6 +27,7 @@ from .fields import GridField, GridSpec
 from .geometry import Frame
 
 DEDUP_TOL = 1e-9
+ACTIVE_TOL = 1e-10  # a coefficient larger than this in size is on the support
 
 
 @dataclass(eq=False)
@@ -237,8 +238,7 @@ def reg_cost(a: np.ndarray) -> float:
     return math.fsum(np.abs(np.asarray(a, dtype=float)).tolist())
 
 
-def kkt_residuals(problem: LassoProblem, a: np.ndarray,
-                  active_tol: float = 1e-10) -> tuple[float, float]:
+def kkt_residuals(problem: LassoProblem, a: np.ndarray) -> tuple[float, float]:
     """Optimality certificate for the un-halved objective.
 
     Returns (worst inactive excess, worst active mismatch): at a minimizer,
@@ -246,7 +246,7 @@ def kkt_residuals(problem: LassoProblem, a: np.ndarray,
     sign(a_j) lambda/2 on it.
     """
     corr = problem.gram.T @ (problem.y - problem.gram @ a)
-    active = np.abs(a) > active_tol
+    active = np.abs(a) > ACTIVE_TOL
     inactive_excess = float(np.maximum(np.abs(corr[~active]) - problem.lam / 2.0, 0.0).max()) \
         if np.any(~active) else 0.0
     active_mismatch = float(np.abs(corr[active] - np.sign(a[active]) * problem.lam / 2.0).max()) \
@@ -254,8 +254,8 @@ def kkt_residuals(problem: LassoProblem, a: np.ndarray,
     return inactive_excess, active_mismatch
 
 
-def support(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    return np.flatnonzero(np.abs(np.asarray(a)) > tol)
+def support(a: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(np.abs(np.asarray(a)) > ACTIVE_TOL)
 
 
 def reconstruct(a: np.ndarray, dictionary: Dictionary, grid: GridSpec) -> GridField:
@@ -263,7 +263,7 @@ def reconstruct(a: np.ndarray, dictionary: Dictionary, grid: GridSpec) -> GridFi
     a = np.asarray(a, dtype=float)
     if a.shape != (len(dictionary),):
         raise DomainError(f"coefficients must have length {len(dictionary)}")
-    keep = np.abs(a) > 1e-10
+    keep = np.abs(a) > ACTIVE_TOL
     rows = _atom_rows([atom for atom, k in zip(dictionary.atoms, keep) if k], grid.points())
     vals = np.zeros(grid.size)
     for coeff, row in zip(a[keep], rows):

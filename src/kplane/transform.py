@@ -71,13 +71,16 @@ def _thread_count(threads: int | None) -> int:
         raise ValueError(f"KPLANE_THREADS must be an integer, got {env!r}") from None
 
 
-def _support_radius(fld: GridField, rel_floor: float = 1e-6) -> float:
+_SUPPORT_FLOOR = 1e-6  # values at most this times the peak count as negligible
+
+
+def _support_radius(fld: GridField) -> float:
     """Radius around the grid center containing all non-negligible values."""
     peak = float(np.abs(fld.values).max())
     if peak == 0.0:
         return 0.0
     center = fld.origin + 0.5 * fld.spacing * (np.array(fld.shape) - 1)
-    mask = np.abs(fld.values) > rel_floor * peak
+    mask = np.abs(fld.values) > _SUPPORT_FLOOR * peak
     idx = np.argwhere(mask)
     coords = fld.origin + fld.spacing * idx
     return float(np.sqrt(((coords - center) ** 2).sum(axis=1)).max())
@@ -561,13 +564,6 @@ def sino_dot(a: Sinogram, b: Sinogram) -> float:
 
 def sino_norm(a: Sinogram) -> float:
     return float(np.sqrt(max(0.0, sino_dot(a, a))))
-
-
-def sino_mass(a: Sinogram) -> float:
-    """Discrete integral of the sinogram over Xi_k."""
-    mass = stiefel_total_mass(a.d, a.k)
-    per_frame = a.values.reshape(a.n_frames, -1).sum(axis=1)
-    return float(mass * per_frame.mean() * a.t_grid.cell_volume())
 
 
 def field_dot(a: GridField, b: GridField) -> float:

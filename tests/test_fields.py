@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from kplane import (
     DomainError,
+    FieldInterpolator,
     FormatError,
     Frame,
     GridField,
@@ -21,7 +22,6 @@ from kplane import (
     frameset_haar,
     haar_frame_sample,
     integrate,
-    interpolate,
     read_kpt,
     write_kpt,
 )
@@ -37,16 +37,16 @@ def test_interpolate_node_values():
     fld = make_field()
     spec = fld.spec
     pts = spec.points()
-    vals = interpolate(fld, pts)
+    vals = FieldInterpolator(fld, order=1)(pts)
     assert np.array_equal(vals, fld.values.ravel())
 
 
 def test_interpolate_outside_is_zero():
     fld = make_field()
     hi = fld.origin + fld.spacing * (np.array(fld.shape) - 1)
-    assert interpolate(fld, hi + 0.01) == 0.0
-    assert interpolate(fld, fld.origin - 0.01) == 0.0
-    assert interpolate(fld, np.array([100.0, 0.0])) == 0.0
+    assert FieldInterpolator(fld, order=1)(hi + 0.01) == 0.0
+    assert FieldInterpolator(fld, order=1)(fld.origin - 0.01) == 0.0
+    assert FieldInterpolator(fld, order=1)(np.array([100.0, 0.0])) == 0.0
 
 
 def test_interpolate_exact_on_affine():
@@ -56,7 +56,7 @@ def test_interpolate_exact_on_affine():
     lo = fld.origin + 0.5
     hi = fld.origin + fld.spacing * (np.array(fld.shape) - 1) - 0.5
     pts = gen.uniform(lo, hi, size=(200, 3))
-    vals = interpolate(fld, pts)
+    vals = FieldInterpolator(fld, order=1)(pts)
     truth = 2.0 * pts[:, 0] - 0.3 * pts[:, 1] + 0.1
     assert np.abs(vals - truth).max() <= 1e-12
 

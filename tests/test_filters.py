@@ -18,7 +18,6 @@ from kplane import (
     bessel_j,
     bessel_spec,
     c_constant,
-    custom_spec,
     gaussian_spec,
     green_rbf,
     hankel_profile,
@@ -72,14 +71,6 @@ def test_gaussian_multiplier_nonexpansive():
     vals = gen.normal(size=(48, 48))
     out = apply_radial_array(vals, 0.3, gaussian_spec(0.7))
     assert np.linalg.norm(out) <= np.linalg.norm(vals) * (1 + 1e-12)
-
-
-def test_custom_profile_interpolates():
-    rho = np.linspace(0, 100, 51)
-    spec = custom_spec(rho, np.ones_like(rho))
-    vals = RngSeed(7).generator().normal(size=40)
-    out = apply_radial_array(vals, 0.25, spec)
-    assert np.abs(out - vals).max() <= 1e-10
 
 
 def make_sino(n_frames=5, seed=2):
@@ -398,10 +389,17 @@ def test_inverse_radial_profile_cosine_case_bitwise():
     assert np.array_equal(out, ref)
 
 
-def test_radial_spec_unknown_kind():
-    from kplane import RadialSpec
-
-    with pytest.raises(DomainError):
-        RadialSpec("weird", ()).profile(np.array([1.0]))
+def test_bessel_spec_rejects_bad_sign():
     with pytest.raises(DomainError):
         bessel_spec(1.0, sign=2)
+
+
+def test_profiles_match_closed_forms_bitwise():
+    rho = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
+    for d, k in [(2, 1), (3, 2), (3, 1), (5, 3)]:
+        assert np.array_equal(ramp_spec(d, k)(rho), c_constant(d, k) * rho**k)
+    for s in (0.0, 1.5, 2.0):
+        for sign in (1, -1):
+            assert np.array_equal(bessel_spec(s, sign)(rho), (1.0 + rho**2) ** (sign * s / 2.0))
+    for sigma in (0.5, 0.8, 2.0):
+        assert np.array_equal(gaussian_spec(sigma)(rho), np.exp(-(sigma**2) * rho**2 / 2.0))

@@ -308,14 +308,3 @@ def test_haar_invariance_under_fixed_rotation():
     idx = np.arange(1, n + 1)
     ks = max(np.abs(idx / n - sorted_u).max(), np.abs(sorted_u - (idx - 1) / n).max())
     assert ks < 0.015
-
-
-def test_rng_substreams_are_distinct_and_deterministic():
-    base = RngSeed(42, 0)
-    a = base.substream(0)
-    b = base.substream(1)
-    assert a != b
-    va = a.generator().normal(size=4)
-    vb = b.generator().normal(size=4)
-    assert not np.array_equal(va, vb)
-    assert np.array_equal(va, a.generator().normal(size=4))

@@ -21,7 +21,6 @@ from kplane import (
     project_iso,
     ramp_filter,
     render_delta_iso,
-    sino_mass,
 )
 from kplane.fields import interp_t_block
 from kplane.geometry import align_rotation, stiefel_total_mass
@@ -96,7 +95,7 @@ def test_project_iso_even_part_exact():
 
 def test_project_iso_o1_is_two_term_average_bitwise():
     # identity term from the stored values, flipped term from the generator or,
-    # without one, from the t-block of the nearest stored frame to -A
+    # without one, the t-block of the nearest stored frame to -A, reversed
     sino = circle_closure_sinogram()
     t_pts = sino.t_grid.points()
     rows = sino.frames.rows
@@ -107,7 +106,7 @@ def test_project_iso_o1_is_two_term_average_bitwise():
         flipped = sino.generator(-fr.rows, -t_pts)
         assert np.array_equal(proj.values[i].ravel(), 0.5 * (stored + flipped))
         j = int(np.argmin(np.linalg.norm(rows + fr.rows, axis=(1, 2))))
-        looked_up = interp_t_block(sino.values[j], sino.t_grid, -t_pts)
+        looked_up = sino.values[j][::-1]
         assert np.array_equal(proj_bare.values[i].ravel(), 0.5 * (stored + looked_up))
     assert proj_bare.generator is None
     pts = t_pts[::5] + 0.013
@@ -121,6 +120,17 @@ def test_project_iso_idempotent_exact():
     p1 = project_iso(sino)
     p2 = project_iso(p1)
     assert np.abs(p2.values - p1.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,h", [(127, 0.2), (95, 0.25), (64, 0.1), (33, 0.3), (16, 0.45),
+                                 (201, 0.05)])
+def test_project_iso_lookup_idempotent_on_centered_grids(n, h):
+    # without a generator, d-k = 1 reads g(-A, -t) as the stored row reversed;
+    # on (127, 0.2) the float -t of an end node lies just past the grid
+    vals = RngSeed(n).generator().normal(size=(4, n))
+    once = project_iso(Sinogram(2, 1, frameset_circle(4), TGrid.centered(1, n, h), vals))
+    twice = project_iso(once)
+    assert np.abs(twice.values - once.values).max() <= 1e-15
 
 
 def test_project_iso_constant_is_fixed():
@@ -246,7 +256,8 @@ def _project_iso_per_frame(sino, rotations):
                 vals = sino.generator(rows_u, pts_u)
             else:
                 j = int(np.argmin(np.linalg.norm(sino.frames.rows - rows_u, axis=(1, 2))))
-                vals = interp_t_block(sino.values[j], tg, pts_u)
+                block = sino.values[j]
+                vals = block[::-1] if sino.m == 1 else interp_t_block(block, tg, pts_u)
             acc[i] += vals.reshape(tg.shape)
     return acc / (2 if sino.m == 1 else len(rotations))
 
@@ -332,7 +343,8 @@ def test_render_delta_iso_unit_mass():
     atom = MollifiedAtom(a0, np.array([0.8, -0.5]), frame_width=0.15, t_width=1.0)
     tg = TGrid.centered(2, 41, 0.4)
     sino = render_delta_iso(atom, frames, tg, n_rotations=32, rng=RngSeed(5))
-    assert sino_mass(sino) == pytest.approx(1.0, abs=1e-3)
+    ones = sino.copy_with(np.ones_like(sino.values))
+    assert sino_dot(sino, ones) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_render_delta_iso_two_bump_closed_form():
@@ -433,4 +445,5 @@ def test_render_delta_iso_base_bump_unit_mass():
                          frame_width=0.3, t_width=1.0)
     tg = TGrid.centered(2, 41, 0.4)
     sino = render_delta_iso(atom, frames, tg, n_rotations=0)
-    assert abs(sino_mass(sino) - 1.0) <= 1e-6
+    ones = sino.copy_with(np.ones_like(sino.values))
+    assert abs(sino_dot(sino, ones) - 1.0) <= 1e-6

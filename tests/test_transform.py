@@ -43,7 +43,7 @@ from kplane import (
     moment_integral,
     rel_l2_error,
     render_delta_iso,
-    ridge_field,
+    ridge_sum_field,
     sino_dot,
     stiefel_total_mass,
 )
@@ -208,7 +208,7 @@ def test_backproject_mollified_atom_is_ridge():
     sino = render_delta_iso(atom, frames, TGrid.centered(2, 48, 0.35), n_rotations=0)
     grid = GridSpec.centered(3, 16, 0.4)
     rec = backproject(sino, grid)
-    truth = ridge_field(RidgeAtom(1.0, a0, t0, profile="gaussian"), grid)
+    truth = ridge_sum_field(grid, [RidgeAtom(1.0, a0, t0, profile="gaussian")])
     assert rel_l2_error(rec, truth) <= 0.05
 
 
