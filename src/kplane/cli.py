@@ -7,12 +7,13 @@ JSON, each command report stamped with ``schema_version`` and ``env``
 grid outputs also get a center-line CSV slice for external plotting.
 
 Exit codes: 0 success, 1 verification check failed, 2 bad config,
-3 I/O failure, 4 numeric domain error (also an array too large to allocate).
+3 I/O failure, 4 numeric error (a domain error, an array too large to allocate, a float overflow).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic, filters, geometry, isotropy, sparse, transform
-from .errors import DomainError, FormatError, TruncationWarning
+from .errors import DomainError, FormatError, TruncationWarning, check_size
 from .fields import GridField, GridSpec, QuadSpec, Sinogram, TGrid, integrate, read_kpt, write_kpt
 from .geometry import RngSeed
 
@@ -56,69 +57,57 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config key {key!r} is required")
-    return cfg[key]
+@contextlib.contextmanager
+def _reading(domain_is_config: bool = True):
+    """Turn a KeyError, TypeError, ValueError or OverflowError raised in the block into
+    a ConfigError (exit 2).  A DomainError, from a constructor given config values, is
+    one too, unless domain_is_config is False: then it passes on as numeric (exit 4)."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, ConfigError) or isinstance(exc, DomainError) and not domain_is_config:
+            raise
+        raise ConfigError(f"bad config value: {exc}") from exc
 
 
-def _section(cfg: dict, key: str, required: bool = False) -> dict:
-    sec = _require(cfg, key) if required else cfg.get(key, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config key {key!r} must be a JSON object")
-    return sec
+_KINDS = {dict: "a JSON object", int: "an integer", float: "a number"}
+_REQUIRED = object()
 
 
 def _to(kind: type, raw):
-    """kind(raw) for kind int or float; a JSON boolean, or a fraction where an int
-    is due, raises ValueError instead of being read as 0/1 or truncated."""
-    if isinstance(raw, bool) or kind is int and isinstance(raw, float) and not raw.is_integer():
-        raise ValueError(f"{raw!r} is not {'an integer' if kind is int else 'a number'}")
-    return kind(raw)
+    """raw as kind: dict (a JSON object, as it is), int or float; a JSON boolean, or a
+    fraction where an int is due, raises instead of being read as 0/1 or truncated."""
+    if isinstance(raw, bool) or (kind is dict) != isinstance(raw, dict) or (
+            kind is int and isinstance(raw, float) and not raw.is_integer()):
+        raise TypeError(f"{raw!r} is not {_KINDS[kind]}")
+    return raw if kind is dict else kind(raw)
 
 
-def _number(sec: dict, key: str, kind: type, default=None):
-    """sec[key] (default, if given, when absent) converted by _to: int or float."""
-    raw = _require(sec, key) if default is None else sec.get(key, default)
+def _get(sec: dict, key: str, kind: type | None = None, default=_REQUIRED):
+    """sec[key], or default when the key is absent (required when no default is
+    given), converted by _to when kind is given; any failure is a ConfigError."""
+    raw = sec[key] if key in sec else default
+    if raw is _REQUIRED:
+        raise ConfigError(f"config key {key!r} is required")
     try:
-        return _to(kind, raw)
+        return raw if kind is None else _to(kind, raw)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {key!r} must be a number, got {raw!r} ({exc})") from exc
-
-
-def _interp_order(cfg: dict, default: int) -> int:
-    order = _number(cfg, "interp_order", int, default)
-    if order not in (1, 3):
-        raise ConfigError(f"interp_order must be 1 or 3, got {order}")
-    return order
+        raise ConfigError(f"config key {key!r} must be {_KINDS[kind]}: {exc}") from exc
 
 
 def _grid_from(cfg: dict, key: str = "grid", cls: type = GridSpec) -> GridSpec:
-    g = _require(cfg, key)
-    try:
-        return cls(np.array(g["origin"], dtype=float), _to(float, g["spacing"]),
-                   tuple(_to(int, n) for n in g["shape"]))
-    except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
-        raise ConfigError(f"bad {key} spec: {exc}") from exc
-
-
-def _quad_from(cfg: dict) -> QuadSpec:
-    q = cfg.get("quad")
-    if q is None:
-        return QuadSpec.default_for(_grid_from(cfg))
-    try:
-        return QuadSpec(_to(float, q["halfwidth"]), _to(int, q["nodes"]))
-    except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
-        raise ConfigError(f"bad quad spec: {exc}") from exc
+    g = _get(cfg, key, dict)
+    with _reading():
+        return cls(np.array(_get(g, "origin"), dtype=float), _get(g, "spacing", float),
+                   tuple(_to(int, n) for n in _get(g, "shape")))
 
 
 def _frames_from(cfg: dict, seed_override: int | None) -> transform.FrameSet:
-    f = _section(cfg, "frames", required=True)
-    mode = f.get("mode", "monte-carlo")
-    count = _number(f, "count", int, 0)
+    f = _get(cfg, "frames", dict)
+    mode, count = _get(f, "mode", default="monte-carlo"), _get(f, "count", int, 0)
     if count < 1:
         raise ConfigError("frames.count must be >= 1")
-    d, k = _number(cfg, "d", int), _number(cfg, "k", int)
+    d, k = _get(cfg, "d", int), _get(cfg, "k", int)
     if mode == "deterministic-circle":
         if (d, k) != (2, 1):
             raise ConfigError("deterministic-circle frames require d=2, k=1")
@@ -130,46 +119,50 @@ def _frames_from(cfg: dict, seed_override: int | None) -> transform.FrameSet:
 
 def _rng_seed(sec: dict, seed_override: int | None) -> RngSeed:
     """sec's seed (or the --seed override) and stream; a negative one is a config error."""
-    seed = _number(sec, "seed", int, 0) if seed_override is None else seed_override
-    try:
-        return RngSeed(seed, _number(sec, "stream", int, 0))
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    with _reading():
+        seed = _get(sec, "seed", int, 0) if seed_override is None else seed_override
+        return RngSeed(seed, _get(sec, "stream", int, 0))
+
+
+def _projection_from(cfg: dict, seed: int | None, order: int) -> tuple:
+    """Grid, frames, t-grid, quad and interp order (``order`` by default) of a forward run."""
+    grid, frames = _grid_from(cfg), _frames_from(cfg, seed)
+    t_grid, q = _grid_from(cfg, "t_grid", TGrid), _get(cfg, "quad", default=None)
+    with _reading(domain_is_config=q is not None):  # the default quad is derived, not read
+        quad = (QuadSpec.default_for(grid) if q is None
+                else QuadSpec(_get(q, "halfwidth", float), _get(q, "nodes", int)))
+    order = _get(cfg, "interp_order", int, order)
+    if order not in (1, 3):
+        raise ConfigError(f"interp_order must be 1 or 3, got {order}")
+    return grid, frames, t_grid, quad, order
 
 
 def _phantom_field(cfg: dict, grid: GridSpec) -> GridField:
-    p = _section(cfg, "phantom", required=True)
-    kind = p.get("kind")
-    try:
+    p = _get(cfg, "phantom", dict)
+    kind = _get(p, "kind", default=None)
+    with _reading(domain_is_config=False):
         if kind == "gaussian":
-            return analytic.gaussian_field(grid, mean=p.get("mean"))
+            return analytic.gaussian_field(grid, mean=_get(p, "mean", default=None))
         if kind == "mixture":
-            comps = p.get("components", [])
-            means = [c["mean"] for c in comps]
-            weights = [_to(float, c.get("weight", 1.0)) for c in comps]
+            comps = _get(p, "components", default=[])
+            means = [_get(c, "mean") for c in comps]
+            weights = [_get(c, "weight", float, 1.0) for c in comps]
             return analytic.mixture_field(grid, means, weights)
         if kind == "ridge-sum":
-            d, k = _number(cfg, "d", int), _number(cfg, "k", int)
-            atoms = []
-            for spec in p.get("atoms", []):
-                frame = geometry.Frame(d, k, np.array(spec["frame"], dtype=float))
-                atoms.append(
-                    analytic.RidgeAtom(_to(float, spec.get("weight", 1.0)), frame,
-                                       np.array(spec["offset"], dtype=float),
-                                       profile=spec.get("profile", "gaussian"),
-                                       s=spec.get("s"))
-                )
+            d, k = _get(cfg, "d", int), _get(cfg, "k", int)
+            atoms = [analytic.RidgeAtom(
+                frame=geometry.Frame(d, k, np.array(_get(a, "frame"), dtype=float)),
+                weight=_get(a, "weight", float, 1.0),
+                offset=np.array(_get(a, "offset"), dtype=float),
+                profile=_get(a, "profile", default="gaussian"), s=_get(a, "s", default=None))
+                for a in _get(p, "atoms", default=[])]
             return analytic.ridge_sum_field(grid, atoms)
-    except DomainError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad phantom spec: {exc}") from exc
     raise ConfigError(f"unknown phantom kind {kind!r}")
 
 
 def _out_path(cfg: dict, out_dir: str | None, key: str, default: str) -> Path:
-    output = _section(cfg, "output")
-    base, name = out_dir or output.get("dir", "."), output.get(key, default)
+    output = _get(cfg, "output", dict, {})
+    base, name = out_dir or _get(output, "dir", default="."), _get(output, key, default=default)
     if not all(isinstance(p, str) and "\0" not in p for p in (base, name)):
         raise ConfigError(f"output.dir and output.{key} must be path strings")
     Path(base).mkdir(parents=True, exist_ok=True)
@@ -204,8 +197,9 @@ def _env(threads: int) -> dict:
 
 
 def _write_report(path: Path, report: dict, threads: int) -> None:
-    """A command report, stamped with the schema version and the environment."""
-    _write_json(path, {**report, "schema_version": REPORT_SCHEMA_VERSION, "env": _env(threads)})
+    """A command report ("warnings": [] unless it has some), stamped with schema and env."""
+    _write_json(path, {"warnings": [], **report, "schema_version": REPORT_SCHEMA_VERSION,
+                       "env": _env(threads)})
 
 
 def _write_slice_csv(path: Path, fld: GridField) -> None:
@@ -239,7 +233,6 @@ def cmd_phantom(cfg: dict, out_dir: str | None, seed: int | None, threads: int |
     report = {
         "timings_ms": {"phantom": 1000 * (time.perf_counter() - t0)},
         "mass": integrate(fld),
-        "warnings": [],
     }
     _write_report(path.with_suffix(".report.json"), report, threads)
     print(f"wrote {path}")
@@ -247,11 +240,7 @@ def cmd_phantom(cfg: dict, out_dir: str | None, seed: int | None, threads: int |
 
 
 def cmd_forward(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
-    grid = _grid_from(cfg)
-    frames = _frames_from(cfg, seed)
-    t_grid = _grid_from(cfg, "t_grid", TGrid)
-    quad = _quad_from(cfg)
-    order = _interp_order(cfg, 3)
+    grid, frames, t_grid, quad, order = _projection_from(cfg, seed, 3)
     fld = _read_kind(_out_path(cfg, out_dir, "phantom", "phantom.kpt"), GridField)
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
@@ -272,7 +261,7 @@ def cmd_forward(cfg: dict, out_dir: str | None, seed: int | None, threads: int |
 
 def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
     grid = _grid_from(cfg)
-    pad = _number(_section(cfg, "filter"), "pad_factor", float, 2.0)
+    pad = _get(_get(cfg, "filter", dict, {}), "pad_factor", float, 2.0)
     sino = _read_kind(_out_path(cfg, out_dir, "sinogram", "sinogram.kpt"), Sinogram)
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
@@ -295,69 +284,62 @@ def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None, threads: int | Non
         report["gain"] = (
             float((recon.values * reference.values).sum()) / denom if denom else None
         )
-    report_path = _out_path(cfg, out_dir, "report", "report.json")
-    _write_report(report_path, report, threads)
+    _write_report(_out_path(cfg, out_dir, "report", "report.json"), report, threads)
     print(f"wrote {recon_path}")
     return EXIT_OK
 
 
 def cmd_calibrate(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
-    grid = _grid_from(cfg)
-    frames = _frames_from(cfg, seed)
-    t_grid = _grid_from(cfg, "t_grid", TGrid)
-    quad = _quad_from(cfg)
-    pad = _number(_section(cfg, "filter"), "pad_factor", float, 2.0)
-    order = _interp_order(cfg, 1)
-    d, k = _number(cfg, "d", int), _number(cfg, "k", int)
+    grid, frames, t_grid, quad, order = _projection_from(cfg, seed, 1)
+    pad = _get(_get(cfg, "filter", dict, {}), "pad_factor", float, 2.0)
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        gain = transform.calibrate_gain(
-            d, k, frames, grid, t_grid, quad, order=order, pad_factor=pad, threads=threads,
-        )
+        gain = transform.calibrate_gain(frames.d, frames.k, frames, grid, t_grid, quad,
+                                        order=order, pad_factor=pad, threads=threads)
     report = {
         "timings_ms": {"calibrate": 1000 * (time.perf_counter() - t0)},
         "gain": gain,
-        "warnings": [],
     }
-    report_path = _out_path(cfg, out_dir, "report", "report.json")
-    _write_report(report_path, report, threads)
+    _write_report(_out_path(cfg, out_dir, "report", "report.json"), report, threads)
     print(f"gain = {gain:.6f}")
     return EXIT_OK
 
 
 def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
-    sp = _section(cfg, "sparse", required=True)
-    d, k = _number(cfg, "d", int), _number(cfg, "k", int)
+    sp = _get(cfg, "sparse", dict)
+    d, k = _get(cfg, "d", int), _get(cfg, "k", int)
     if (d, k) != (2, 1):
         raise ConfigError("sparse reconstruction is wired for d=2, k=1 configs")
     grid = _grid_from(cfg)
     s, lo, hi, n_offsets, n_frames, m_meas, bump_width, lam_rule, tol, max_iter = (
-        _number(sp, key, kind, default) for key, kind, default in [
-            ("s", float, None), ("offset_min", float, None), ("offset_max", float, None),
-            ("offset_count", int, None), ("frame_count", int, None), ("measurements", int, None),
-            ("bump_width", float, 0.8), ("lambda_rule", float, 1e-3), ("tol", float, 1e-10),
-            ("max_iter", int, 20000)])
+        _get(sp, *spec) for spec in [
+            ("s", float), ("offset_min", float), ("offset_max", float), ("offset_count", int),
+            ("frame_count", int), ("measurements", int), ("bump_width", float, 0.8),
+            ("lambda_rule", float, 1e-3), ("tol", float, 1e-10), ("max_iter", int, 20000)])
     if min(n_frames, n_offsets, m_meas) < 1:
         raise ConfigError("sparse frame_count, offset_count and measurements must be >= 1")
-    offsets, rng = np.linspace(lo, hi, n_offsets), _rng_seed(sp, seed)
-    try:
-        planted = [(_to(int, item["frame_index"]), _to(int, item["offset_index"]),
-                    _to(float, item["weight"]))
-                   for item in sp.get("planted") or []]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad sparse spec: {exc}") from exc
+    if not 0 < bump_width < math.inf:
+        raise ConfigError(f"sparse.bump_width must be finite and > 0, got {bump_width}")
+    gen = _rng_seed(sp, seed).generator()
+    with _reading():
+        planted = [(_get(item, "frame_index", int), _get(item, "offset_index", int),
+                    _get(item, "weight", float))
+                   for item in _get(sp, "planted", default=None) or ()]
     for i, q, weight in planted:
-        if not (0 <= i < n_frames and 0 <= q < len(offsets) and math.isfinite(weight)):
+        if not (0 <= i < n_frames and 0 <= q < n_offsets and math.isfinite(weight)):
             raise ConfigError(f"bad planted atom {(i, q, weight)}: index or weight out of range")
-
+    # the measurement fields (M x N), the atom rows (J x N) and the Gram (M x J)
+    n_atoms = n_frames * n_offsets
+    check_size((m_meas + n_atoms) * grid.size + m_meas * n_atoms,
+               f"{m_meas} measurements of {n_atoms} atoms on {grid.size} nodes exceed one array")
+    offsets = np.linspace(lo, hi, n_offsets)
     angles = np.pi * np.arange(n_frames) / n_frames
     frames = [geometry.Frame(2, 1, np.array([[math.cos(a), math.sin(a)]])) for a in angles]
     t_dict = time.perf_counter()
     dico = sparse.build_dictionary(frames, offsets, s, d, k)
     timings = {"dictionary": 1000 * (time.perf_counter() - t_dict)}
 
-    gen = rng.generator()
     pts = grid.points()
     functionals = []
     for _ in range(m_meas):
@@ -409,7 +391,6 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
         "timings_ms": timings,
         "counters": {**problem.stats, **dico.atoms[0].table().counts},
         "support_size": len(solution["support"]),
-        "warnings": [],
     }
     _write_report(_out_path(cfg, out_dir, "report", "report.json"), report, threads)
     print(f"wrote {recon_path} (support {len(solution['support'])})")
@@ -419,26 +400,25 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
 # --- verify ----------------------------------------------------------------------
 
 
-def _default_verify_tolerances() -> dict[str, float]:
-    return {
-        "constant_c21": 1e-12,
-        "constant_c32": 1e-12,
-        "stiefel_mass_21": 1e-12,
-        "gaussian_forward_2d": 1e-3,
-        "fourier_slice_2d": 1e-3,
-        "moment_mass_2d": 1e-3,
-        "moment_centroid_2d": 1e-3,
-        "isotropy_rotation_2d": 2e-3,
-        "intertwining_gaussian_2d": 1e-2,
-        "inversion_gain_2d": 0.02,
-        "fbp_rel_l2_2d": 0.05,
-        "projector_idempotent_o1": 1e-12,
-        "pk_fixes_range_2d": 0.05,
-        "hankel_gaussian_3d": 1e-6,
-        "green_rbf_exponential": 1e-4,
-        "bessel_ode_residual": 1e-6,
-        "lasso_identity_prox": 1e-10,
-    }
+VERIFY_TOLERANCES = {
+    "constant_c21": 1e-12,
+    "constant_c32": 1e-12,
+    "stiefel_mass_21": 1e-12,
+    "gaussian_forward_2d": 1e-3,
+    "fourier_slice_2d": 1e-3,
+    "moment_mass_2d": 1e-3,
+    "moment_centroid_2d": 1e-3,
+    "isotropy_rotation_2d": 2e-3,
+    "intertwining_gaussian_2d": 1e-2,
+    "inversion_gain_2d": 0.02,
+    "fbp_rel_l2_2d": 0.05,
+    "projector_idempotent_o1": 1e-12,
+    "pk_fixes_range_2d": 0.05,
+    "hankel_gaussian_3d": 1e-6,
+    "green_rbf_exponential": 1e-4,
+    "bessel_ode_residual": 1e-6,
+    "lasso_identity_prox": 1e-10,
+}
 
 
 def _run_verify_checks() -> dict[str, float]:
@@ -537,13 +517,13 @@ def _run_verify_checks() -> dict[str, float]:
 
 
 def cmd_verify(cfg: dict | None, out_dir: str | None, seed: int | None, threads: int | None) -> int:
-    tolerances = _default_verify_tolerances()
-    if cfg:
-        overrides = _section(cfg, "tolerances")
-        for name in overrides:
-            if name not in tolerances:
-                raise ConfigError(f"unknown check {name!r} in tolerance overrides")
-            tolerances[name] = _number(overrides, name, float)
+    tolerances, overrides = dict(VERIFY_TOLERANCES), _get(cfg or {}, "tolerances", dict, {})
+    for name in overrides:
+        if name not in tolerances:
+            raise ConfigError(f"unknown check {name!r} in tolerance overrides")
+        tolerances[name] = _get(overrides, name, float)
+        if not 0 <= tolerances[name] < math.inf:
+            raise ConfigError(f"tolerance {name!r} must be finite and >= 0, got {tolerances[name]}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         values = _run_verify_checks()
@@ -555,14 +535,8 @@ def cmd_verify(cfg: dict | None, out_dir: str | None, seed: int | None, threads:
         verdict[name] = {"pass": ok, "value": value, "tolerance": tol}
         all_pass &= ok
         print(f"{'PASS' if ok else 'FAIL'} {name}: value={value:.3e} tolerance={tol:.3e}")
-    report_path = None
-    if cfg is not None:
-        report_path = _out_path(cfg, out_dir, "report", "verify.json")
-    elif out_dir is not None:
-        report_path = Path(out_dir) / "verify.json"
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-    if report_path is not None:
-        _write_json(report_path, verdict)
+    if cfg is not None or out_dir is not None:
+        _write_json(_out_path(cfg or {}, out_dir, "report", "verify.json"), verdict)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
@@ -591,22 +565,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        try:
+        with _reading():
             threads = transform._thread_count(args.threads)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if args.command == "verify":
-            cfg = _load_config(args.config) if args.config else None
-            return cmd_verify(cfg, args.out, args.seed, threads)
-        cfg = _load_config(args.config)
-        return COMMANDS[args.command](cfg, args.out, args.seed, threads)
+        cfg = _load_config(args.config) if args.config or args.command != "verify" else None
+        with np.errstate(over="raise"):  # a float overflow is a numeric error, not a warning
+            return COMMANDS.get(args.command, cmd_verify)(cfg, args.out, args.seed, threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, FormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (DomainError, MemoryError) as exc:
+    except (DomainError, MemoryError, OverflowError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

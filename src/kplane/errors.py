@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the array-size rule."""
+
+import sys
 
 
 class DomainError(ValueError):
@@ -18,3 +20,10 @@ class FormatError(ValueError):
 
 class TruncationWarning(UserWarning):
     """A quadrature or interpolation domain does not fully cover its target."""
+
+
+def check_size(n, message: str) -> None:
+    """Raise DomainError(message) when n float64 values could not exist as one
+    array (more than sys.maxsize bytes), before anything tries to allocate them."""
+    if n > sys.maxsize // 8:
+        raise DomainError(message)

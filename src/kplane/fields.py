@@ -12,13 +12,12 @@ import itertools
 import json
 import math
 import struct
-import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, check_size
 from .geometry import Frame, FrameSet
 
 
@@ -37,8 +36,7 @@ class GridSpec:
             raise DomainError(f"need finite origin and spacing > 0, got {origin}, {self.spacing}")
         if len(shape) != origin.size or any(n < 1 for n in shape):
             raise DomainError(f"bad grid geometry: origin {origin}, shape {shape}")
-        if 8 * math.prod(shape) > sys.maxsize:  # no float64 array this large can exist
-            raise DomainError(f"grid shape {shape} has too many nodes for one array")
+        check_size(math.prod(shape), f"grid shape {shape} has too many nodes for one array")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "spacing", float(self.spacing))

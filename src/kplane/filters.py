@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_size
 from .fields import GridField, Sinogram, lerp_t
 from .geometry import c_constant, sphere_area
 
@@ -65,6 +65,7 @@ def gaussian_spec(sigma: float) -> Profile:
 def _padded_size(n: int, pad_factor: float) -> int:
     if not 1.0 <= pad_factor < math.inf:
         raise DomainError(f"pad_factor must be >= 1 and finite, got {pad_factor}")
+    check_size(pad_factor * n, f"pad_factor {pad_factor} pads {n} nodes past one array")
     size = int(math.ceil(pad_factor * n))
     return size + (size % 2)
 
@@ -267,10 +268,13 @@ class RadialTable:
     def __call__(self, r) -> np.ndarray:
         u = np.abs(np.asarray(r, dtype=float)) / self.table[0][1]  # index coordinates
         umax = u.max(initial=0.0)
+        if not math.isfinite(umax):  # a non-finite radius reads 0 and extends nothing
+            umax = u.max(initial=0.0, where=np.isfinite(u))
         with self._lock:
             self.counts["table_lookups"] += u.size
             radii, values = self.table
             if umax > radii.size - 1 and self._extend is not None:  # extend to cover it
+                check_size(umax, f"a radial table cannot extend to radius {umax * radii[1]}")
                 new_r = radii[1] * np.arange(radii.size, math.ceil(umax) + 4)
                 radii = np.concatenate([radii, new_r])
                 values = np.concatenate([values, self._extend(new_r)])

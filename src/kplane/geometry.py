@@ -9,12 +9,11 @@ several helpers below work modulo that identification.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_size
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -141,8 +140,7 @@ def _check_dk(d: int, k: int) -> None:
         raise DomainError(f"d, k must be integers, got {d}, {k}")
     if not (1 <= k <= d - 1):
         raise DomainError(f"need 1 <= k <= d-1, got d={d}, k={k}")
-    if 8 * d * (d - k) > sys.maxsize:  # no float64 frame matrix this large can exist
-        raise DomainError(f"d={d} is too large for a (d-k) x d frame matrix")
+    check_size(d * (d - k), f"d={d} is too large for a (d-k) x d frame matrix")
 
 
 def c_constant(d: int, k: int) -> float:
@@ -194,8 +192,9 @@ def _haar_stack(n: int, p: int, q: int, rng) -> np.ndarray:
     same bits as n single draws from the same stream.  Frames, single frames
     and Monte-Carlo rotations all come from here.
     """
-    if not 1 <= n <= sys.maxsize // (8 * p * q):
-        raise DomainError(f"cannot draw {n} matrices of shape ({p}, {q}) into one array")
+    if n < 1:
+        raise DomainError(f"cannot draw {n} matrices")
+    check_size(n * p * q, f"cannot draw {n} matrices of shape ({p}, {q}) into one array")
     if not isinstance(rng, (RngSeed, np.random.Generator)):
         raise TypeError(f"expected RngSeed or numpy Generator, got {type(rng)!r}")
     gen = rng.generator() if isinstance(rng, RngSeed) else rng

@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DomainError, TruncationWarning
+from .errors import DomainError, TruncationWarning, check_size
 from .fields import (
     FieldInterpolator,
     GridField,
@@ -44,6 +44,7 @@ from .geometry import (Frame, FrameSet, RngSeed, _haar_rows, complete_frame,
 
 def frameset_circle(n: int) -> FrameSet:
     """Equiangular frames alpha(theta) = (cos, sin) over the full circle."""
+    check_size(2 * n, f"cannot make {n} circle frames in one array")
     thetas = 2.0 * np.pi * np.arange(n) / n
     frames = [Frame(2, 1, np.array([[np.cos(t), np.sin(t)]])) for t in thetas]
     return FrameSet(tuple(frames), "deterministic-circle")

@@ -321,6 +321,10 @@ NAN, INF = float("nan"), float("inf")
     ("forward", {"t_grid": {"origin": [-INF], "spacing": 0.2, "shape": [128]}}),
     ("phantom", {"grid": {"origin": [-6.3, NAN], "spacing": 0.2, "shape": [64, 64]}}),
     ("phantom", {"grid": {"origin": [-6.3, -6.3], "spacing": INF, "shape": [64, 64]}}),
+    ("verify", {"tolerances": {"constant_c21": NAN}}),
+    ("verify", {"tolerances": {"constant_c21": -1}}),
+    ("reconstruct", {"sparse": {**planted_sparse(), "bump_width": 0.0}}),
+    ("reconstruct", {"sparse": {**planted_sparse(), "bump_width": NAN}}),
 ])
 def test_bad_config_value_exit_2(tmp_path, capsys, command, patch):
     # mistyped or non-finite values are config errors (exit 2), even with the
@@ -528,7 +532,17 @@ def _cases_exit_2():
               ("reconstruct", {"sparse": {"offset_count": -1}}, [], "offset-count-negative"),
               ("phantom", {"output": {"dir": "a\0b"}}, [], "phantom-dir-nul"),
               ("phantom", {"grid": {"shape": [INF, 9]}}, [], "grid-shape-inf"),
-              ("phantom", {"grid": {"shape": [2**40, 2**40]}}, [], "grid-2^40")]
+              ("phantom", {"grid": {"shape": [2**40, 2**40]}}, [], "grid-2^40"),
+              ("reconstruct", {"sparse": {"bump_width": 0.0}}, [], "bump-width-0"),
+              ("reconstruct", {"sparse": {"bump_width": NAN}}, [], "bump-width-nan")]
+    # a 400-digit JSON integer overflows float64 while the config is read
+    huge = 10**400
+    cases += [("phantom", {"phantom": {"kind": "mixture", "components": [
+                  {"mean": [0.0, 0.0], "weight": huge}]}}, [], "mixture-weight-10^400"),
+              ("phantom", {"phantom": {"atoms": [{"frame": [[1.0, 0.0]], "offset": [0.5],
+                                                  "weight": huge}]}}, [], "atom-weight-10^400"),
+              ("phantom", {"phantom": {"atoms": [{"frame": [[1.0, 0.0]], "offset": [huge]}]}},
+               [], "atom-offset-10^400")]
     for c in ("forward", "calibrate", "reconstruct"):
         sec = "sparse" if c == "reconstruct" else "frames"
         cases += [(c, {sec: {"seed": -1}}, [], f"{c}-seed-negative"),
@@ -559,12 +573,26 @@ def test_bad_value_without_traceback_exit_2(tmp_path, capsys, command, patch, ar
     pytest.param("forward", {("frames", "count"): 1e300}, id="frames-count"),
     # an array numpy refuses to allocate at once (MemoryError), so nothing is allocated
     pytest.param("forward", {("d",): 1e9, ("frames", "count"): 1}, id="d-1e9-one-frame"),
+    # arrays no machine can hold: each checked before anything is allocated
+    *[pytest.param(c, {("frames", "mode"): "deterministic-circle", ("frames", "count"): 1e300},
+                   id=f"{c}-circle-count") for c in ("forward", "calibrate")],
+    *[pytest.param(c, {("filter", "pad_factor"): 1e300}, id=f"{c}-pad-factor")
+      for c in ("fbp", "calibrate")],
+    *[pytest.param("reconstruct", {("sparse", key): 1e300}, id=f"sparse-{key}")
+      for key in ("frame_count", "offset_count", "measurements")],
+    # float overflow once the config is read
+    pytest.param("reconstruct", {("sparse", "offset_min"): -1e300}, id="sparse-offset-min"),
+    pytest.param("reconstruct", {("sparse", "offset_max"): 1e300}, id="sparse-offset-max"),
+    pytest.param("phantom", {("phantom", "atoms", 1, "offset"): [1e300]}, id="rbf-atom-offset"),
+    *[pytest.param(c, {("grid", "spacing"): 1e300}, id=f"{c}-grid-spacing")
+      for c in ("reconstruct", "calibrate")],
 ])
 def test_large_finite_value_without_traceback_exit_4(tmp_path, capsys, command, patch):
     out = tmp_path / "out"
     cfg = small_config(out)
     path = write_config(tmp_path, cfg)
     assert main(["phantom", "--config", path]) == 0
+    assert main(["forward", "--config", path]) == 0  # fbp reads the sinogram
     capsys.readouterr()
     bad = write_config(tmp_path, _patched(cfg, patch), "bad.json")
     assert main([command, "--config", bad]) == EXIT_NUMERIC
@@ -655,10 +683,12 @@ def small_inputs(tmp_path_factory):
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(command=st.sampled_from(["phantom", "forward", "fbp", "calibrate", "reconstruct"]),
        key_path=st.sampled_from(_SMALL_PATHS),
-       value=st.sampled_from(["x", "", [], [1, "x"], {}, {"a": None}, None, NAN, -1]))
+       value=st.sampled_from(["x", "", [], [1, "x"], {}, {"a": None}, None, NAN, -1,
+                              1e300, 10**400]))
 def test_mutated_config_exits_with_documented_code(small_inputs, command, key_path, value):
-    # one value anywhere in a valid config replaced by a wrong type, null, NaN
-    # or -1: the command ends with 0, 2, 3 or 4 and never raises
+    # one value anywhere in a valid config replaced by a wrong type, null, NaN,
+    # -1, a huge float or an integer past float64: the command ends with 0, 2, 3
+    # or 4 and never raises
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for name, blob in small_inputs.items():
             Path(name).write_bytes(blob)

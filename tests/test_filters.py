@@ -153,7 +153,7 @@ def test_apply_radial_sinogram_is_per_frame_array_bitwise(d, k, n_frames, n_t, s
 
 
 def test_apply_radial_rejects_bad_pad_factor():
-    for pad in (0.5, float("nan"), float("inf")):
+    for pad in (0.5, float("nan"), float("inf"), 1e300):
         with pytest.raises(DomainError):
             apply_radial_array(np.ones(8), 0.1, gaussian_spec(1.0), pad_factor=pad)
 
@@ -247,6 +247,10 @@ def test_green_rbf_matches_matern_closed_form():
     assert table(3.0) == pytest.approx(math.exp(-3) / 2, abs=1e-4)
     r = np.linspace(0, 8, 50)
     assert np.abs(table(r) - np.exp(-r) / 2).max() <= 1e-4
+    # a non-finite radius reads 0 and does not extend the table
+    size = table.table[0].size
+    assert table(np.array([np.inf, 1.0])) == pytest.approx([0.0, math.exp(-1) / 2], abs=1e-4)
+    assert table.table[0].size == size
 
 
 def matern(s, n, r):
@@ -295,6 +299,8 @@ def test_green_rbf_extends_on_demand():
     table = green_rbf(2.0, 1, r_max=4.0)
     val = table(9.0)
     assert val == pytest.approx(math.exp(-9) / 2, abs=1e-6)
+    with pytest.raises(DomainError):  # a table no array can hold
+        table(1e300)
 
 
 def test_radial_table_extension_keeps_readers_consistent():

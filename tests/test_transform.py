@@ -58,8 +58,9 @@ def tgrid_1d(n=64, sp=0.2):
 
 
 def test_frameset_validation():
-    with pytest.raises(DomainError):
-        frameset_circle(0)
+    for n in (0, 10**30):  # no frames; more than one array can hold
+        with pytest.raises(DomainError):
+            frameset_circle(n)
     fs = frameset_circle(8)
     assert len(fs) == 8 and fs.mode == "deterministic-circle"
     fs_mc = frameset_haar(3, 1, 5, RngSeed(1))
