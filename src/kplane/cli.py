@@ -335,7 +335,7 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
                f"{m_meas} measurements of {n_atoms} atoms on {grid.size} nodes exceed one array")
     offsets = np.linspace(lo, hi, n_offsets)
     angles = np.pi * np.arange(n_frames) / n_frames
-    frames = [geometry.Frame(2, 1, np.array([[math.cos(a), math.sin(a)]])) for a in angles]
+    frames = geometry.FrameSet(np.stack([np.cos(angles), np.sin(angles)], -1)[:, None], "explicit")
     t_dict = time.perf_counter()
     dico = sparse.build_dictionary(frames, offsets, s, d, k)
     timings = {"dictionary": 1000 * (time.perf_counter() - t_dict)}
@@ -456,11 +456,7 @@ def _run_verify_checks() -> dict[str, float]:
     values["moment_mass_2d"] = float(np.abs(m0 - mass).max() / abs(mass))
     centroid = analytic.mixture_centroid([[0.8, 0.3], [-0.5, -0.9]], [1.0, 0.6])
     m1 = transform.moment_integral(sino_m, 1, 1)
-    worst = 0.0
-    for i, rows in enumerate(frames_m.rows):
-        expect = mass * float(rows[0] @ centroid)
-        worst = max(worst, abs(float(m1[i]) - expect))
-    values["moment_centroid_2d"] = worst
+    values["moment_centroid_2d"] = float(np.abs(m1 - mass * (frames_m.rows[:, 0] @ centroid)).max())
 
     rotated = sino_m.generator(-frames_m.rows[::3], -t_wide.points())
     values["isotropy_rotation_2d"] = float(np.abs(rotated - sino_m.values[::3]).max())
@@ -551,18 +547,18 @@ COMMANDS = {
     "reconstruct": cmd_reconstruct,
 }
 
+# built once: argparse set-up costs more than many commands when main runs in-process
+_PARSER = argparse.ArgumentParser(prog="kplane", description=__doc__)
+_PARSER.add_argument("command", choices=[*COMMANDS, "verify"])
+_PARSER.add_argument("--config", help="path to a JSON run configuration")
+_PARSER.add_argument("--out", help="output directory override")
+_PARSER.add_argument("--seed", type=int, help="override the config's frame seed")
+_PARSER.add_argument("--threads", type=int, help="worker threads for frame loops "
+                     "(default: env KPLANE_THREADS, else 1)")
+
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="kplane", description=__doc__)
-    parser.add_argument("command", choices=[*COMMANDS, "verify"])
-    parser.add_argument("--config", help="path to a JSON run configuration")
-    parser.add_argument("--out", help="output directory override")
-    parser.add_argument("--seed", type=int, help="override the config's frame seed")
-    parser.add_argument(
-        "--threads", type=int,
-        help="worker threads for frame loops (default: env KPLANE_THREADS, else 1)",
-    )
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         with _reading():

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, FormatError, check_size
-from .geometry import Frame, FrameSet
+from .geometry import FrameSet
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,7 +421,7 @@ def read_kpt(path) -> GridField | Sinogram:
     d, k, shape = header["d"], header.get("k", 0), tuple(header["shape"])
     try:
         origin = np.array(header["origin"], dtype=float)
-        frames = [Frame(d, k, np.array(rows, dtype=float)) for rows in header.get("frames", [])]
+        frames = np.array(header.get("frames", []), dtype=float)  # Sinogram checks the stack
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad header origin or frame rows ({exc})", offset=8) from exc
     if not origin.shape == (len(shape),) == (d - k,) or not all(isinstance(n, int) for n in shape):

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import DomainError, check_size
 
-ORTHONORMALITY_TOL = 1e-12
+ORTHONORMALITY_TOL = 1e-12  # completion residual, per unit of d
+FRAME_TOL = 1e-10  # Frobenius Gram defect ||M M^T - I||_F allowed of frame rows and rotations
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class RngSeed:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Frame:
     """Element of V_{d-k}(R^d): a (d-k) x d matrix with orthonormal rows."""
 
@@ -43,16 +44,11 @@ class Frame:
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not (1 <= self.k <= self.d - 1):
-            raise DomainError(f"need 1 <= k <= d-1, got d={self.d}, k={self.k}")
         rows = np.asarray(self.rows, dtype=float)
-        if rows.shape != (self.d - self.k, self.d):
-            raise DomainError(
-                f"frame rows must be ({self.d - self.k}, {self.d}), got {rows.shape}"
-            )
-        gram = rows @ rows.T
-        defect = np.linalg.norm(gram - np.eye(self.d - self.k))
-        if not defect <= 1e-10:  # also rejects NaN rows
+        if not 1 <= self.k <= self.d - 1 or rows.shape != (self.d - self.k, self.d):
+            raise DomainError(f"need 1 <= k < d, rows (d-k, d): {self.d}, {self.k}, {rows.shape}")
+        defect = np.linalg.norm(rows @ rows.T - np.eye(self.d - self.k))
+        if not defect <= FRAME_TOL:  # also rejects NaN rows
             raise DomainError(f"frame rows not orthonormal (defect {defect:.3e})")
         object.__setattr__(self, "rows", rows)
 
@@ -66,40 +62,51 @@ class Frame:
 class FrameSet:
     """Discretization of the Haar integral over V_{d-k}(R^d).
 
-    ``rows`` is the read-only (n, d-k, d) stack of the frames' rows, built
-    once; the frames are checked once to share (d, k).
+    ``rows``, the read-only (n, d-k, d) stack of frame rows, is given as such or as
+    ``Frame``s sharing (d, k) and checked once; ``frames`` is built on first read.
     mode "deterministic-circle": equiangular unit vectors over [0, 2 pi)
     (d=2, k=1 only, matching the unnormalized Haar mass 2 pi).
     mode "monte-carlo": independent Haar samples with a recorded seed.
     mode "explicit": frames given as they are, e.g. read from a KPT file.
     """
 
-    frames: tuple[Frame, ...]
+    rows: np.ndarray = field(repr=False)  # or a sequence of Frame
     mode: str
     seed: RngSeed | None = None
-    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        if not frames:
-            raise DomainError("frame set must be nonempty")
-        if any((fr.d, fr.k) != (frames[0].d, frames[0].k) for fr in frames):
+        given = None if isinstance(self.rows, np.ndarray) else tuple(self.rows)
+        if given is not None and len({fr.rows.shape for fr in given}) > 1:
             raise DomainError("frame set must be homogeneous in (d, k)")
-        rows = np.stack([fr.rows for fr in frames])
+        rows = np.array(self.rows if given is None else [f.rows for f in given], float, order="C")
+        if rows.ndim != 3 or len(rows) == 0 or not 1 <= rows.shape[1] <= rows.shape[2] - 1:
+            raise DomainError(f"need a nonempty (n, d-k, d) stack, 1 <= k < d, got {rows.shape}")
+        defect = np.linalg.norm(rows @ rows.swapaxes(1, 2) - np.eye(rows.shape[1]), axis=(1, 2))
+        if not np.all(defect <= FRAME_TOL):  # one batched test; also rejects NaN rows
+            raise DomainError(f"frame rows not orthonormal (defect {np.max(defect):.3e})")
         rows.flags.writeable = False
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "rows", rows)
+        self.__dict__.update(rows=rows, _frames=given)  # frozen: set here and in frames only
+
+    @property
+    def frames(self) -> tuple[Frame, ...]:
+        if self._frames is None:  # one Frame per row; the stack was checked, so no Frame() check
+            frames = tuple(object.__new__(Frame) for _ in self.rows)
+            for fr, r in zip(frames, self.rows):  # Frame has slots: set field by field
+                for name, value in (("d", self.d), ("k", self.k), ("rows", r)):
+                    object.__setattr__(fr, name, value)
+            self.__dict__["_frames"] = frames
+        return self._frames
 
     @property
     def d(self) -> int:
-        return self.frames[0].d
+        return self.rows.shape[2]
 
     @property
     def k(self) -> int:
-        return self.frames[0].k
+        return self.rows.shape[2] - self.rows.shape[1]
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.rows)
 
     def __getitem__(self, index):
         return self.frames[index]
@@ -117,7 +124,7 @@ class Rotation:
         if mat.shape != (self.m, self.m):
             raise DomainError(f"rotation must be ({self.m}, {self.m}), got {mat.shape}")
         defect = np.linalg.norm(mat @ mat.T - np.eye(self.m))
-        if defect > 1e-10:
+        if not defect <= FRAME_TOL:  # also rejects NaN
             raise DomainError(f"matrix not orthogonal (defect {defect:.3e})")
         object.__setattr__(self, "mat", mat)
 
@@ -277,8 +284,8 @@ def orbit_distance(a: np.ndarray | Frame, b: np.ndarray | Frame) -> float:
 def align_rotation(src: np.ndarray | Frame, dst: np.ndarray | Frame) -> np.ndarray:
     """Orthogonal V minimizing ||V A_src - A_dst||_F (orthogonal Procrustes).
 
-    dst may be an (n, m, d) stack of frame rows; the result is then the (n, m, m)
-    stack of rotations from one batched SVD.
+    src or dst may be an (n, m, d) stack of frame rows; the result is then the
+    (n, m, m) stack of rotations from one batched SVD.
     """
     ra = src.rows if isinstance(src, Frame) else np.asarray(src)
     rb = dst.rows if isinstance(dst, Frame) else np.asarray(dst)

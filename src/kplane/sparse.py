@@ -24,7 +24,7 @@ from . import geometry
 from .analytic import RidgeAtom, ridge_eval
 from .errors import DomainError
 from .fields import GridField, GridSpec
-from .geometry import Frame
+from .geometry import Frame, FrameSet
 
 DEDUP_TOL = 1e-9
 ACTIVE_TOL = 1e-10  # a coefficient larger than this in size is on the support
@@ -86,33 +86,32 @@ class LassoProblem:
 def build_dictionary(frame_grid, offset_grid, s: float, d: int, k: int) -> Dictionary:
     """Cartesian product of frames and offsets, frame-major, duplicates rejected.
 
-    Atoms (A_i, t_p) and (A_j, t_q) are duplicates when
-    ``geometry.orbit_distance(A_i, A_j)`` and ||V t_p - t_q|| are both
-    <= DEDUP_TOL, V = ``geometry.align_rotation(A_i, A_j)``.  Orbit equivalence
-    is decided once per frame pair; offsets are compared, vectorised, only for
-    equivalent pairs.  The ``DomainError`` names the first atom (frame-major)
-    equal to an earlier one.
+    ``frame_grid`` is a ``FrameSet``, or a sequence of ``Frame`` or rows.  Atoms
+    (A_i, t_p) and (A_j, t_q) are duplicates when ||V A_i - A_j||_F and ||V t_p - t_q||
+    are both <= DEDUP_TOL, V = ``geometry.align_rotation(A_i, A_j)``: one batched
+    alignment per frame j against frames 0..j, then offsets compared only for
+    equivalent pairs.  The ``DomainError`` names the first duplicate (frame-major).
     """
-    frame_grid = [fr if isinstance(fr, Frame) else Frame(d, k, np.atleast_2d(fr))
-                  for fr in frame_grid]
+    if not isinstance(frame_grid, FrameSet):
+        frame_grid = FrameSet([fr if isinstance(fr, Frame) else Frame(d, k, np.atleast_2d(fr))
+                               for fr in frame_grid], "explicit")
     offset_grid = [np.atleast_1d(np.asarray(t, dtype=float)) for t in offset_grid]
-    if not frame_grid or not offset_grid:
-        raise DomainError("frame and offset grids must be nonempty")
+    if not offset_grid:
+        raise DomainError("offset grid must be nonempty")
     if not d - k < s < math.inf:
         raise DomainError(f"need finite s > d-k = {d - k}, got s={s}")
-    offs = np.stack(offset_grid)
-    for j, fr_j in enumerate(frame_grid):
+    rows, offs = frame_grid.rows, np.stack(offset_grid)
+    for j in range(len(rows)):
         # dup[q]: atom (j, q) equals some earlier atom (i, p), i <= j
         dup = np.zeros(len(offs), dtype=bool)
-        for i, fr_i in enumerate(frame_grid[:j + 1]):
-            if geometry.orbit_distance(fr_i, fr_j) > DEDUP_TOL:
-                continue
-            v = geometry.align_rotation(fr_i, fr_j)
-            close = np.linalg.norm((offs @ v.T)[:, None] - offs, axis=-1) <= DEDUP_TOL
+        v = geometry.align_rotation(rows[:j + 1], rows[j])  # (j + 1, m, m)
+        resid = np.linalg.norm(v @ rows[:j + 1] - rows[j], axis=(-2, -1))
+        for i in np.flatnonzero(resid <= DEDUP_TOL):
+            close = np.linalg.norm((offs @ v[i].T)[:, None] - offs, axis=-1) <= DEDUP_TOL
             dup |= (close if i < j else np.triu(close, 1)).any(axis=0)
         if dup.any():
             t = offset_grid[int(np.argmax(dup))]
-            raise DomainError(f"duplicate atom at frame {fr_j.rows.tolist()}, offset {t.tolist()}")
+            raise DomainError(f"duplicate atom at frame {rows[j].tolist()}, offset {t.tolist()}")
     atoms = [RidgeAtom(1.0, fr, t, profile="rbf", s=s) for fr in frame_grid for t in offset_grid]
     # share one Green's-function table across the dictionary
     table = atoms[0].table()

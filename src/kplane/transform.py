@@ -20,6 +20,7 @@ outside the t-grid; it and forward_at read through one multilinear kernel
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -38,22 +39,19 @@ from .fields import (
     lerp_t,
 )
 from .filters import ramp_filter
-from .geometry import (Frame, FrameSet, RngSeed, _haar_rows, complete_frame,
-                       stiefel_total_mass)
+from .geometry import FrameSet, RngSeed, _haar_rows, complete_frame, stiefel_total_mass
 
 
 def frameset_circle(n: int) -> FrameSet:
     """Equiangular frames alpha(theta) = (cos, sin) over the full circle."""
     check_size(2 * n, f"cannot make {n} circle frames in one array")
     thetas = 2.0 * np.pi * np.arange(n) / n
-    frames = [Frame(2, 1, np.array([[np.cos(t), np.sin(t)]])) for t in thetas]
-    return FrameSet(tuple(frames), "deterministic-circle")
+    return FrameSet(np.stack([np.cos(thetas), np.sin(thetas)], -1)[:, None], "deterministic-circle")
 
 
 def frameset_haar(d: int, k: int, n: int, seed: RngSeed) -> FrameSet:
     """n independent Haar frames drawn from the given seed."""
-    frames = tuple(Frame(d, k, rows) for rows in _haar_rows(d, k, n, seed))
-    return FrameSet(frames, "monte-carlo", seed)
+    return FrameSet(_haar_rows(d, k, n, seed), "monte-carlo", seed)
 
 
 def _thread_count(threads: int | None) -> int:
@@ -209,9 +207,15 @@ def _es_kernel(z: np.ndarray) -> np.ndarray:
     return np.exp(_ES_BETA * (root - 1.0)) - np.exp(-_ES_BETA)
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The 4 W Gauss-Legendre nodes and weights on [-1, 1], solved once per process."""
+    return tuple(tuple(a) for a in np.polynomial.legendre.leggauss(4 * _ES_WIDTH))
+
+
 def _es_transform(n: np.ndarray, size: int) -> np.ndarray:
     """int phi(z) cos(2 pi z n / size) dz at grid offsets n, by Gauss-Legendre."""
-    s, w = np.polynomial.legendre.leggauss(4 * _ES_WIDTH)
+    s, w = map(np.array, _gauss_legendre())
     z = 0.25 * _ES_WIDTH * (s + 1.0)  # nodes on [0, W / 2]
     return 0.5 * _ES_WIDTH * (np.cos((2.0 * np.pi / size) * np.outer(n, z)) @ (w * _es_kernel(z)))
 
@@ -244,13 +248,13 @@ def _slice_generator(fld: GridField, t_spacing: float):
     the ES kernel on W^d taps, a frame with alpha_d < 0 at -alpha and then
     conjugated, and
     g(alpha, t) = (1/P) [F(0) + 2 Re sum_{j=1..J} F(sigma_j alpha) e^{i sigma_j t}]
-    is summed directly at any t, one j after another; it is exactly 0 where
-    |t - alpha . c| > R, c being the box center.  The returned function takes
-    one (1, d) frame or an (n, 1, d) stack and (..., 1) t points.  Every
-    operation is elementwise or a fixed-order loop, so a frame gives the same
-    bits alone and in any stack; the gather runs in blocks of whole frames of
-    up to _GATHER_TAPS taps.  A grid of one node has no box to project and
-    raises DomainError.
+    is summed directly at any t, one stacked matmul per gather block; it is
+    exactly 0 where |t - alpha . c| > R, c being the box center.  The returned
+    function takes one (1, d) frame or an (n, 1, d) stack and (..., 1) t
+    points.  Every step is elementwise, a fixed-order loop or one product per
+    frame, so a frame gives the same bits alone and in any stack; the gather
+    runs in blocks of whole frames of up to _GATHER_TAPS taps.  A grid of one
+    node has no box to project and raises DomainError.
     """
     d, h, shape = fld.d, fld.spacing, fld.shape
     period, top = _slice_lattice(fld.spec, t_spacing)
@@ -323,7 +327,7 @@ def _slice_generator(fld: GridField, t_spacing: float):
         alpha = np.asarray(rows, dtype=float).reshape(-1, d)
         t = np.asarray(t_pts, dtype=float).reshape(-1)
         phase = sigma[:, None] * t  # (J, T), shared by every frame
-        cos_t, sin_t = np.cos(phase), np.sin(phase)
+        cos_sin = np.concatenate([np.cos(phase), -np.sin(phase)])  # (2J, T)
         out = np.empty((len(alpha), t.size))
         for f0 in range(0, len(alpha), block):
             a = alpha[f0:f0 + block]
@@ -333,10 +337,8 @@ def _slice_generator(fld: GridField, t_spacing: float):
             shift = _dot(a, ref)[:, None] * sigma  # to (2/P) F(sigma alpha): phases about t = 0
             c, s = np.cos(shift), np.sin(shift)
             g_re, g_im = f_re * c + f_im * s, f_im * c - f_re * s
-            acc = np.full((len(a), t.size), dc)
-            for i in range(top):  # one sigma at a time: a fixed order
-                acc += g_re[:, i, None] * cos_t[i]
-                acc -= g_im[:, i, None] * sin_t[i]
+            # one BLAS product per frame: a frame sums alike alone and in a stack (2-D @ may not)
+            acc = (np.concatenate([g_re, g_im], 1)[:, None, :] @ cos_sin)[:, 0, :] + dc
             acc[np.abs(t - _dot(a, center)[:, None]) > radius] = 0.0
             out[f0:f0 + block] = acc
         return out.reshape(out_shape)
@@ -536,12 +538,8 @@ def moment_integral(sino: Sinogram, n: int, m_order: int) -> np.ndarray:
         raise DomainError(f"moment order must be 0 or 1, got {m_order}")
     if not (1 <= n <= sino.m):
         raise DomainError(f"axis index must be in 1..{sino.m}, got {n}")
-    cell = sino.t_grid.cell_volume()
-    if m_order == 0:
-        return cell * sino.values.reshape(sino.n_frames, -1).sum(axis=1)
-    t_n = sino.t_grid.points()[:, n - 1]
-    flat = sino.values.reshape(sino.n_frames, -1)
-    return cell * (flat * t_n[None, :]).sum(axis=1)
+    weight = 1.0 if m_order == 0 else sino.t_grid.points()[:, n - 1]  # t_n^m
+    return sino.t_grid.cell_volume() * (sino.values.reshape(sino.n_frames, -1) * weight).sum(axis=1)
 
 
 def same_grid(a: GridSpec | GridField, b: GridSpec | GridField) -> bool:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -484,6 +485,30 @@ def test_fbp_rejects_wrong_input_kinds(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad_row", [[[1.0, 1.0]], [[1.0, 0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]],
+                         ids=["non-orthonormal", "ragged", "two-rows"])
+def test_fbp_on_sinogram_with_one_bad_frame_exits_3(tmp_path, capsys, bad_row):
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["frames"]["count"] = 16
+    path = write_config(tmp_path, cfg)
+    assert main(["phantom", "--config", path]) == 0
+    assert main(["forward", "--config", path]) == 0
+    sino = out / "sinogram.kpt"
+    blob = sino.read_bytes()
+    hlen = int.from_bytes(blob[4:8], "little")
+    header = json.loads(blob[8:8 + hlen])
+    header["frames"][11] = bad_row
+    raw = json.dumps(header).encode()
+    sino.write_bytes(blob[:4] + len(raw).to_bytes(4, "little") + raw + blob[8 + hlen:])
+    with pytest.raises(FormatError):
+        read_kpt(sino)
+    capsys.readouterr()
+    assert main(["fbp", "--config", path]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "Traceback" not in err
+
+
 def test_reconstruct_rejects_sinogram_phantom(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = base_config(out)
@@ -779,6 +804,26 @@ def test_d_minus_k_1_pipelines_run_without_scipy(tmp_path):
     assert loaded["spline_at_node"] == pytest.approx(loaded["node"], rel=1e-12)
     assert loaded["j_half"] == pytest.approx(2 / np.pi, rel=1e-12)
     assert loaded["first_use"] == ["scipy.ndimage", "scipy.special"]
+
+
+def test_forward_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the slice rule's sigma sum is one BLAS product per frame: a 2-D forward on
+    # 360 circle frames writes the same sinogram bytes on one and on two BLAS threads
+    src = str(Path(kplane.__file__).resolve().parent.parent)
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        cfg = base_config(out, phantom={"kind": "mixture", "components": [
+            {"mean": [1.6, 0.8], "weight": 1.0}, {"mean": [-1.2, -0.4], "weight": 0.7}]})
+        cfg["frames"]["count"] = 360
+        path = write_config(tmp_path, cfg, name=f"cfg{threads}.json")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        for command in ("phantom", "forward"):
+            proc = subprocess.run([sys.executable, "-m", "kplane", command, "--config", path],
+                                  capture_output=True, text=True, timeout=300, env=env)
+            assert proc.returncode == 0, proc.stderr
+        blobs.append((out / "sinogram.kpt").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_every_command_report_is_stamped(tmp_path):

@@ -385,6 +385,12 @@ def _drop(key):
     pytest.param(lambda h: {**h, "frames": [[[1.0, 0.0]]] * 4}, id="frames-2d"),
     pytest.param(lambda h: {**h, "frames": [[[1.0, 1.0, 0.0]]] * 4}, id="frames-skew"),
     pytest.param(lambda h: {**h, "frames": [[[np.nan, 0, 0], [0, 1, 0]]] * 4}, id="frames-nan"),
+    pytest.param(lambda h: {**h, "frames": h["frames"][:3] + [[[1.0, 1.0, 0.0], [0, 1, 0]]]},
+                 id="frames-one-skew"),
+    pytest.param(lambda h: {**h, "frames": h["frames"][:3] + [[[1.0, 0.0, 0.0], [0, 1]]]},
+                 id="frames-one-ragged-row"),
+    pytest.param(lambda h: {**h, "frames": h["frames"][:3] + [[[1.0, 0.0, 0.0]]]},
+                 id="frames-one-short"),
     pytest.param(lambda h: [h], id="header-list"),
 ])
 def test_kpt_header_schema(tmp_path, mutate):

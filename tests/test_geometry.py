@@ -213,6 +213,49 @@ def test_frameset_haar_redraws_rank_deficient_matrices():
     assert gen.draws == 2 and len(frames) == 4
 
 
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3)])
+def test_frameset_from_stack_equals_frameset_from_frames(d, k):
+    rows = _haar_rows(d, k, 9, RngSeed(70 + d, k))
+    from_frames = FrameSet(tuple(Frame(d, k, r) for r in rows), "explicit")
+    from_stack = FrameSet(rows, "explicit")
+    assert from_stack.rows.tobytes() == from_frames.rows.tobytes()
+    assert from_stack.rows.shape == from_frames.rows.shape == (9, d - k, d)
+    assert (from_stack.d, from_stack.k, len(from_stack)) == (d, k, 9)
+    assert (from_frames.d, from_frames.k, len(from_frames)) == (d, k, 9)
+    assert not from_stack.rows.flags.writeable
+    for a, b in zip(from_stack.frames, from_frames.frames):
+        assert isinstance(a, Frame) and (a.d, a.k) == (d, k)
+        assert a.rows.tobytes() == b.rows.tobytes()
+    # the Frame tuple is built once and then kept
+    assert from_stack.frames is from_stack.frames and from_stack[4] is from_stack.frames[4]
+
+
+def _stack_with(i, rows):
+    stack = _haar_rows(3, 1, 5, RngSeed(8)).copy()
+    stack[i] = rows
+    return stack
+
+
+@pytest.mark.parametrize("stack", [
+    pytest.param(_stack_with(3, [[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]]), id="one-nan-frame"),
+    pytest.param(_stack_with(1, [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]), id="one-skew-frame"),
+    pytest.param(_stack_with(4, (1.0 + 1e-9) * np.eye(2, 3)), id="one-frame-past-tol"),
+    pytest.param(np.zeros((0, 1, 2)), id="empty"),
+    pytest.param(np.eye(2), id="2-d"),
+    pytest.param(np.ones((3, 3, 2)) / np.sqrt(2), id="m-above-d"),
+    pytest.param(np.eye(3)[None], id="m-equals-d"),
+    pytest.param(np.ones((2, 1, 1)), id="d-1"),
+])
+def test_frameset_from_stack_rejects_bad_stacks(stack):
+    with pytest.raises(DomainError):
+        FrameSet(stack, "explicit")
+
+
+def test_rotation_rejects_nan():
+    with pytest.raises(DomainError):
+        Rotation(2, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
 @pytest.mark.parametrize("d,k,n", [(10**150, 1, 1), (3, 1, 0), (3, 1, 10**30)],
                          ids=["d-1e150", "n-0", "n-1e30"])
 def test_frameset_haar_rejects_sizes_no_array_can_hold(d, k, n):

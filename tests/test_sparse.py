@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kplane import (
     DomainError,
     Frame,
+    FrameSet,
     GridField,
     GridSpec,
     LassoProblem,
@@ -493,3 +494,18 @@ def test_build_dictionary_matches_pairwise_rule(data):
         with pytest.raises(DomainError) as err:
             build_dictionary(frames, offsets, 2.5, d, 1)
         assert str(err.value) == expect
+
+
+@pytest.mark.parametrize("as_stack", [False, True], ids=["frames", "frame-set"])
+def test_build_dictionary_late_orbit_duplicate_message(as_stack):
+    # theta + pi after seven other frames: (-A, -t) is the ridge (A, t), and the
+    # error names the same atom as the pairwise rule
+    frames = half_circle_frames(8)
+    frames.append(Frame(2, 1, -frames[2].rows))
+    offsets = [-1.5, -0.5, 0.5, 1.5]
+    expect = reference_first_duplicate(frames, offsets)
+    assert expect is not None and "offset [-1.5]" in expect
+    grid = FrameSet(np.stack([fr.rows for fr in frames]), "explicit") if as_stack else frames
+    with pytest.raises(DomainError) as err:
+        build_dictionary(grid, offsets, 2.0, 2, 1)
+    assert str(err.value) == expect

@@ -67,6 +67,27 @@ def test_frameset_validation():
     assert fs_mc.mode == "monte-carlo" and fs_mc.seed == RngSeed(1)
 
 
+@pytest.mark.parametrize("n", [1, 7, 240, 360, 1000])
+def test_frameset_circle_rows_match_per_frame_frames_bitwise(n):
+    # the stack is built in one pass, with the bits of one Frame per angle
+    thetas = 2.0 * np.pi * np.arange(n) / n
+    frames = [Frame(2, 1, np.array([[np.cos(t), np.sin(t)]])) for t in thetas]
+    fs = frameset_circle(n)
+    assert fs.rows.shape == (n, 1, 2) and (fs.d, fs.k, len(fs)) == (2, 1, n)
+    assert fs.rows.tobytes() == np.stack([fr.rows for fr in frames]).tobytes()
+
+
+def test_es_transform_nodes_are_solved_once():
+    # the Gauss-Legendre rule is cached per process, with unchanged values
+    s, w = np.polynomial.legendre.leggauss(4 * transform._ES_WIDTH)
+    z = 0.25 * transform._ES_WIDTH * (s + 1.0)
+    n = np.arange(-16, 16)
+    direct = 0.5 * transform._ES_WIDTH * (
+        np.cos((2.0 * np.pi / 64) * np.outer(n, z)) @ (w * transform._es_kernel(z)))
+    assert np.array_equal(transform._es_transform(n, 64), direct)
+    assert transform._gauss_legendre() is transform._gauss_legendre()
+
+
 def test_forward_gaussian_center_value_2d():
     fld = gaussian_field(GRID_2D)
     frames = frameset_circle(4)
