@@ -9,6 +9,7 @@ inverse convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,7 +116,8 @@ class RidgeAtom:
         self.offset = np.asarray(self.offset, dtype=float)
         if self.offset.shape != (self.frame.m,):
             raise DomainError(f"offset must have shape ({self.frame.m},)")
-        if not np.isfinite(self.weight) or not np.all(np.isfinite(self.offset)):
+        # scalar checks: a dictionary builds thousands of atoms with 1-element offsets
+        if not (math.isfinite(self.weight) and all(map(math.isfinite, self.offset.tolist()))):
             raise DomainError("atom weight and offset must be finite")
         if self.profile not in ("gaussian", "rbf"):
             raise DomainError(f"unknown profile {self.profile!r}")

@@ -182,7 +182,9 @@ def _env(threads: int) -> dict:
     """Versions, thread count, and whether a scipy submodule has been loaded.
 
     The scipy version comes from the top-level package, which loads neither
-    scipy.ndimage nor scipy.special.
+    scipy.ndimage nor scipy.special.  Within kplane only bessel_j loads one
+    (scipy.special), so scipy_loaded turns true through it, hankel_profile,
+    inverse_radial_profile, isotropic_kplane or `kplane verify`.
     """
     import scipy
 

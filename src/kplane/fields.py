@@ -99,9 +99,9 @@ class FieldInterpolator:
     quadrature where multilinear bias would dominate.  ``read`` takes index
     coordinates u = (x - origin) / spacing and runs the package's one
     multilinear kernel (lerp_t) or its cubic B-spline kernel (spline_t).
-    Order 3 imports scipy.ndimage, for spline_filter alone, when the first
-    order-3 interpolator is built (plane quadrature at d - k >= 2 with
-    interp_order 3).  Calling the interpolator on physical points is that
+    Order 3 builds the spline coefficients once, in numpy, with the
+    recursive prefilter of _spline_coefficients; neither order loads scipy.
+    Calling the interpolator on physical points is that
     affine map in front of ``read``.  Both kernels read exactly 0 outside
     [0, n-1] on any axis (compact-support convention).
     """
@@ -112,9 +112,7 @@ class FieldInterpolator:
         self.field = fld
         self.order = order
         if order == 3:
-            from scipy import ndimage
-
-            coeff = ndimage.spline_filter(fld.values, order=3, mode="constant")
+            coeff = _spline_coefficients(fld.values)
             self._coeff = np.pad(coeff, 2, mode="reflect").reshape(-1)  # scipy's "mirror"
 
     def read(self, u: np.ndarray) -> np.ndarray:
@@ -281,6 +279,38 @@ def lerp_t(flat: np.ndarray, shape: tuple[int, ...], u: list[np.ndarray],
     return vals[0], int(inside.size - np.count_nonzero(inside))
 
 
+_SPLINE_POLE = math.sqrt(3.0) - 2.0  # the cubic B-spline's pole z, |z| < 1
+
+
+def _spline_coefficients(values: np.ndarray) -> np.ndarray:
+    """Cubic B-spline coefficients whose spline interpolates values at the nodes.
+
+    The textbook prefilter (Unser, Aldroubi & Eden 1993): along each axis of
+    length n > 1, vectorised over the other axes, the gain (1 - z)(1 - 1/z),
+    then the causal and the anticausal first-order recursion with pole z.
+    Both start values are those of the mirror extension, period 2n - 2, which
+    is what scipy.ndimage.spline_filter(order=3, mode="constant") uses too;
+    the coefficients equal its output to rounding (about 1e-15 relative).
+    """
+    z, c = _SPLINE_POLE, np.asarray(values, dtype=float)
+    for axis, n in enumerate(c.shape):
+        if n == 1:
+            continue
+        # axis first and C-ordered, so every step of the recursion is one contiguous row
+        line = np.multiply(np.moveaxis(c, axis, 0), (1.0 - z) * (1.0 - 1.0 / z), order="C")
+        # causal start: the geometric sum over one period of the mirror extension
+        w = z ** np.arange(n, dtype=float)
+        w[1:n - 1] += z ** np.arange(2 * n - 3, n - 1, -1, dtype=float)
+        line[0] = np.einsum("i,i...->...", w, line) / (1.0 - z ** (2 * n - 2))
+        for i in range(1, n):
+            line[i] += z * line[i - 1]
+        line[n - 1] = (z * line[n - 2] + line[n - 1]) * (z / (z * z - 1.0))
+        for i in range(n - 2, -1, -1):
+            line[i] = z * (line[i + 1] - line[i])
+        c = np.moveaxis(line, 0, axis)
+    return c
+
+
 _SPLINE_POINTS = 1 << 13  # points per spline_t pass, so that its temporaries stay in cache
 
 
@@ -294,7 +324,15 @@ def spline_t(coeff: np.ndarray, shape: tuple[int, ...], u: np.ndarray) -> np.nda
     are takes at fixed offsets from one base index per point, each folded into
     its axis's running sum as it is read, last axis first: O(d) blocks of memory.
     """
-    strides = [math.prod(n + 4 for n in shape[j + 1:]) for j in range(len(shape))]
+    d = len(shape)
+    strides = [math.prod(n + 4 for n in shape[j + 1:]) for j in range(d)]
+    # built once per call: each tap's coefficient view and the (axis, tap) folds
+    # it makes, last axis first; a tap 3 completes its axis sum, which joins the next
+    plan = []
+    for taps in itertools.product(range(4), repeat=d):  # last axis fastest
+        stop = max((j for j, s in enumerate(taps) if s < 3), default=0)
+        folds = [(j, taps[j]) for j in range(d - 1, stop - 1, -1)]
+        plan.append((coeff[sum(s * stride for s, stride in zip(taps, strides)):], folds))
     out = np.empty(u.shape[1:])
     for p in range(0, len(out), _SPLINE_POINTS):
         pos, weights, inside = float(sum(strides)), [], None  # tap i-1 is padded index i+1
@@ -307,14 +345,12 @@ def spline_t(coeff: np.ndarray, shape: tuple[int, ...], u: np.ndarray) -> np.nda
                             (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0, y * y * y / 6.0))
             pos = pos + lo * stride
         idx = pos.astype(np.intp)
-        acc = [None] * len(shape)  # acc[j]: the running sum over axis j's taps
-        for taps in itertools.product(range(4), repeat=len(shape)):  # last axis fastest
-            part = coeff[sum(s * stride for s, stride in zip(taps, strides)):].take(idx)
-            for j in reversed(range(len(shape))):  # a complete axis sum joins the next
-                part *= weights[j][taps[j]]
-                acc[j] = part if taps[j] == 0 else np.add(acc[j], part, out=acc[j])
-                if taps[j] < 3:
-                    break
+        acc = [None] * d  # acc[j]: the running sum over axis j's taps
+        for view, folds in plan:
+            part = view.take(idx)
+            for j, s in folds:
+                part *= weights[j][s]
+                acc[j] = part if s == 0 else np.add(acc[j], part, out=acc[j])
                 part = acc[j]
         out[p:p + _SPLINE_POINTS] = acc[0] if inside is None else acc[0] * inside
     return out

@@ -70,6 +70,21 @@ def _thread_count(threads: int | None) -> int:
         raise ValueError(f"KPLANE_THREADS must be an integer, got {env!r}") from None
 
 
+def _pool_map(fn, items, n_threads: int) -> list:
+    """[fn(x) for x in items], on a pool of n_threads if n_threads > 1, each task
+    under the caller's numpy error state, which worker threads do not inherit."""
+    if n_threads == 1:
+        return [fn(x) for x in items]
+    err = np.geterr()
+
+    def task(x):
+        with np.errstate(**err):
+            return fn(x)
+
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        return list(pool.map(task, items))
+
+
 _SUPPORT_FLOOR = 1e-6  # values at most this times the peak count as negligible
 
 
@@ -421,11 +436,10 @@ def forward(
     n_threads = _thread_count(threads)
     if n_threads > 1:
         chunk = 64 * _block_frames(len(t_pts), quad, k)  # frames per task: whole blocks
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            values = np.concatenate(list(pool.map(
-                lambda f0: forward_at(interp, rows[f0:f0 + chunk], t_pts, quad,
-                                      completions[f0:f0 + chunk]),
-                range(0, len(frames), chunk))))
+        values = np.concatenate(_pool_map(
+            lambda f0: forward_at(interp, rows[f0:f0 + chunk], t_pts, quad,
+                                  completions[f0:f0 + chunk]),
+            range(0, len(frames), chunk), n_threads))
     else:
         values = forward_at(interp, rows, t_pts, quad, completions)
     return Sinogram(d, k, frames, t_grid, values,
@@ -471,14 +485,7 @@ def backproject(
             outside += out
         return partial, outside
 
-    starts = range(0, sino.n_frames, chunk)
-    n_threads = _thread_count(threads)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run_chunk, starts))
-    else:
-        results = [run_chunk(s) for s in starts]
-
+    results = _pool_map(run_chunk, range(0, sino.n_frames, chunk), _thread_count(threads))
     total = np.zeros(grid.size)
     truncated = 0
     for partial, outside in results:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kplane
-from kplane import FormatError, integrate, read_kpt, transform
+from kplane import FormatError, integrate, read_kpt, transform, write_kpt
 from kplane.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
 
 
@@ -509,6 +509,28 @@ def test_fbp_on_sinogram_with_one_bad_frame_exits_3(tmp_path, capsys, bad_row):
     assert err.startswith("i/o error:") and "Traceback" not in err
 
 
+def test_fbp_overflow_fails_alike_on_one_and_two_threads(tmp_path, capsys):
+    # the backprojection's pool workers keep the command's overflow check: a
+    # sinogram that the ramp filter keeps finite (alternating in t) but whose
+    # 200-frame sum overflows exits 4 with the same message at either count
+    out = tmp_path / "out"
+    cfg = small_config(out)
+    cfg["frames"]["count"] = 200
+    path = write_config(tmp_path, cfg)
+    assert main(["phantom", "--config", path]) == 0
+    assert main(["forward", "--config", path]) == 0
+    sino = read_kpt(out / "sinogram.kpt")
+    alternating = 1e307 * (-1.0) ** np.arange(sino.values.shape[-1])
+    write_kpt(out / "sinogram.kpt", sino.copy_with(np.broadcast_to(alternating, sino.values.shape)))
+    errs = []
+    for threads in ("1", "2"):
+        capsys.readouterr()
+        assert main(["fbp", "--config", path, "--threads", threads]) == EXIT_NUMERIC
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("numeric error: overflow") and "Traceback" not in errs[0]
+
+
 def test_reconstruct_rejects_sinogram_phantom(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = base_config(out)
@@ -774,6 +796,11 @@ frames = transform.frameset_haar(3, 1, 40, RngSeed(2))
 atom = isotropy.MollifiedAtom(frames.frames[0], np.array([0.3, -0.2]), 0.5, 0.6)
 sino = isotropy.render_delta_iso(atom, frames, TGrid.centered(2, 11, 0.3))
 transform.backproject(sino, GridSpec.centered(3, 6, 0.5))
+spec3 = GridSpec.centered(3, 8, 0.5)
+sino3 = transform.forward(gaussian_field(spec3), transform.frameset_haar(3, 1, 4, RngSeed(3)),
+                          TGrid.centered(2, 5, 0.5), order=3)
+isotropy.project_iso(sino3, n_rotations=2, rng=RngSeed(4))  # through sino3's generator
+isotropy.pk_project(sino3, spec3)
 for command in ("phantom", "forward", "fbp", "calibrate", "reconstruct"):
     assert cli.main([command, "--config", sys.argv[2]]) == 0, command
 loaded["pipelines"] = [m for m in LAZY if m in sys.modules]
@@ -789,10 +816,11 @@ print(json.dumps(loaded))
 
 
 def test_d_minus_k_1_pipelines_run_without_scipy(tmp_path):
-    # `import kplane` and every d - k = 1 path (forward, ramp, backprojection,
-    # the O(1) projector rendering, the CLI pipeline on numpy alone) load neither
-    # scipy.ndimage nor scipy.special; an order-3 interpolator and bessel_j load
-    # them on first use, in a fresh interpreter
+    # `import kplane`, every d - k = 1 path (forward, ramp, backprojection, the
+    # O(1) projector rendering, the CLI pipeline), the order-3 forward at (3, 1)
+    # with the Monte-Carlo and range projectors on it, and order-3 interpolation
+    # run on numpy alone; only bessel_j loads scipy (scipy.special), on first
+    # use, in a fresh interpreter
     src = str(Path(kplane.__file__).resolve().parent.parent)
     cfg = write_config(tmp_path, small_config(tmp_path / "out"))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, src, cfg],
@@ -803,7 +831,7 @@ def test_d_minus_k_1_pipelines_run_without_scipy(tmp_path):
     assert loaded["report_env"]["scipy_loaded"] is False
     assert loaded["spline_at_node"] == pytest.approx(loaded["node"], rel=1e-12)
     assert loaded["j_half"] == pytest.approx(2 / np.pi, rel=1e-12)
-    assert loaded["first_use"] == ["scipy.ndimage", "scipy.special"]
+    assert loaded["first_use"] == ["scipy.special"]
 
 
 def test_forward_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -271,9 +271,11 @@ def test_lerp_t_reads_outside_as_zero_and_leaves_u_unchanged():
     assert np.abs(got[:3] - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("shape", [(7,), (1,), (2,), (3,), (24, 5), (1, 4), (2, 1),
-                                   (5, 6, 7), (3, 3, 3), (2, 3, 5), (1, 4, 4), (3, 2, 1, 4),
-                                   (4, 1, 2, 3)])
+SPLINE_SHAPES = [(7,), (1,), (2,), (3,), (24, 5), (1, 4), (2, 1), (5, 6, 7), (3, 3, 3),
+                 (2, 3, 5), (1, 4, 4), (3, 2, 1, 4), (4, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("shape", SPLINE_SHAPES)
 def test_spline_kernel_matches_map_coordinates(shape):
     # the order-3 read against scipy's cubic B-spline read of the same
     # coefficients: random inside points, nodes and box faces
@@ -294,6 +296,23 @@ def test_spline_kernel_matches_map_coordinates(shape):
     ref = ndimage.map_coordinates(coeff, u, order=3, mode="constant", prefilter=False)
     got = FieldInterpolator(fld, order=3).read(u)
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("shape", SPLINE_SHAPES + [(64,), (300,)])
+def test_spline_coefficients_match_spline_filter(shape):
+    # the numpy prefilter against scipy's on the same values (a line of 300 nodes
+    # runs the start-value sum to where z^i underflows), and the order-3
+    # interpolator built on it reproduces every node value
+    from scipy import ndimage
+
+    from kplane.fields import _spline_coefficients
+
+    values = RngSeed(sum(shape), len(shape) + 10).generator().normal(size=shape)
+    ref = ndimage.spline_filter(values, order=3, mode="constant")
+    assert np.abs(_spline_coefficients(values) - ref).max() <= 2e-15 * np.abs(ref).max()
+    nodes = np.indices(shape, dtype=float).reshape(len(shape), -1)
+    got = FieldInterpolator(GridField(np.zeros(len(shape)), 1.0, shape, values), order=3)
+    assert np.abs(got.read(nodes) - values.ravel()).max() <= 1e-13
 
 
 @pytest.mark.parametrize("shape", [(6,), (1,), (4, 5), (2, 1, 3), (3, 2, 2, 2)])

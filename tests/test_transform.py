@@ -386,6 +386,42 @@ def test_forward_thread_order_independence():
                               s1.values)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pooled_work_keeps_the_callers_error_state(threads):
+    # pool workers run under the caller's numpy error state, so an overflow
+    # raises as on one thread: in backproject's frame sum, and in forward's
+    # multilinear reads of a +-1.7e308 checkerboard
+    sino = Sinogram(2, 1, frameset_circle(200), TGrid.centered(1, 16, 0.5),
+                    np.full((200, 16), 1.7e308))
+    fld = GridField(np.zeros(3), 0.5, (8, 8, 8), 1.7e308 * (-1.0) ** np.indices((8, 8, 8)).sum(0))
+    frames = frameset_haar(3, 1, 200, RngSeed(1))
+    with np.errstate(over="raise"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        with pytest.raises(FloatingPointError):
+            backproject(sino, GridSpec.centered(2, 6, 0.5), threads=threads)
+        with pytest.raises(FloatingPointError):
+            forward(fld, frames, TGrid.centered(2, 4, 0.5), order=1, threads=threads)
+
+
+@pytest.mark.parametrize("d,k", [(3, 1), (4, 2)])
+def test_order3_forward_matches_scipy_coefficients(monkeypatch, d, k):
+    # the order-3 forward on the numpy prefilter against the same forward on
+    # scipy.ndimage.spline_filter's coefficients: equal to rounding
+    from kplane import fields
+
+    spec = GridSpec.centered(d, {3: 14, 4: 8}[d], 0.4)
+    fld = mixture_field(spec, [[0.3, -0.2, 0.1, 0.0][:d]], [1.0])
+    frames = frameset_haar(d, k, 6, RngSeed(d, k))
+    tg = TGrid.centered(d - k, 7, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)  # both sides alike
+        got = forward(fld, frames, tg, order=3).values
+        monkeypatch.setattr(fields, "_spline_coefficients",
+                            lambda v: ndimage.spline_filter(v, order=3, mode="constant"))
+        ref = forward(fld, frames, tg, order=3).values
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("order", [1, 3])
 def test_forward_matches_its_generator_bitwise(order):
     # plane quadrature (d-k = 2): the generator is the same blocked code with one
