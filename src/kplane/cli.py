@@ -175,7 +175,7 @@ def _write_json(path: Path, obj: dict) -> None:
         fh.write("\n")
 
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2  # 2: fbp and calibrate reports name their backprojection rule
 
 
 def _env(threads: int) -> dict:
@@ -277,7 +277,8 @@ def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None, threads: int | Non
     write_kpt(recon_path, recon)
     _write_slice_csv(recon_path.with_suffix(".slice.csv"), recon)
 
-    report = {"timings_ms": timings, "warnings": [str(w.message) for w in caught]}
+    report = {"timings_ms": timings, "rule": transform.backproject_rule(grid, filtered),
+              "warnings": [str(w.message) for w in caught]}
     phantom_path = _out_path(cfg, out_dir, "phantom", "phantom.kpt")
     if phantom_path.exists():
         reference = _read_kind(phantom_path, GridField)
@@ -301,6 +302,7 @@ def cmd_calibrate(cfg: dict, out_dir: str | None, seed: int | None, threads: int
                                         order=order, pad_factor=pad, threads=threads)
     report = {
         "timings_ms": {"calibrate": 1000 * (time.perf_counter() - t0)},
+        "rule": transform.backproject_rule(grid, t_grid),
         "gain": gain,
     }
     _write_report(_out_path(cfg, out_dir, "report", "report.json"), report, threads)
@@ -414,6 +416,7 @@ VERIFY_TOLERANCES = {
     "intertwining_gaussian_2d": 1e-2,
     "inversion_gain_2d": 0.02,
     "fbp_rel_l2_2d": 0.05,
+    "adjoint_2d": 1e-12,
     "projector_idempotent_o1": 1e-12,
     "pk_fixes_range_2d": 0.05,
     "hankel_gaussian_3d": 1e-6,
@@ -477,6 +480,11 @@ def _run_verify_checks() -> dict[str, float]:
     values["fbp_rel_l2_2d"] = transform.rel_l2_error(recon, mix)
     gain = transform.calibrate_gain(2, 1, frames_fbp, grid, t_fbp, quad)
     values["inversion_gain_2d"] = abs(gain - 1.0)
+    # backproject at d - k = 1 is the transpose of forward: <F f, g> = <f, B g>
+    probe = sino_fbp.copy_with(np.exp(-((t_fbp.axes()[0] - 0.7 * frames_fbp.rows[:, 0, :1]) ** 2)))
+    pairing = transform.sino_dot(sino_fbp, probe)
+    back = transform.field_dot(mix, transform.backproject(probe, grid))
+    values["adjoint_2d"] = abs(pairing - back) / abs(pairing)
 
     p1 = isotropy.project_iso(sino_m)
     p2 = isotropy.project_iso(p1)

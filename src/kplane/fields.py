@@ -243,7 +243,8 @@ def lerp_t(flat: np.ndarray, shape: tuple[int, ...], u: list[np.ndarray],
     """Multilinear reads of finite row-major blocks stored back to back in flat.
 
     This is the package's one multilinear kernel: backproject reads t-blocks
-    with it, and FieldInterpolator(order=1) reads a grid field as one block.
+    with it at d - k >= 2, and FieldInterpolator(order=1) reads a grid field
+    as one block.
     u[j] is the index coordinate along axis j and base the flat offset of each
     point's block, all broadcasting together; u is only read.  Points
     outside [0, n-1] on any axis, or not finite, read exactly 0, as the
@@ -360,7 +361,8 @@ def interp_t_block(blocks: np.ndarray, t_grid: TGrid, t_pts: np.ndarray) -> np.n
     """Multilinear reads of one frame's t-block, or an (n,) + t_grid.shape stack,
     at shared (..., m) t points: shape (...) or (n, ...); 0 outside the grid.
 
-    A stack is one lerp_t call with a flat offset per frame, as in backproject.
+    A stack is one lerp_t call with a flat offset per frame, as in
+    backproject at d - k >= 2.
     """
     blocks, t_pts = np.asarray(blocks, dtype=float), np.asarray(t_pts, dtype=float)
     u = [(t_pts[..., j] - t_grid.origin[j]) / t_grid.spacing for j in range(t_grid.m)]

@@ -10,12 +10,15 @@ For d - k >= 2 forward_at integrates the field over the planes {x : A x = t}
 by tensor trapezoid quadrature in the plane coordinates: an interpolating
 ray-driven projector (Joseph 1982) vectorised over blocks of frames, which
 works in the grid's index coordinates and reads only the nodes inside the
-grid box, the rest contributing exact zeros.  backproject() averages a
-sinogram over its frames at t = A x and scales by the total Haar mass of the
-Stiefel manifold, so that ramp-filtered backprojection inverts the forward
-map, reading blocks of frames in one vectorised gather that is exactly 0
-outside the t-grid; it and forward_at read through one multilinear kernel
-(fields.lerp_t).  Everything is pure and parallelizes over blocks of frames.
+grid box, the rest contributing exact zeros.  backproject() is the dual:
+the Haar mass of the Stiefel manifold times the frame average of g at
+t = A x, so that ramp-filtered backprojection inverts the forward map.  For
+d - k = 1 it is the exact transpose of the slice forward (a type-1 NUFFT:
+the same kernel taps, spread instead of gathered, one padded FFT and the
+same deapodization); for d - k >= 2 it reads the sinogram in blocks of
+frames by one vectorised multilinear gather that is exactly 0 outside the
+t-grid, through the kernel forward_at's order-1 reads use (fields.lerp_t).
+Everything is pure and runs in blocks of frames.
 """
 
 from __future__ import annotations
@@ -198,6 +201,10 @@ def forward_at(
         w = np.tile(weights, fb).take(idx)
         w *= interp.read(u)
         out[f] = np.bincount(ft, weights=w, minlength=fb * n_t).reshape(fb, n_t)
+    # bincount ignores numpy's error state.  Under "raise" the reads are finite
+    # (an overflow there raised), so a sum that is not finite overflowed
+    if np.geterr()["over"] == "raise" and not np.isfinite(out).all():
+        raise FloatingPointError("overflow encountered in bincount")
     return out.reshape(shape)
 
 
@@ -212,6 +219,13 @@ _ES_WIDTH = 6
 _ES_BETA = 2.30 * _ES_WIDTH
 _OVERSAMPLE = 2  # padded FFT length per axis, in grid lengths
 _GATHER_TAPS = 1 << 16  # kernel taps per gather block; bounds peak memory
+# Kernel taps per spread block (the backprojection at d - k = 1).  A pass still
+# holds the forward's spectrum, through its sinogram's generator, while it
+# spreads, so the spread must peak lower than the gather.  On the same VM a
+# radon3d pass traced 3.36 MiB at 2^15 taps, against 4.02 MiB at 2^16 (about 5%
+# faster) and 3.44 MiB for the multilinear gather it replaced; 2^14 taps was
+# about 20% slower.
+_SPREAD_TAPS = 1 << 15
 
 
 def _es_kernel(z: np.ndarray) -> np.ndarray:
@@ -253,15 +267,120 @@ def _dot(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+class _SlicePlan:
+    """The Fourier slice rule's lattices for one grid and t-spacing (d - k = 1).
+
+    The sigma samples are sigma_j = 2 pi j / P, j = 1..J (_slice_lattice).
+    The field lives on a lattice padded _OVERSAMPLE times per axis, node n
+    stored at (n - lead) mod size, so that phases are about the reference
+    node ref.  Its spectrum is held as numpy's half lattice of the last axis,
+    widened by the columns the kernel reaches past either end: dims cells,
+    holding columns -(W/2 - 1) .. N/2 + W/2 (N = size[-1]).  taps() is the
+    one per-axis tap plan of the ES kernel: the forward gathers through it
+    and the backprojection spreads through it.
+    """
+
+    def __init__(self, spec: GridSpec, t_spacing: float):
+        self.period, self.top = _slice_lattice(spec, t_spacing)
+        if self.period == 0.0:
+            raise DomainError("the Fourier slice rule needs a grid of more than one node")
+        d, h, shape = spec.d, spec.spacing, spec.shape
+        self.d, self.size = d, [_OVERSAMPLE * n for n in shape]
+        lead = np.array([n // 2 for n in shape])  # the reference node
+        self.offsets = [np.arange(n) - c for n, c in zip(shape, lead)]
+        self.left, self.half = _ES_WIDTH // 2 - 1, self.size[-1] // 2
+        self.dims = (*self.size[:-1], self.left + self.half + 1 + _ES_WIDTH // 2)
+        self.ref = spec.origin + h * lead
+        self.center = spec.origin + 0.5 * h * (np.array(shape) - 1)
+        self.j = np.arange(1, self.top + 1, dtype=float)
+        self.sigma = (2.0 * np.pi / self.period) * self.j
+        # padded cells per j per unit alpha_i
+        self.scale = h * np.array(self.size, dtype=float) / self.period
+        per_frame = max(1, self.top * _ES_WIDTH**d)
+        self.block = max(1, _GATHER_TAPS // per_frame)  # frames per gather block
+        self.spread_block = max(1, _SPREAD_TAPS // per_frame)
+        self.neg = np.ix_(*[(-np.arange(s)) % s for s in self.size[:-1]])  # -xi, other axes
+
+    def deapodize(self, values: np.ndarray, factor: float) -> np.ndarray:
+        """factor * values / phi^(n - lead) on the grid, one axis at a time."""
+        out = values * factor
+        for i, (off, s) in enumerate(zip(self.offsets, self.size)):
+            out = out / _es_transform(off, s).reshape((-1,) + (1,) * (self.d - 1 - i))
+        return out
+
+    def extension(self):
+        """(column, source column, mirrored) for each stored column past the half
+        lattice: a copy of its source, or, mirrored, conj of its source at -xi."""
+        left, half, n = self.left, self.half, self.size[-1]
+        for c in (*range(-left, 0), *range(half + 1, half + 1 + _ES_WIDTH // 2)):
+            r = c % n
+            if r <= half:  # only when the last axis is shorter than the kernel
+                yield left + c, left + r, False
+            else:
+                yield left + c, left + n - r, True
+
+    def taps(self, alpha: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Flat stored cells, shape (W,) * d + (n J,), and per-axis kernel weights,
+        (W, n J) each, of the samples sigma_j alpha of n frames, frame-major."""
+        idx, weights = np.zeros(len(alpha) * self.top, dtype=np.intp), []
+        taps = np.arange(_ES_WIDTH)[:, None]
+        for i in range(self.d):
+            # the samples' padded-grid coordinates
+            nu = ((alpha[:, i] * self.scale[i])[:, None] * self.j).reshape(-1)
+            lo = np.floor(nu - 0.5 * _ES_WIDTH) + 1.0  # first tap
+            weights.append(_es_kernel(nu - lo - taps))
+            cells = lo.astype(np.intp) + taps
+            if i < self.d - 1:
+                cells %= self.size[i]
+            else:  # the stored columns start at -(W/2 - 1)
+                cells += self.left
+            idx = idx[..., None, :] * self.dims[i] + cells
+        return idx, weights
+
+    def spread(self, alpha: np.ndarray, parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The transpose of a gather of the samples sigma_j alpha: a fresh widened
+        half lattice holding, in its re and im, the sum of parts (of Re and of
+        Im of each sample, frame-major) times each tap's W^d weight product,
+        with the columns past the half lattice folded back onto their sources.
+
+        The taps add by np.add.at, one block of whole frames at a time: unlike
+        np.bincount it allocates no lattice-sized sum per block and keeps
+        numpy's error state.
+        """
+        lattice = np.zeros(self.dims, dtype=complex)
+        re_im = lattice.reshape(-1).view(float).reshape(-1, 2).T  # strided views
+        for f0 in range(0, len(alpha), self.spread_block):
+            idx, weights = self.taps(alpha[f0:f0 + self.spread_block])
+            idx = idx.reshape(-1)
+            lead = weights[0]
+            for w in weights[1:-1]:
+                lead = lead[..., None, :] * w
+            for acc, part in zip(re_im, parts):
+                w = weights[-1] * part[f0:f0 + self.spread_block].reshape(-1)
+                np.add.at(acc, idx, (lead[..., None, :] * w).reshape(-1))
+        for c, src, mirrored in self.extension():
+            col = lattice[..., c]
+            lattice[..., src] += np.conjugate(col[self.neg]) if mirrored else col
+        return lattice
+
+    def cos_sin(self, t: np.ndarray) -> np.ndarray:
+        """(2J, T): cos(sigma_j t) over -sin(sigma_j t), g's basis at t points."""
+        phase = self.sigma[:, None] * t
+        return np.concatenate([np.cos(phase), -np.sin(phase)])
+
+    def outside(self, alpha: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """(n, T) mask of |t - alpha . c| > R: where g is exactly 0."""
+        return np.abs(t - _dot(alpha, self.center)[:, None]) > 0.5 * self.period
+
+
 def _slice_generator(fld: GridField, t_spacing: float):
     """g(alpha, t) of a grid field by the Fourier slice identity, for d - k = 1.
 
     The field's spectrum F(xi) = h^d sum_n f_n e^{-i xi . x_n} is one
-    zero-padded real FFT of the deapodized field: the half spectrum of the
-    last axis, widened by the columns the kernel reaches past either end
-    through F(-xi) = conj F(xi).  F(sigma_j alpha) is gathered from it with
-    the ES kernel on W^d taps, a frame with alpha_d < 0 at -alpha and then
-    conjugated, and
+    zero-padded real FFT of the deapodized field, held on _SlicePlan's widened
+    half lattice (the columns past either end through F(-xi) = conj F(xi)).
+    F(sigma_j alpha) is gathered from it with the ES kernel on W^d taps, a
+    frame with alpha_d < 0 at -alpha and then conjugated, and
     g(alpha, t) = (1/P) [F(0) + 2 Re sum_{j=1..J} F(sigma_j alpha) e^{i sigma_j t}]
     is summed directly at any t, one stacked matmul per gather block; it is
     exactly 0 where |t - alpha . c| > R, c being the box center.  The returned
@@ -271,94 +390,112 @@ def _slice_generator(fld: GridField, t_spacing: float):
     runs in blocks of whole frames of up to _GATHER_TAPS taps.  A grid of one
     node has no box to project and raises DomainError.
     """
-    d, h, shape = fld.d, fld.spacing, fld.shape
-    period, top = _slice_lattice(fld.spec, t_spacing)
-    if period == 0.0:
-        raise DomainError("the Fourier slice rule needs a grid of more than one node")
-    size = [_OVERSAMPLE * n for n in shape]
-    lead = np.array([n // 2 for n in shape])  # the reference node: phases are about it
-    # node n sits at offset n - lead from the reference node, stored at (n - lead) mod size
-    offsets = [np.arange(n) - c for n, c in zip(shape, lead)]
-    deapod = fld.values * (2.0 * h**d / period)
-    for i, (off, s) in enumerate(zip(offsets, size)):
-        deapod = deapod / _es_transform(off, s).reshape((-1,) + (1,) * (d - 1 - i))
-    # the gather reads columns -(W/2 - 1) .. N/2 + W/2 of the last axis (N = size[-1],
-    # alpha_d >= 0).  Columns 0 .. N/2 are numpy's rfftn of the padded field, done in
-    # place (the last axis only on the rows that hold the field); a column c with
-    # c mod N past N/2 holds conj F at the opposite frequency.
-    left, half = _ES_WIDTH // 2 - 1, size[-1] // 2
-    spectrum = np.zeros(size[:-1] + [left + half + 1 + _ES_WIDTH // 2], dtype=complex)
+    plan = _SlicePlan(fld.spec, t_spacing)
+    d, h, size, left, half = fld.d, fld.spacing, plan.size, plan.left, plan.half
+    deapod = plan.deapodize(fld.values, 2.0 * h**d / plan.period)
+    # columns 0 .. N/2 are numpy's rfftn of the padded field, done in place (the
+    # last axis only on the rows that hold the field)
+    spectrum = np.zeros(plan.dims, dtype=complex)
     inner = spectrum[..., left:left + half + 1]
-    rows = np.zeros(shape[:-1] + (size[-1],))
-    rows[..., offsets[-1] % size[-1]] = deapod
-    inner[np.ix_(*[off % s for off, s in zip(offsets[:-1], size[:-1])])] = np.fft.rfft(rows)
+    rows = np.zeros(fld.shape[:-1] + (size[-1],))
+    rows[..., plan.offsets[-1] % size[-1]] = deapod
+    inner[np.ix_(*[off % s for off, s in zip(plan.offsets[:-1], size[:-1])])] = np.fft.rfft(rows)
     del rows
     for i in range(d - 2, -1, -1):
         np.fft.fft(inner, axis=i, out=inner)
-    neg = np.ix_(*[(-np.arange(s)) % s for s in size[:-1]])  # -xi along the other axes
-    for c in (*range(-left, 0), *range(half + 1, half + 1 + _ES_WIDTH // 2)):
-        r = c % size[-1]
-        if r <= half:  # only when the last axis is shorter than the kernel
-            spectrum[..., left + c] = spectrum[..., left + r]
+    for c, src, mirrored in plan.extension():
+        if mirrored:
+            np.conjugate(spectrum[..., src][plan.neg], out=spectrum[..., c])
         else:
-            np.conjugate(spectrum[..., left + size[-1] - r][neg], out=spectrum[..., left + c])
-    dims = spectrum.shape
+            spectrum[..., c] = spectrum[..., src]
     spectrum = spectrum.reshape(-1).view(float).reshape(-1, 2)  # (re, im) per cell
-    dc = h**d * float(fld.values.sum()) / period
-    ref = fld.origin + h * lead
-    center = fld.origin + 0.5 * h * (np.array(shape) - 1)
-    radius = 0.5 * period
-    j = np.arange(1, top + 1, dtype=float)
-    sigma = (2.0 * np.pi / period) * j
-    scale = h * np.array(size, dtype=float) / period  # padded cells per j per unit alpha_i
-    taps = np.arange(_ES_WIDTH)[:, None]
-    block = max(1, _GATHER_TAPS // max(1, top * _ES_WIDTH**d))  # frames per gather
+    dc = h**d * float(fld.values.sum()) / plan.period
 
     def gather(alpha: np.ndarray) -> np.ndarray:
         """Re and im of (2/P) h^d e^{i sigma_j alpha . ref} F(sigma_j alpha), (2, n, J)."""
-        n_s = len(alpha) * top  # samples, frame-major
-        idx, weights = np.zeros(n_s, dtype=np.intp), []
-        for i in range(d):
-            nu = ((alpha[:, i] * scale[i])[:, None] * j).reshape(-1)  # padded-grid coordinate
-            lo = np.floor(nu - 0.5 * _ES_WIDTH) + 1.0  # first tap
-            # (W, 2 n_s): each sample's weight twice, for its re and im
-            weights.append(np.repeat(_es_kernel(nu - lo - taps), 2, axis=1))
-            cells = lo.astype(np.intp) + taps
-            if i < d - 1:
-                cells %= size[i]
-            else:  # the stored columns start at -(W/2 - 1)
-                cells += left
-            idx = idx[..., None, :] * dims[i] + cells
-        vals = spectrum.take(idx, axis=0).reshape(idx.shape[:-1] + (2 * n_s,))
+        idx, weights = plan.taps(alpha)
+        vals = spectrum.take(idx, axis=0).reshape(idx.shape[:-1] + (2 * idx.shape[-1],))
         for w in reversed(weights):  # fold the last tap axis, one tap at a time
+            w = np.repeat(w, 2, axis=1)  # each sample's weight twice, for its re and im
             acc = vals[..., 0, :] * w[0]
             for q in range(1, _ES_WIDTH):
                 acc += vals[..., q, :] * w[q]
             vals = acc
-        return np.moveaxis(vals.reshape(len(alpha), top, 2), -1, 0)
+        return np.moveaxis(vals.reshape(len(alpha), plan.top, 2), -1, 0)
 
     def generator(rows: np.ndarray, t_pts: np.ndarray) -> np.ndarray:
         out_shape = np.shape(rows)[:-2] + np.shape(t_pts)[:-1]
         alpha = np.asarray(rows, dtype=float).reshape(-1, d)
         t = np.asarray(t_pts, dtype=float).reshape(-1)
-        phase = sigma[:, None] * t  # (J, T), shared by every frame
-        cos_sin = np.concatenate([np.cos(phase), -np.sin(phase)])  # (2J, T)
+        cos_sin = plan.cos_sin(t)  # shared by every frame
         out = np.empty((len(alpha), t.size))
-        for f0 in range(0, len(alpha), block):
-            a = alpha[f0:f0 + block]
+        for f0 in range(0, len(alpha), plan.block):
+            a = alpha[f0:f0 + plan.block]
             flip = a[:, -1] < 0.0  # gathered at -alpha: F(sigma alpha) = conj F(-sigma alpha)
             f_re, f_im = gather(np.where(flip[:, None], -a, a))
             f_im[flip] *= -1.0
-            shift = _dot(a, ref)[:, None] * sigma  # to (2/P) F(sigma alpha): phases about t = 0
+            # to (2/P) F(sigma alpha): phases about t = 0
+            shift = _dot(a, plan.ref)[:, None] * plan.sigma
             c, s = np.cos(shift), np.sin(shift)
             g_re, g_im = f_re * c + f_im * s, f_im * c - f_re * s
             # one BLAS product per frame: a frame sums alike alone and in a stack (2-D @ may not)
             acc = (np.concatenate([g_re, g_im], 1)[:, None, :] @ cos_sin)[:, 0, :] + dc
-            acc[np.abs(t - _dot(a, center)[:, None]) > radius] = 0.0
-            out[f0:f0 + block] = acc
+            acc[plan.outside(a, t)] = 0.0
+            out[f0:f0 + plan.block] = acc
         return out.reshape(out_shape)
 
     return generator
+
+
+def _slice_coefficients(plan: _SlicePlan, sino: Sinogram) -> tuple[np.ndarray, tuple, float]:
+    """The transpose of the generator's steps after its gather, applied to sino.
+
+    Returns the frames as gathered (alpha, or -alpha where alpha_d < 0), the
+    coefficients of Re and of Im of each gathered sample, (n, J) each, and the
+    coefficient of the constant term: the mask |t - alpha . c| <= R, the
+    direct sum over t (one matmul for all frames), the phase about the
+    reference node and the conjugation of flipped frames, in reverse order.
+    Its temporaries are freed before the spread, whose peak sets the pass's.
+    """
+    t = sino.t_grid.axes()[0]
+    alpha = sino.frames.rows[:, 0]
+    vals = np.where(plan.outside(alpha, t), 0.0, sino.values)
+    coef = vals @ plan.cos_sin(t).T  # (n, 2J): of Re and of Im of each phased sample
+    a, b = coef[:, :plan.top], coef[:, plan.top:]
+    shift = _dot(alpha, plan.ref)[:, None] * plan.sigma
+    c, s = np.cos(shift), np.sin(shift)
+    flip = alpha[:, -1] < 0.0
+    parts = (a * c - b * s, np.where(flip[:, None], -1.0, 1.0) * (a * s + b * c))
+    return np.where(flip[:, None], -alpha, alpha), parts, float(vals.sum())
+
+
+def _slice_transpose(sino: Sinogram, grid: GridSpec) -> np.ndarray:
+    """The exact transpose of _slice_generator's forward onto grid, applied to
+    sino's values and scaled by h_t / (P h^d): what backproject() averages.
+
+    After _slice_coefficients, each step transposes one step of the forward,
+    in reverse order: the gather, as a spread of the same taps, with the
+    copies of the columns past the half lattice folded back (_SlicePlan.spread);
+    the leading axes' FFTs, and the last axis's real FFT on the rows that hold
+    the grid only; the deapodization.  Like the forward, it holds one widened
+    half lattice and one block of taps.
+    """
+    plan = _SlicePlan(grid, sino.t_grid.spacing)
+    alpha, parts, total = _slice_coefficients(plan, sino)
+    z = plan.spread(alpha, parts)
+    # in (re, im) coordinates the transpose of the FFT is the unnormalized
+    # inverse FFT.  The leading axes run in place on the whole lattice, as in
+    # the forward (the folded columns past the half lattice ride along and are
+    # dropped): per-axis copies of the grid's rows were as fast but raised a
+    # radon3d run's peak RSS by 0.4 MiB through heap retention
+    for i in range(grid.d - 1):
+        np.fft.ifft(z, axis=i, norm="forward", out=z)
+    z = z[np.ix_(*[off % s for off, s in zip(plan.offsets[:-1], plan.size[:-1])],
+                 np.arange(plan.left, plan.left + plan.half + 1))]
+    z[..., 1:plan.half] *= 0.5  # irfft counts these columns twice, as a conjugate pair
+    z = np.fft.irfft(z, n=plan.size[-1], axis=-1, norm="forward")
+    z = z.take(plan.offsets[-1] % plan.size[-1], axis=-1)
+    return (plan.deapodize(z, 2.0) + total) * (sino.t_grid.spacing / plan.period)
 
 
 def forward_rule(spec: GridSpec, frames: FrameSet, t_grid: TGrid,
@@ -446,22 +583,61 @@ def forward(
                     lambda rows, pts: forward_at(interp, rows, pts, quad))
 
 
+def backproject_rule(grid: GridSpec, sino: Sinogram | TGrid) -> dict:
+    """The rule backproject() applies to sino on grid; the rule depends only on
+    sino's t-grid, which may be passed instead.
+
+    "fourier-slice-transpose" (d - k = 1) with its count of sigma samples,
+    sigma_0 = 0 included, and kernel width W; else "multilinear-gather".
+    """
+    t_grid = sino.t_grid if isinstance(sino, Sinogram) else sino
+    if t_grid.m == 1:
+        top = _slice_lattice(grid, t_grid.spacing)[1]
+        return {"name": "fourier-slice-transpose", "sigma_samples": top + 1,
+                "kernel_width": _ES_WIDTH}
+    return {"name": "multilinear-gather"}
+
+
 def backproject(
     sino: Sinogram, grid: GridSpec, threads: int | None = None
 ) -> GridField:
     """Dual transform: Haar mass times the frame average of g(A, A x).
 
-    Interpolation is multilinear in t only, never across frames.  A block of
-    about 2^14 frames x grid points is read at once: its t-grid index
+    For d - k = 1 it is the exact transpose of forward()'s Fourier slice rule
+    on grid, with respect to sino_dot and field_dot (_slice_transpose: the
+    sinogram's sigma coefficients, one spread of the same ES-kernel taps, one
+    padded FFT and the same deapodization); threads is unused there.  A grid
+    box whose projection leaves the t-grid on some frame raises a truncation
+    warning.
+
+    For d - k >= 2 it reads g multilinearly in t, never across frames.  A
+    block of about 2^14 frames x grid points is read at once: its t-grid index
     coordinates u = (A x - o) / h come from one small matrix product with the
-    grid's index points and are read by one gather (fields.lerp_t).  Grid points whose A x leaves the
-    t-grid on any axis read exactly 0 and raise a truncation warning.  Blocks
-    add into fixed 64-frame partial sums, so threads do not change the result.
+    grid's index points and are read by one gather (fields.lerp_t).  Grid
+    points whose A x leaves the t-grid on any axis read exactly 0 and raise a
+    truncation warning.  Blocks add into fixed 64-frame partial sums, so
+    threads do not change the result.
     """
     d, tg = grid.d, sino.t_grid
     if d != sino.d:
         raise DomainError(f"grid dimension {d} != sinogram d = {sino.d}")
     mass = stiefel_total_mass(sino.d, sino.k)
+    if sino.m == 1:
+        half = 0.5 * grid.spacing * (np.array(grid.shape) - 1)  # the box's half-widths
+        alpha = sino.frames.rows[:, 0]
+        mid, reach = alpha @ (grid.origin + half), np.abs(alpha) @ half
+        t_lo = float(tg.origin[0])
+        t_hi = t_lo + tg.spacing * (tg.shape[0] - 1)
+        slack = 1e-9 * tg.spacing  # rounding in A x must not warn on an exact fit
+        if (mid - reach).min() < t_lo - slack or (mid + reach).max() > t_hi + slack:
+            warnings.warn(
+                f"the grid box projects outside the t-grid [{t_lo:.3g}, {t_hi:.3g}] on some "
+                "frames; the backprojection may be truncated",
+                TruncationWarning,
+                stacklevel=2,
+            )
+        return GridField(grid.origin, grid.spacing, grid.shape,
+                         (mass / sino.n_frames) * _slice_transpose(sino, grid))
     # u[j][f] = coef[j, f] . cells + shift[j, f], with cells the grid's index points
     rows = np.swapaxes(sino.frames.rows, 0, 1)  # (m, n, d)
     coef = rows * (grid.spacing / tg.spacing)
@@ -503,7 +679,9 @@ def backproject(
 
 def fbp(sino: Sinogram, d: int, k: int, grid: GridSpec,
         pad_factor: float = 2.0, threads: int | None = None) -> GridField:
-    """Filtered backprojection: backproject the ramp-filtered sinogram."""
+    """Filtered backprojection: backproject the ramp-filtered sinogram, by the
+    transpose of the slice forward at d - k = 1 and the multilinear gather
+    at d - k >= 2 (backproject_rule)."""
     return backproject(ramp_filter(sino, d, k, pad_factor), grid, threads=threads)
 
 

@@ -96,6 +96,8 @@ def test_forward_fbp_pipeline_report(tmp_path):
     assert rule == {"name": "fourier-slice", "sigma_samples": 45}
     assert main(["fbp", "--config", path]) == 0
     report = json.loads((out / "report.json").read_text())
+    assert report["rule"] == {"name": "fourier-slice-transpose", "sigma_samples": 45,
+                              "kernel_width": 6}
     assert report["rel_l2_vs_reference"] <= 0.05
     assert "timings_ms" in report and "warnings" in report
     timings = report["timings_ms"]
@@ -116,6 +118,10 @@ def test_forward_report_names_the_plane_quadrature_rule(tmp_path):
     assert main(["forward", "--config", path]) == 0
     rule = json.loads((out / "sinogram.report.json").read_text())["rule"]
     assert rule == {"name": "plane-quadrature", "quad_nodes": 12}
+    for command in ("fbp", "calibrate"):
+        assert main([command, "--config", path]) == 0
+        assert json.loads((out / "report.json").read_text())["rule"] == {
+            "name": "multilinear-gather"}
 
 
 def test_pipeline_rerun_is_byte_identical(tmp_path):
@@ -159,6 +165,8 @@ def test_calibrate_reports_unit_gain(tmp_path):
     assert main(["calibrate", "--config", path]) == 0
     report = json.loads((out / "report.json").read_text())
     assert abs(report["gain"] - 1.0) <= 0.02
+    assert report["rule"] == {"name": "fourier-slice-transpose", "sigma_samples": 45,
+                              "kernel_width": 6}
 
 
 def test_verify_default_passes(tmp_path, capsys):
@@ -168,6 +176,7 @@ def test_verify_default_passes(tmp_path, capsys):
     assert all(ln.startswith("PASS") for ln in lines)
     verdict = json.loads((tmp_path / "verify.json").read_text())
     assert all(entry["pass"] for entry in verdict.values())
+    assert verdict["adjoint_2d"]["tolerance"] == 1e-12
 
 
 def test_verify_zero_tolerance_fails(tmp_path):
@@ -531,6 +540,26 @@ def test_fbp_overflow_fails_alike_on_one_and_two_threads(tmp_path, capsys):
     assert errs[0].startswith("numeric error: overflow") and "Traceback" not in errs[0]
 
 
+def test_forward_overflow_in_the_plane_sums_exits_4(tmp_path, capsys):
+    # plane quadrature (d-k = 2) sums each plane with bincount, outside numpy's
+    # error state; a finite field whose plane integrals overflow is still
+    # reported as an overflow, not as a non-finite sinogram
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg.update(d=3, k=1, grid={"origin": [-1.75] * 3, "spacing": 0.5, "shape": [8, 8, 8]},
+               frames={"mode": "monte-carlo", "count": 200, "seed": 1},
+               t_grid={"origin": [-1.0, -1.0], "spacing": 0.5, "shape": [5, 5]},
+               quad={"halfwidth": 3.0, "nodes": 16})
+    path = write_config(tmp_path, cfg)
+    out.mkdir()
+    write_kpt(out / "phantom.kpt", kplane.GridField(np.full(3, -1.75), 0.5, (8, 8, 8),
+                                                     np.full((8, 8, 8), 1.7e308)))
+    capsys.readouterr()
+    assert main(["forward", "--config", path]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: overflow") and "Traceback" not in err
+
+
 def test_reconstruct_rejects_sinogram_phantom(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = base_config(out)
@@ -865,7 +894,7 @@ def test_every_command_report_is_stamped(tmp_path):
         name = {"phantom": "phantom.report.json", "forward": "sinogram.report.json"}
         reports[command] = json.loads((out / name.get(command, "report.json")).read_text())
     for command, report in reports.items():
-        assert report["schema_version"] == 1, command
+        assert report["schema_version"] == 2, command
         assert report["env"] == {
             "kplane": kplane.__version__, "numpy": np.__version__, "scipy": scipy.__version__,
             "python": platform.python_version(), "threads": 2,
