@@ -333,9 +333,10 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
     for i, q, weight in planted:
         if not (0 <= i < n_frames and 0 <= q < n_offsets and math.isfinite(weight)):
             raise ConfigError(f"bad planted atom {(i, q, weight)}: index or weight out of range")
-    # the measurement fields (M x N), the atom rows (J x N) and the Gram (M x J)
+    # what assemble allocates: the measurement fields (M x N), one block of atom
+    # rows (at most BLOCK_ATOMS x N) and the Gram (M x J)
     n_atoms = n_frames * n_offsets
-    check_size((m_meas + n_atoms) * grid.size + m_meas * n_atoms,
+    check_size((m_meas + min(n_atoms, sparse.BLOCK_ATOMS)) * grid.size + m_meas * n_atoms,
                f"{m_meas} measurements of {n_atoms} atoms on {grid.size} nodes exceed one array")
     offsets = np.linspace(lo, hi, n_offsets)
     angles = np.pi * np.arange(n_frames) / n_frames

@@ -21,6 +21,21 @@ from .errors import DomainError, FormatError, check_size
 from .geometry import FrameSet
 
 
+_FINITE_BLOCK = 1 << 16  # values per isfinite mask in all_finite
+
+
+def all_finite(x) -> bool:
+    """np.all(np.isfinite(x)) without a full-size bool mask: the check reads
+    _FINITE_BLOCK values at a time, and an array of at most one block in one
+    call, which costs less than setting up the iterator."""
+    x = np.asarray(x)
+    if x.size <= _FINITE_BLOCK:
+        return bool(np.isfinite(x).all())
+    blocks = np.nditer(x, flags=["external_loop", "buffered", "zerosize_ok"],
+                       buffersize=_FINITE_BLOCK, order="K")
+    return all(np.isfinite(block).all() for block in blocks)
+
+
 @dataclass(frozen=True, eq=False)
 class GridSpec:
     """Geometry of a uniform grid: physical origin, isotropic spacing, shape."""
@@ -73,7 +88,7 @@ class GridField(GridSpec):
     def __post_init__(self):
         super().__post_init__()
         values = np.asarray(self.values, dtype=float).reshape(self.shape)
-        if not np.all(np.isfinite(values)):
+        if not all_finite(values):
             raise DomainError("field values must be finite")
         object.__setattr__(self, "values", values)
 
@@ -214,7 +229,7 @@ class Sinogram:
                 f"t-grid dimension {self.t_grid.m} != d-k = {self.d - self.k}"
             )
         vals = np.asarray(self.values, dtype=float).reshape((len(self.frames),) + self.t_grid.shape)
-        if not np.all(np.isfinite(vals)):
+        if not all_finite(vals):
             raise DomainError("sinogram values must be finite")
         self.values = vals
 
@@ -474,7 +489,7 @@ def read_kpt(path) -> GridField | Sinogram:
             f"payload is {len(payload)} bytes, expected {expected}", offset=payload_offset
         )
     values = np.frombuffer(payload, dtype="<f8").copy()
-    if not np.all(np.isfinite(values)):
+    if not all_finite(values):
         raise FormatError("payload holds non-finite values", offset=payload_offset)
     try:
         if kind == "grid":

@@ -23,7 +23,7 @@ import numpy as np
 from . import geometry
 from .analytic import RidgeAtom, ridge_eval
 from .errors import DomainError
-from .fields import GridField, GridSpec
+from .fields import GridField, GridSpec, all_finite
 from .geometry import Frame, FrameSet
 
 DEDUP_TOL = 1e-9
@@ -53,7 +53,7 @@ class MeasurementSet:
         if not self.functionals:
             raise DomainError("need at least one measurement functional")
         for h in self.functionals:
-            if not np.all(np.isfinite(h.values)):
+            if not all_finite(h.values):
                 raise DomainError("measurement functionals must be finite")
 
     def __len__(self) -> int:
@@ -74,7 +74,7 @@ class LassoProblem:
         self.y = np.asarray(self.y, dtype=float)
         if self.gram.ndim != 2 or self.y.shape != self.gram.shape[:1]:
             raise DomainError(f"need an M x J gram and M data, got {self.gram.shape}, {self.y.shape}")
-        if not np.all(np.isfinite(self.gram)) or not np.all(np.isfinite(self.y)):
+        if not all_finite(self.gram) or not all_finite(self.y):
             raise DomainError("problem data must be finite")
         for name in ("lam", "tol"):
             if not 0 < getattr(self, name) < math.inf:
@@ -121,33 +121,73 @@ def build_dictionary(frame_grid, offset_grid, s: float, d: int, k: int) -> Dicti
 
 
 def assemble(dictionary: Dictionary, meas: MeasurementSet, field_grid: GridSpec) -> np.ndarray:
-    """Gram matrix G[m, j] = h^d sum_x h_m(x) * atom_j(x) over the grid."""
-    atom_mat = _atom_rows(dictionary.atoms, field_grid.points())               # J x N
+    """Gram matrix G[m, j] = h^d sum_x h_m(x) * atom_j(x) over the grid.
+
+    The atoms stream through ``_atom_blocks`` and each block's columns are one
+    product with the M x N measurement matrix, so memory is O(M J + M N): no
+    J x N atom matrix exists.
+    """
     h_mat = np.stack([h.values.ravel() for h in meas.functionals])             # M x N
     cell = field_grid.spacing**field_grid.d
-    return cell * (h_mat @ atom_mat.T)
+    gram = np.empty((len(meas), len(dictionary)))
+    for start, block in _atom_blocks(dictionary.atoms, field_grid.points()):
+        cols = gram[:, start : start + len(block)]
+        cols[:] = cell * (h_mat @ block.T)[:, : cols.shape[1]]
+    return gram
 
 
-def _atom_rows(atoms: list[RidgeAtom], pts: np.ndarray) -> np.ndarray:
-    """ridge_eval of each atom at pts (one row each), one frame group at a time: a
-    run of rbf atoms sharing one Frame and one RadialTable costs one pts @ A^T,
-    one broadcast offset subtraction and one table lookup.  Other atoms go
-    through ridge_eval."""
-    out = np.empty((len(atoms), len(pts)))
-    start = 0
+# Atoms per block.  A fixed width keeps each Gram product on OpenBLAS's general
+# gemm: a 1-column product goes to gemv, and one under about 1e6 multiply-adds to
+# a small-matrix kernel, and either rounds differently from one J-column product.
+BLOCK_ATOMS = 64
+# Values per temporary while rows fill: 64 KiB, below glibc's 128 KiB mmap
+# threshold, so no temporary is mapped and page-faulted afresh on each call.
+_ROW_VALUES = 1 << 13
+
+
+def _atom_blocks(atoms: list[RidgeAtom], pts: np.ndarray):
+    """Yield (start, block): ridge_eval of atoms start, start + 1, ... at pts,
+    one row each, in one reused buffer of min(BLOCK_ATOMS, J) rows whose rows
+    past the last atom are 0.  A run of rbf atoms sharing one Frame and one
+    RadialTable costs one pts @ A^T, then offset subtraction and table lookup
+    _ROW_VALUES values at a time.  Other atoms go through ridge_eval."""
+    block = np.empty((min(BLOCK_ATOMS, len(atoms)), len(pts)))
+    start = fill = 0
     for key, run in itertools.groupby(atoms, lambda at: (at.frame, at.table())
                                       if at.profile == "rbf" else None):
         run = list(run)
-        rows = out[start : start + len(run)]
-        start += len(run)
-        if key is None:
-            rows[:] = [ridge_eval(atom, pts) for atom in run]
-            continue
-        frame, table = key
-        arg = (pts @ frame.rows.T)[None] - np.stack([atom.offset for atom in run])[:, None]
-        weights = np.array([atom.weight for atom in run])[:, None]
-        np.multiply(weights, table(np.sqrt((arg**2).sum(axis=-1))), out=rows)
-    return out
+        proj = None if key is None else pts @ key[0].rows.T                    # N x m
+        while run:
+            part, run = run[: len(block) - fill], run[len(block) - fill :]
+            rows = block[fill : fill + len(part)]
+            if key is None:
+                for row, atom in zip(rows, part):
+                    row[:] = ridge_eval(atom, pts)
+            else:
+                _rbf_rows(part, proj, key[1], rows)
+            fill += len(part)
+            if fill == len(block):
+                yield start, block
+                start, fill = start + fill, 0
+    if fill:
+        block[fill:] = 0.0
+        yield start, block
+
+
+def _rbf_rows(run: list[RidgeAtom], proj: np.ndarray, table, rows: np.ndarray) -> None:
+    """rows[i] = weight_i * table(|proj - offset_i|), _ROW_VALUES values at a
+    time: whole rows while they fit, so numpy's inner loops stay long; at m = 1
+    the table takes the signed difference."""
+    offs = np.stack([atom.offset for atom in run])[:, None]                  # run x 1 x m
+    weights = np.array([atom.weight for atom in run])[:, None]
+    n_atoms = max(1, _ROW_VALUES // proj.size)
+    n_pts = max(1, _ROW_VALUES // (n_atoms * proj.shape[1]))
+    for i in range(0, len(run), n_atoms):
+        for p in range(0, len(proj), n_pts):
+            arg = proj[None, p : p + n_pts] - offs[i : i + n_atoms]
+            r = arg[..., 0] if arg.shape[-1] == 1 else np.sqrt((arg**2).sum(axis=-1))
+            np.multiply(weights[i : i + n_atoms], table(r),
+                        out=rows[i : i + n_atoms, p : p + n_pts])
 
 
 def solve_lasso(problem: LassoProblem, on_iterate=None) -> np.ndarray:
@@ -263,8 +303,10 @@ def reconstruct(a: np.ndarray, dictionary: Dictionary, grid: GridSpec) -> GridFi
     if a.shape != (len(dictionary),):
         raise DomainError(f"coefficients must have length {len(dictionary)}")
     keep = np.abs(a) > ACTIVE_TOL
-    rows = _atom_rows([atom for atom, k in zip(dictionary.atoms, keep) if k], grid.points())
+    coeffs = a[keep]
     vals = np.zeros(grid.size)
-    for coeff, row in zip(a[keep], rows):
-        vals += coeff * row
+    for start, block in _atom_blocks([atom for atom, k in zip(dictionary.atoms, keep) if k],
+                                     grid.points()):
+        for coeff, row in zip(coeffs[start : start + len(block)], block):
+            vals += np.multiply(coeff, row, out=row)
     return GridField(grid.origin, grid.spacing, grid.shape, vals.reshape(grid.shape))

@@ -25,6 +25,7 @@ from kplane import (
     read_kpt,
     write_kpt,
 )
+from kplane.fields import _FINITE_BLOCK, all_finite
 
 
 def make_field(d=2, n=10, h=0.5, seed=0):
@@ -221,6 +222,28 @@ def test_sinogram_validation():
             Sinogram(3, 1, sino.frames, sino.t_grid, values)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [_FINITE_BLOCK - 1, _FINITE_BLOCK, -1],
+                         ids=["block-end", "block-start", "last"])
+def test_all_finite_reads_every_block(bad, where):
+    values = np.zeros(2 * _FINITE_BLOCK + 8)
+    assert all_finite(values)
+    values[where] = bad
+    assert not all_finite(values)
+    assert not all_finite(values[::-1])  # a view that is not contiguous
+    shape = (len(values) // 8, 8)
+    with pytest.raises(DomainError, match="field values must be finite"):
+        GridField(np.zeros(2), 0.1, shape, values)
+    with pytest.raises(DomainError, match="sinogram values must be finite"):
+        Sinogram(2, 1, [Frame(2, 1, np.array([[1.0, 0.0]]))],
+                 TGrid(np.zeros(1), 0.1, (len(values),)), values[None])
+
+
+def test_all_finite_zero_size():
+    assert all_finite(np.zeros(0))
+    assert all_finite(np.zeros((3, 0, 2)))
+
+
 def test_cubic_interpolator_outside_is_zero():
     from kplane import FieldInterpolator
 
@@ -383,6 +406,19 @@ def test_kpt_nonfinite_payload(tmp_path, obj):
     with pytest.raises(FormatError, match="non-finite") as err:
         read_kpt(path)
     assert err.value.offset == path.stat().st_size - len(payload)
+
+
+@pytest.mark.parametrize("where", [_FINITE_BLOCK, -1], ids=["block-start", "last"])
+def test_kpt_nonfinite_payload_past_first_block(tmp_path, where):
+    path = tmp_path / "inf.kpt"
+    write_kpt(path, GridField(np.zeros(2), 0.1, (2 * _FINITE_BLOCK // 64 + 1, 64),
+                              np.ones(2 * _FINITE_BLOCK + 64)))
+    header, payload = _kpt_parts(path)
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    values[where] = np.inf
+    _write_parts(path, header, values.tobytes())
+    with pytest.raises(FormatError, match="non-finite"):
+        read_kpt(path)
 
 
 def _drop(key):

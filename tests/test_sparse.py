@@ -1,5 +1,6 @@
 import fractions
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from kplane import (
     solve_lasso,
     support,
 )
-from kplane.sparse import DEDUP_TOL, Dictionary
+from kplane.fields import _FINITE_BLOCK
+from kplane.sparse import BLOCK_ATOMS, DEDUP_TOL, Dictionary
 
 
 def half_circle_frames(n):
@@ -155,6 +157,42 @@ def test_reconstruct_matches_per_atom_ridge_eval_sum():
             expect += coeff * ridge_eval(atom, grid.points())
     got = reconstruct(a, dico, grid).values.ravel()
     assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
+
+
+def test_assemble_frame_major_equals_dense_product():
+    # 260 atoms: four full blocks and one padded block of 4
+    dico, meas = build_dictionary(half_circle_frames(20), np.linspace(-3, 3, 13), 2.0, 2, 1), \
+        gaussian_bumps(10)
+    assert len(dico) % BLOCK_ATOMS != 0
+    atom_mat = np.stack([ridge_eval(atom, GRID.points()) for atom in dico.atoms])
+    h_mat = np.stack([h.values.ravel() for h in meas.functionals])
+    assert np.array_equal(assemble(dico, meas, GRID), GRID.spacing**2 * (h_mat @ atom_mat.T))
+
+
+def test_assemble_peak_memory_without_atom_matrix():
+    # 2048 atoms on 64^2 nodes: a dense atom matrix alone would be 64 MiB
+    dico = build_dictionary(half_circle_frames(64), np.linspace(-3, 3, 32), 2.0, 2, 1)
+    meas = gaussian_bumps(10)
+    tracemalloc.start()
+    try:
+        gram = assemble(dico, meas, GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram.shape == (10, 2048) and np.all(gram[:, ::32] != 0.0)
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("where", [_FINITE_BLOCK, -1], ids=["block-start", "last"])
+def test_nonfinite_past_first_block_rejected(where):
+    fld = GridField(np.zeros(2), 0.1, (2, _FINITE_BLOCK), np.zeros((2, _FINITE_BLOCK)))
+    fld.values.flat[where] = np.nan  # GridField checked it when it was finite
+    with pytest.raises(DomainError, match="measurement functionals must be finite"):
+        MeasurementSet([fld])
+    gram = np.zeros((2, _FINITE_BLOCK))
+    gram.flat[where] = np.inf
+    with pytest.raises(DomainError, match="problem data must be finite"):
+        LassoProblem(gram, np.zeros(2), 1.0)
 
 
 def test_solve_lasso_identity_gram_soft_threshold():
