@@ -26,12 +26,8 @@ _FINITE_BLOCK = 1 << 16  # values per isfinite mask in all_finite
 
 def all_finite(x) -> bool:
     """np.all(np.isfinite(x)) without a full-size bool mask: the check reads
-    _FINITE_BLOCK values at a time, and an array of at most one block in one
-    call, which costs less than setting up the iterator."""
-    x = np.asarray(x)
-    if x.size <= _FINITE_BLOCK:
-        return bool(np.isfinite(x).all())
-    blocks = np.nditer(x, flags=["external_loop", "buffered", "zerosize_ok"],
+    _FINITE_BLOCK values at a time."""
+    blocks = np.nditer(np.asarray(x), flags=["external_loop", "buffered", "zerosize_ok"],
                        buffersize=_FINITE_BLOCK, order="K")
     return all(np.isfinite(block).all() for block in blocks)
 

@@ -175,19 +175,16 @@ def _atom_blocks(atoms: list[RidgeAtom], pts: np.ndarray):
 
 
 def _rbf_rows(run: list[RidgeAtom], proj: np.ndarray, table, rows: np.ndarray) -> None:
-    """rows[i] = weight_i * table(|proj - offset_i|), _ROW_VALUES values at a
-    time: whole rows while they fit, so numpy's inner loops stay long; at m = 1
-    the table takes the signed difference."""
+    """rows[i] = weight_i * table(|proj - offset_i|), whole rows of as many
+    atoms at a time as fit in _ROW_VALUES values, and one atom at a time when
+    a row does not fit; at m = 1 the table takes the signed difference."""
     offs = np.stack([atom.offset for atom in run])[:, None]                  # run x 1 x m
     weights = np.array([atom.weight for atom in run])[:, None]
     n_atoms = max(1, _ROW_VALUES // proj.size)
-    n_pts = max(1, _ROW_VALUES // (n_atoms * proj.shape[1]))
     for i in range(0, len(run), n_atoms):
-        for p in range(0, len(proj), n_pts):
-            arg = proj[None, p : p + n_pts] - offs[i : i + n_atoms]
-            r = arg[..., 0] if arg.shape[-1] == 1 else np.sqrt((arg**2).sum(axis=-1))
-            np.multiply(weights[i : i + n_atoms], table(r),
-                        out=rows[i : i + n_atoms, p : p + n_pts])
+        arg = proj - offs[i : i + n_atoms]
+        r = arg[..., 0] if arg.shape[-1] == 1 else np.sqrt((arg**2).sum(axis=-1))
+        np.multiply(weights[i : i + n_atoms], table(r), out=rows[i : i + n_atoms])
 
 
 def solve_lasso(problem: LassoProblem, on_iterate=None) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,19 @@ def test_all_finite_reads_every_block(bad, where):
     with pytest.raises(DomainError, match="sinogram values must be finite"):
         Sinogram(2, 1, [Frame(2, 1, np.array([[1.0, 0.0]]))],
                  TGrid(np.zeros(1), 0.1, (len(values),)), values[None])
+
+
+def test_all_finite_peak_memory_below_one_mask():
+    # a full isfinite mask of 8 blocks would take 8 * _FINITE_BLOCK bytes
+    values = np.zeros((8 * _FINITE_BLOCK // 64, 64))
+    for x in (values, values.T):
+        tracemalloc.start()
+        try:
+            assert all_finite(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _FINITE_BLOCK
 
 
 def test_all_finite_zero_size():

@@ -43,14 +43,14 @@ def half_circle_frames(n):
 GRID = GridSpec.centered(2, 64, 0.2)
 
 
-def gaussian_bumps(m, seed=123, width=0.8):
+def gaussian_bumps(m, seed=123, width=0.8, grid=GRID):
     gen = RngSeed(seed).generator()
-    pts = GRID.points()
+    pts = grid.points()
     out = []
     for _ in range(m):
-        c = gen.uniform(-2.5, 2.5, size=2)
+        c = gen.uniform(-2.5, 2.5, size=grid.d)
         v = np.exp(-((pts - c) ** 2).sum(-1) / (2 * width**2))
-        out.append(GridField(GRID.origin, GRID.spacing, GRID.shape, v.reshape(GRID.shape)))
+        out.append(GridField(grid.origin, grid.spacing, grid.shape, v.reshape(grid.shape)))
     return MeasurementSet(out)
 
 
@@ -159,14 +159,43 @@ def test_reconstruct_matches_per_atom_ridge_eval_sum():
     assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
 
 
-def test_assemble_frame_major_equals_dense_product():
+def test_assemble_frame_major_matches_dense_product():
     # 260 atoms: four full blocks and one padded block of 4
     dico, meas = build_dictionary(half_circle_frames(20), np.linspace(-3, 3, 13), 2.0, 2, 1), \
         gaussian_bumps(10)
     assert len(dico) % BLOCK_ATOMS != 0
     atom_mat = np.stack([ridge_eval(atom, GRID.points()) for atom in dico.atoms])
     h_mat = np.stack([h.values.ravel() for h in meas.functionals])
-    assert np.array_equal(assemble(dico, meas, GRID), GRID.spacing**2 * (h_mat @ atom_mat.T))
+    expect = GRID.spacing**2 * (h_mat @ atom_mat.T)
+    assert np.abs(assemble(dico, meas, GRID) - expect).max() <= 1e-15 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("d, n, h", [(2, 96, 0.14), (3, 12, 0.5), (3, 16, 0.35)],
+                         ids=["96^2", "12^3", "16^3"])
+def test_assemble_and_reconstruct_match_ridge_eval_on_long_rows(d, n, h):
+    # a row holds N x (d - 1) projections: 9216 and 8192 fill one row at a time,
+    # 3456 two rows at a time; at d = 3 the radius is a sqrt over two axes
+    grid = GridSpec.centered(d, n, h)
+    if d == 2:
+        frames = half_circle_frames(5)
+        offsets = np.linspace(-2, 2, 5)
+    else:
+        gen = RngSeed(8).generator()
+        frames = [haar_frame_sample(3, 1, gen) for _ in range(4)]
+        offsets = list(gen.uniform(-1.5, 1.5, size=(5, 2)))
+    dico, meas = build_dictionary(frames, offsets, 2.5, d, 1), gaussian_bumps(6, grid=grid)
+    stack = np.stack([ridge_eval(atom, grid.points()) for atom in dico.atoms])
+    h_mat = np.stack([h.values.ravel() for h in meas.functionals])
+    expect = h**d * (h_mat @ stack.T)
+    assert np.abs(assemble(dico, meas, grid) - expect).max() <= 1e-15 * np.abs(expect).max()
+    a = RngSeed(9).generator().normal(size=len(dico))
+    a[::4] = 0.0
+    expect = np.zeros(grid.size)
+    for coeff, row in zip(a, stack):
+        if coeff != 0.0:
+            expect += coeff * row
+    got = reconstruct(a, dico, grid).values.ravel()
+    assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
 
 
 def test_assemble_peak_memory_without_atom_matrix():
