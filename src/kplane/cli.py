@@ -394,7 +394,7 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
     _write_json(sol_path, solution)
     report = {
         "timings_ms": timings,
-        "counters": {**problem.stats, **dico.atoms[0].table().counts},
+        "counters": {**problem.stats, **dico.table.counts},
         "support_size": len(solution["support"]),
     }
     _write_report(_out_path(cfg, out_dir, "report", "report.json"), report, threads)

@@ -14,17 +14,17 @@ most lambda/2 in size off it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry
-from .analytic import RidgeAtom, ridge_eval
 from .errors import DomainError
 from .fields import GridField, GridSpec, all_finite
+from .filters import RadialTable, green_rbf
 from .geometry import Frame, FrameSet
+from .transform import same_grid
 
 DEDUP_TOL = 1e-9
 ACTIVE_TOL = 1e-10  # a coefficient larger than this in size is on the support
@@ -32,15 +32,19 @@ ACTIVE_TOL = 1e-10  # a coefficient larger than this in size is on the support
 
 @dataclass(eq=False)
 class Dictionary:
-    """Unit-weight ridge atoms on a frame x offset product grid."""
+    """Unit-weight ridge atoms rho_s(A_f x - t_p) on a frame x offset grid.
 
-    atoms: list[RidgeAtom]
-    d: int
-    k: int
+    Atom j is frame j // P at offset j % P (frame-major), and every atom reads
+    the one rbf ``table``.
+    """
+
+    rows: np.ndarray      # F x m x d frame rows
+    offsets: np.ndarray   # P x m
     s: float
+    table: RadialTable
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.rows) * len(self.offsets)
 
 
 @dataclass(eq=False)
@@ -86,21 +90,28 @@ class LassoProblem:
 def build_dictionary(frame_grid, offset_grid, s: float, d: int, k: int) -> Dictionary:
     """Cartesian product of frames and offsets, frame-major, duplicates rejected.
 
-    ``frame_grid`` is a ``FrameSet``, or a sequence of ``Frame`` or rows.  Atoms
-    (A_i, t_p) and (A_j, t_q) are duplicates when ||V A_i - A_j||_F and ||V t_p - t_q||
-    are both <= DEDUP_TOL, V = ``geometry.align_rotation(A_i, A_j)``: one batched
-    alignment per frame j against frames 0..j, then offsets compared only for
-    equivalent pairs.  The ``DomainError`` names the first duplicate (frame-major).
+    ``frame_grid`` is a ``FrameSet``, or a sequence of ``Frame`` or rows, of this
+    (d, k); offsets have d - k entries.  Atoms (A_i, t_p) and (A_j, t_q) are
+    duplicates when ||V A_i - A_j||_F and ||V t_p - t_q|| are both <= DEDUP_TOL,
+    V = ``geometry.align_rotation(A_i, A_j)``: one batched alignment per frame j
+    against frames 0..j, then offsets compared only for equivalent pairs.  The
+    ``DomainError`` names the first duplicate (frame-major).
     """
     if not isinstance(frame_grid, FrameSet):
         frame_grid = FrameSet([fr if isinstance(fr, Frame) else Frame(d, k, np.atleast_2d(fr))
                                for fr in frame_grid], "explicit")
-    offset_grid = [np.atleast_1d(np.asarray(t, dtype=float)) for t in offset_grid]
-    if not offset_grid:
+    if (frame_grid.d, frame_grid.k) != (d, k):
+        raise DomainError(f"frames have (d, k) = {(frame_grid.d, frame_grid.k)}, not {(d, k)}")
+    offs = [np.atleast_1d(np.asarray(t, dtype=float)) for t in offset_grid]
+    if not offs:
         raise DomainError("offset grid must be nonempty")
     if not d - k < s < math.inf:
         raise DomainError(f"need finite s > d-k = {d - k}, got s={s}")
-    rows, offs = frame_grid.rows, np.stack(offset_grid)
+    if any(t.shape != (d - k,) for t in offs):
+        raise DomainError(f"offsets must have shape ({d - k},)")
+    rows, offs = frame_grid.rows, np.stack(offs)
+    if not all_finite(offs):
+        raise DomainError("offsets must be finite")
     for j in range(len(rows)):
         # dup[q]: atom (j, q) equals some earlier atom (i, p), i <= j
         dup = np.zeros(len(offs), dtype=bool)
@@ -110,14 +121,9 @@ def build_dictionary(frame_grid, offset_grid, s: float, d: int, k: int) -> Dicti
             close = np.linalg.norm((offs @ v[i].T)[:, None] - offs, axis=-1) <= DEDUP_TOL
             dup |= (close if i < j else np.triu(close, 1)).any(axis=0)
         if dup.any():
-            t = offset_grid[int(np.argmax(dup))]
+            t = offs[int(np.argmax(dup))]
             raise DomainError(f"duplicate atom at frame {rows[j].tolist()}, offset {t.tolist()}")
-    atoms = [RidgeAtom(1.0, fr, t, profile="rbf", s=s) for fr in frame_grid for t in offset_grid]
-    # share one Green's-function table across the dictionary
-    table = atoms[0].table()
-    for atom in atoms[1:]:
-        atom._table = table
-    return Dictionary(atoms, d, k, float(s))
+    return Dictionary(rows, offs, float(s), green_rbf(s, d - k))
 
 
 def assemble(dictionary: Dictionary, meas: MeasurementSet, field_grid: GridSpec) -> np.ndarray:
@@ -125,12 +131,14 @@ def assemble(dictionary: Dictionary, meas: MeasurementSet, field_grid: GridSpec)
 
     The atoms stream through ``_atom_blocks`` and each block's columns are one
     product with the M x N measurement matrix, so memory is O(M J + M N): no
-    J x N atom matrix exists.
+    J x N atom matrix exists.  Every functional must lie on ``field_grid``.
     """
+    if not all(same_grid(h, field_grid) for h in meas.functionals):
+        raise DomainError("measurement functionals must lie on the field grid")
     h_mat = np.stack([h.values.ravel() for h in meas.functionals])             # M x N
     cell = field_grid.spacing**field_grid.d
     gram = np.empty((len(meas), len(dictionary)))
-    for start, block in _atom_blocks(dictionary.atoms, field_grid.points()):
+    for start, block in _atom_blocks(dictionary, np.arange(len(dictionary)), field_grid.points()):
         cols = gram[:, start : start + len(block)]
         cols[:] = cell * (h_mat @ block.T)[:, : cols.shape[1]]
     return gram
@@ -145,46 +153,29 @@ BLOCK_ATOMS = 64
 _ROW_VALUES = 1 << 13
 
 
-def _atom_blocks(atoms: list[RidgeAtom], pts: np.ndarray):
-    """Yield (start, block): ridge_eval of atoms start, start + 1, ... at pts,
-    one row each, in one reused buffer of min(BLOCK_ATOMS, J) rows whose rows
-    past the last atom are 0.  A run of rbf atoms sharing one Frame and one
-    RadialTable costs one pts @ A^T, then offset subtraction and table lookup
-    _ROW_VALUES values at a time.  Other atoms go through ridge_eval."""
+def _atom_blocks(dictionary: Dictionary, atoms: np.ndarray, pts: np.ndarray):
+    """Yield (start, block): atoms[start], atoms[start + 1], ... (sorted flat
+    indices) at pts, one row each, in one reused buffer of min(BLOCK_ATOMS,
+    len(atoms)) rows whose rows past the last atom are 0.  The atoms of one
+    frame in a block cost one pts @ A^T; then table(|proj - offset|) fills whole
+    rows of as many atoms at a time as fit in _ROW_VALUES values, and one atom
+    at a time when a row does not fit; at m = 1 the table takes the signed
+    difference."""
+    n_off = len(dictionary.offsets)
     block = np.empty((min(BLOCK_ATOMS, len(atoms)), len(pts)))
-    start = fill = 0
-    for key, run in itertools.groupby(atoms, lambda at: (at.frame, at.table())
-                                      if at.profile == "rbf" else None):
-        run = list(run)
-        proj = None if key is None else pts @ key[0].rows.T                    # N x m
-        while run:
-            part, run = run[: len(block) - fill], run[len(block) - fill :]
-            rows = block[fill : fill + len(part)]
-            if key is None:
-                for row, atom in zip(rows, part):
-                    row[:] = ridge_eval(atom, pts)
-            else:
-                _rbf_rows(part, proj, key[1], rows)
-            fill += len(part)
-            if fill == len(block):
-                yield start, block
-                start, fill = start + fill, 0
-    if fill:
-        block[fill:] = 0.0
+    for start in range(0, len(atoms), BLOCK_ATOMS):
+        part = atoms[start : start + BLOCK_ATOMS]
+        frames, firsts = np.unique(part // n_off, return_index=True)
+        for f, lo, hi in zip(frames, firsts, [*firsts[1:], len(part)]):
+            proj = pts @ dictionary.rows[f].T                                    # N x m
+            offs = dictionary.offsets[part[lo:hi] % n_off, None]                 # atoms x 1 x m
+            n_atoms = max(1, _ROW_VALUES // proj.size)
+            for i in range(lo, hi, n_atoms):
+                arg = proj - offs[i - lo : i - lo + n_atoms]
+                r = arg[..., 0] if arg.shape[-1] == 1 else np.sqrt((arg**2).sum(axis=-1))
+                block[i : i + len(arg)] = dictionary.table(r)
+        block[len(part):] = 0.0
         yield start, block
-
-
-def _rbf_rows(run: list[RidgeAtom], proj: np.ndarray, table, rows: np.ndarray) -> None:
-    """rows[i] = weight_i * table(|proj - offset_i|), whole rows of as many
-    atoms at a time as fit in _ROW_VALUES values, and one atom at a time when
-    a row does not fit; at m = 1 the table takes the signed difference."""
-    offs = np.stack([atom.offset for atom in run])[:, None]                  # run x 1 x m
-    weights = np.array([atom.weight for atom in run])[:, None]
-    n_atoms = max(1, _ROW_VALUES // proj.size)
-    for i in range(0, len(run), n_atoms):
-        arg = proj - offs[i : i + n_atoms]
-        r = arg[..., 0] if arg.shape[-1] == 1 else np.sqrt((arg**2).sum(axis=-1))
-        np.multiply(weights[i : i + n_atoms], table(r), out=rows[i : i + n_atoms])
 
 
 def solve_lasso(problem: LassoProblem, on_iterate=None) -> np.ndarray:
@@ -281,6 +272,7 @@ def kkt_residuals(problem: LassoProblem, a: np.ndarray) -> tuple[float, float]:
     |[G^T(y - G a)]_j| <= lambda/2 off the support and equals
     sign(a_j) lambda/2 on it.
     """
+    a = _coefficients(a, problem.gram.shape[1])
     corr = problem.gram.T @ (problem.y - problem.gram @ a)
     active = np.abs(a) > ACTIVE_TOL
     inactive_excess = float(np.maximum(np.abs(corr[~active]) - problem.lam / 2.0, 0.0).max()) \
@@ -295,15 +287,18 @@ def support(a: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(a: np.ndarray, dictionary: Dictionary, grid: GridSpec) -> GridField:
-    """Pointwise sum of the weighted atoms with nonzero coefficients."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (len(dictionary),):
-        raise DomainError(f"coefficients must have length {len(dictionary)}")
-    keep = np.abs(a) > ACTIVE_TOL
-    coeffs = a[keep]
+    """Pointwise sum of the atoms with nonzero coefficients."""
+    a = _coefficients(a, len(dictionary))
+    keep = np.flatnonzero(np.abs(a) > ACTIVE_TOL)
     vals = np.zeros(grid.size)
-    for start, block in _atom_blocks([atom for atom, k in zip(dictionary.atoms, keep) if k],
-                                     grid.points()):
-        for coeff, row in zip(coeffs[start : start + len(block)], block):
+    for start, block in _atom_blocks(dictionary, keep, grid.points()):
+        for coeff, row in zip(a[keep[start : start + len(block)]], block):
             vals += np.multiply(coeff, row, out=row)
     return GridField(grid.origin, grid.spacing, grid.shape, vals.reshape(grid.shape))
+
+
+def _coefficients(a, n: int) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.shape != (n,) or not all_finite(a):
+        raise DomainError(f"coefficients must be {n} finite values, got shape {a.shape}")
+    return a

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -78,6 +77,7 @@ def _pool_map(fn, items, n_threads: int) -> list:
     under the caller's numpy error state, which worker threads do not inherit."""
     if n_threads == 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # loaded only where a pool starts
     err = np.geterr()
 
     def task(x):

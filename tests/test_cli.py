@@ -814,7 +814,7 @@ import kplane
 from kplane import FieldInterpolator, GridSpec, RngSeed, TGrid, bessel_j, cli, isotropy, transform
 from kplane.fields import gaussian_field
 
-LAZY = ("scipy.ndimage", "scipy.special")
+LAZY = ("scipy.ndimage", "scipy.special", "concurrent.futures")
 loaded = {"import": [m for m in LAZY if m in sys.modules]}
 for d, k, n in ((2, 1, 12), (3, 2, 10)):
     spec = GridSpec.centered(d, n, 0.5)
@@ -849,18 +849,21 @@ def test_d_minus_k_1_pipelines_run_without_scipy(tmp_path):
     # O(1) projector rendering, the CLI pipeline), the order-3 forward at (3, 1)
     # with the Monte-Carlo and range projectors on it, and order-3 interpolation
     # run on numpy alone; only bessel_j loads scipy (scipy.special), on first
-    # use, in a fresh interpreter
+    # use, in a fresh interpreter.  On one thread no path loads the thread
+    # pool's module (concurrent.futures).
     src = str(Path(kplane.__file__).resolve().parent.parent)
     cfg = write_config(tmp_path, small_config(tmp_path / "out"))
+    env = {key: value for key, value in os.environ.items() if key != "KPLANE_THREADS"}
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, src, cfg],
-                          capture_output=True, text=True, timeout=300, cwd=tmp_path)
+                          capture_output=True, text=True, timeout=300, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded["import"] == loaded["pipelines"] == []
     assert loaded["report_env"]["scipy_loaded"] is False
     assert loaded["spline_at_node"] == pytest.approx(loaded["node"], rel=1e-12)
     assert loaded["j_half"] == pytest.approx(2 / np.pi, rel=1e-12)
-    assert loaded["first_use"] == ["scipy.special"]
+    # scipy.special imports numpy.testing, which imports concurrent.futures
+    assert loaded["first_use"] == ["scipy.special", "concurrent.futures"]
 
 
 def test_forward_bytes_do_not_depend_on_blas_threads(tmp_path):

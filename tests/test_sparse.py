@@ -1,3 +1,4 @@
+import dataclasses
 import fractions
 import math
 import tracemalloc
@@ -20,7 +21,6 @@ from kplane import (
     align_rotation,
     assemble,
     build_dictionary,
-    green_rbf,
     haar_frame_sample,
     haar_orthogonal_sample,
     kkt_residuals,
@@ -32,7 +32,7 @@ from kplane import (
     support,
 )
 from kplane.fields import _FINITE_BLOCK
-from kplane.sparse import BLOCK_ATOMS, DEDUP_TOL, Dictionary
+from kplane.sparse import BLOCK_ATOMS, DEDUP_TOL
 
 
 def half_circle_frames(n):
@@ -41,6 +41,17 @@ def half_circle_frames(n):
 
 
 GRID = GridSpec.centered(2, 64, 0.2)
+
+
+def frame_major_atoms(dico):
+    """The dictionary's atoms as unit-weight rbf RidgeAtoms, frame-major,
+    sharing its table: the reference for ridge_eval comparisons."""
+    f, m, d = dico.rows.shape
+    atoms = [RidgeAtom(1.0, Frame(d, d - m, rows), t, profile="rbf", s=dico.s)
+             for rows in dico.rows for t in dico.offsets]
+    for atom in atoms:
+        atom._table = dico.table
+    return atoms
 
 
 def gaussian_bumps(m, seed=123, width=0.8, grid=GRID):
@@ -57,7 +68,7 @@ def gaussian_bumps(m, seed=123, width=0.8, grid=GRID):
 def test_build_dictionary_product_count():
     dico = build_dictionary(half_circle_frames(8), np.linspace(-3, 3, 16), 2.0, 2, 1)
     assert len(dico) == 128
-    assert all(atom.weight == 1.0 for atom in dico.atoms)
+    assert dico.rows.shape == (8, 1, 2) and dico.offsets.shape == (16, 1)
 
 
 def test_build_dictionary_rejects_duplicates():
@@ -82,6 +93,21 @@ def test_build_dictionary_validation():
     for s in (np.nan, np.inf):
         with pytest.raises(DomainError, match="finite"):
             build_dictionary(half_circle_frames(2), [0.0], s, 2, 1)
+    # offsets are checked before the duplicate scan, which would name [0.0]
+    frames = half_circle_frames(2)[:1] * 2
+    with pytest.raises(DomainError, match=r"offsets must have shape \(1,\)"):
+        build_dictionary(frames, [0.0, [1.0, 2.0]], 2.0, 2, 1)
+    with pytest.raises(DomainError, match="offsets must be finite"):
+        build_dictionary(frames, [0.0, np.nan], 2.0, 2, 1)
+
+
+@pytest.mark.parametrize("as_stack", [False, True], ids=["frames", "frame-set"])
+def test_build_dictionary_rejects_frames_of_another_dimension(as_stack):
+    # 2-D frames with (d, k) = (3, 1) would check s against the wrong d - k
+    frames = half_circle_frames(2)
+    grid = FrameSet(np.stack([fr.rows for fr in frames]), "explicit") if as_stack else frames
+    with pytest.raises(DomainError, match=r"frames have \(d, k\) = \(2, 1\), not \(3, 1\)"):
+        build_dictionary(grid, [0.0], 2.5, 3, 1)
 
 
 def test_assemble_zero_functional_row():
@@ -98,15 +124,23 @@ def test_assemble_column_scales_with_atom_weight():
     dico = build_dictionary(half_circle_frames(3), [0.0, 1.0], 2.0, 2, 1)
     meas = gaussian_bumps(4)
     g = assemble(dico, meas, GRID)
-    atom = dico.atoms[2]
-    scaled = RidgeAtom(3.0, atom.frame, atom.offset, profile="rbf", s=atom.s)
-    scaled._table = atom._table
+    scaled = dataclasses.replace(frame_major_atoms(dico)[2], weight=3.0)
     pts = GRID.points()
     col = np.array(
         [GRID.spacing**2 * (h.values.ravel() * ridge_eval(scaled, pts)).sum()
          for h in meas.functionals]
     )
     assert np.allclose(col, 3.0 * g[:, 2], rtol=1e-12)
+
+
+@pytest.mark.parametrize("other", [GridSpec.centered(2, 64, 0.5),
+                                   GridSpec(GRID.origin, 0.2, (32, 128))], ids=["spacing", "shape"])
+def test_assemble_rejects_functionals_from_another_grid(other):
+    # both have GRID's 4096 nodes, so their values would pair without an error
+    dico = build_dictionary(half_circle_frames(2), [0.0], 2.0, 2, 1)
+    meas = MeasurementSet([gaussian_bumps(1).functionals[0], GridField.zeros(other)])
+    with pytest.raises(DomainError, match="measurement functionals must lie on the field grid"):
+        assemble(dico, meas, GRID)
 
 
 def test_assemble_entry_matches_fine_grid_quadrature():
@@ -123,71 +157,43 @@ def test_assemble_entry_matches_fine_grid_quadrature():
     assert coarse == pytest.approx(oracle, abs=1e-4)
 
 
-def mixed_dictionary():
-    """Not frame-major: frames recur in runs of 1-3, weights are mixed, two
-    tables (s = 2 and 3) alternate inside frame runs, one atom is Gaussian."""
-    frames, gen = half_circle_frames(5), RngSeed(11).generator()
-    tables = {2.0: green_rbf(2.0, 1), 3.0: green_rbf(3.0, 1)}
-    atoms = []
-    for j, f in enumerate([0, 0, 1, 3, 3, 3, 2, 4, 0, 1, 1, 4] * 3):
-        s = 2.0 if j % 5 < 3 else 3.0
-        atom = RidgeAtom(gen.normal(), frames[f], [gen.uniform(-3, 3)], profile="rbf", s=s)
-        atom._table = tables[s]
-        atoms.append(atom)
-    atoms[7] = RidgeAtom(0.6, frames[2], [0.4])
-    return Dictionary(atoms, 2, 1, 2.0)
-
-
-def test_assemble_matches_per_atom_ridge_eval_stack():
-    dico, meas = mixed_dictionary(), gaussian_bumps(7)
-    g = assemble(dico, meas, GRID)
-    stack = np.stack([ridge_eval(atom, GRID.points()) for atom in dico.atoms])
-    h_mat = np.stack([h.values.ravel() for h in meas.functionals])
-    expect = GRID.spacing**2 * (h_mat @ stack.T)
-    assert np.abs(g - expect).max() <= 1e-15 * np.abs(expect).max()
-
-
-def test_reconstruct_matches_per_atom_ridge_eval_sum():
-    dico, grid = mixed_dictionary(), GridSpec.centered(2, 32, 0.3)
-    a = RngSeed(5).generator().normal(size=len(dico))
-    a[::3] = 0.0
-    expect = np.zeros(grid.size)
-    for coeff, atom in zip(a, dico.atoms):
-        if coeff != 0.0:
-            expect += coeff * ridge_eval(atom, grid.points())
-    got = reconstruct(a, dico, grid).values.ravel()
-    assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
-
-
 def test_assemble_frame_major_matches_dense_product():
     # 260 atoms: four full blocks and one padded block of 4
     dico, meas = build_dictionary(half_circle_frames(20), np.linspace(-3, 3, 13), 2.0, 2, 1), \
         gaussian_bumps(10)
     assert len(dico) % BLOCK_ATOMS != 0
-    atom_mat = np.stack([ridge_eval(atom, GRID.points()) for atom in dico.atoms])
+    atom_mat = np.stack([ridge_eval(atom, GRID.points()) for atom in frame_major_atoms(dico)])
     h_mat = np.stack([h.values.ravel() for h in meas.functionals])
     expect = GRID.spacing**2 * (h_mat @ atom_mat.T)
     assert np.abs(assemble(dico, meas, GRID) - expect).max() <= 1e-15 * np.abs(expect).max()
 
 
-@pytest.mark.parametrize("d, n, h", [(2, 96, 0.14), (3, 12, 0.5), (3, 16, 0.35)],
-                         ids=["96^2", "12^3", "16^3"])
-def test_assemble_and_reconstruct_match_ridge_eval_on_long_rows(d, n, h):
+@pytest.mark.parametrize("d, n, h, n_frames, reach, s, grows", [
+    (2, 96, 0.14, 5, 2.0, 2.5, False), (3, 12, 0.5, 4, 1.5, 2.5, False),
+    (3, 16, 0.35, 4, 1.5, 2.5, False), (2, 80, 0.3, 7, 9.0, 3.0, True)],
+    ids=["96^2", "12^3", "16^3", "80^2-table-growth"])
+def test_assemble_and_reconstruct_match_ridge_eval_on_long_rows(d, n, h, n_frames, reach, s,
+                                                                grows):
     # a row holds N x (d - 1) projections: 9216 and 8192 fill one row at a time,
-    # 3456 two rows at a time; at d = 3 the radius is a sqrt over two axes
+    # 3456 two rows at a time; at d = 3 the radius is a sqrt over two axes.  On
+    # 80^2 with offsets to +-9 the radii pass the table's initial 12, so the
+    # table grows inside assemble, before the reference reads it.
     grid = GridSpec.centered(d, n, h)
+    gen = RngSeed(8).generator()
     if d == 2:
-        frames = half_circle_frames(5)
-        offsets = np.linspace(-2, 2, 5)
+        frames = half_circle_frames(n_frames)
+        offsets = np.arange(-reach, reach + 0.5)
     else:
-        gen = RngSeed(8).generator()
-        frames = [haar_frame_sample(3, 1, gen) for _ in range(4)]
-        offsets = list(gen.uniform(-1.5, 1.5, size=(5, 2)))
-    dico, meas = build_dictionary(frames, offsets, 2.5, d, 1), gaussian_bumps(6, grid=grid)
-    stack = np.stack([ridge_eval(atom, grid.points()) for atom in dico.atoms])
+        frames = [haar_frame_sample(3, 1, gen) for _ in range(n_frames)]
+        offsets = list(gen.uniform(-reach, reach, size=(5, 2)))
+    dico, meas = build_dictionary(frames, offsets, s, d, 1), gaussian_bumps(6, grid=grid)
+    nodes = len(dico.table.table[0])
+    gram = assemble(dico, meas, grid)
+    assert (len(dico.table.table[0]) > nodes) == grows
+    stack = np.stack([ridge_eval(atom, grid.points()) for atom in frame_major_atoms(dico)])
     h_mat = np.stack([h.values.ravel() for h in meas.functionals])
     expect = h**d * (h_mat @ stack.T)
-    assert np.abs(assemble(dico, meas, grid) - expect).max() <= 1e-15 * np.abs(expect).max()
+    assert np.abs(gram - expect).max() <= 1e-15 * np.abs(expect).max()
     a = RngSeed(9).generator().normal(size=len(dico))
     a[::4] = 0.0
     expect = np.zeros(grid.size)
@@ -291,8 +297,21 @@ def test_reconstruct_zero_and_single_atom():
     a = np.zeros(len(dico))
     a[5] = 2.0
     single = reconstruct(a, dico, grid)
-    expect = 2.0 * ridge_eval(dico.atoms[5], grid.points()).reshape(grid.shape)
+    expect = 2.0 * ridge_eval(frame_major_atoms(dico)[5], grid.points()).reshape(grid.shape)
     assert np.abs(single.values - expect).max() <= 1e-12
+
+
+def test_coefficients_must_be_finite_and_of_dictionary_length():
+    dico = build_dictionary(half_circle_frames(4), [-1.0, 1.0], 2.0, 2, 1)
+    grid = GridSpec.centered(2, 24, 0.4)
+    problem = LassoProblem(np.eye(3, len(dico)), np.ones(3), 0.1)
+    a = np.zeros(len(dico))
+    a[2] = np.nan  # not above ACTIVE_TOL, so it was dropped without a word
+    for bad in (a, np.zeros(len(dico) + 1)):
+        with pytest.raises(DomainError, match="coefficients must be"):
+            reconstruct(bad, dico, grid)
+        with pytest.raises(DomainError, match="coefficients must be"):
+            kkt_residuals(problem, bad)
 
 
 def test_planted_two_atom_recovery():
@@ -554,9 +573,8 @@ def test_build_dictionary_matches_pairwise_rule(data):
     if expect is None:
         dico = build_dictionary(frames, offsets, 2.5, d, 1)
         assert len(dico) == len(frames) * len(offsets)
-        pairs = [(fr, t) for fr in frames for t in offsets]
-        for atom, (fr, t) in zip(dico.atoms, pairs):
-            assert atom.frame is fr and np.array_equal(atom.offset, t)
+        assert np.array_equal(dico.rows, np.stack([fr.rows for fr in frames]))
+        assert np.array_equal(dico.offsets, np.stack(offsets))
     else:
         with pytest.raises(DomainError) as err:
             build_dictionary(frames, offsets, 2.5, d, 1)
