@@ -3,8 +3,8 @@
 All randomness flows from config seeds, so reruns of any pipeline with the
 same config produce byte-identical KPT outputs.  Reports are machine-readable
 JSON, each command report stamped with ``schema_version`` and ``env``
-(versions, thread count, whether scipy.ndimage or scipy.special was loaded);
-grid outputs also get a center-line CSV slice for external plotting.
+(versions, and whether scipy.special was loaded); grid outputs also get a
+center-line CSV slice for external plotting.
 
 Exit codes: 0 success, 1 verification check failed, 2 bad config,
 3 I/O failure, 4 numeric error (a domain error, an array too large to allocate, a float overflow).
@@ -175,16 +175,17 @@ def _write_json(path: Path, obj: dict) -> None:
         fh.write("\n")
 
 
-REPORT_SCHEMA_VERSION = 2  # 2: fbp and calibrate reports name their backprojection rule
+# 2: fbp and calibrate reports name their backprojection rule; 3: env has no thread count
+REPORT_SCHEMA_VERSION = 3
 
 
-def _env(threads: int) -> dict:
-    """Versions, thread count, and whether a scipy submodule has been loaded.
+def _env() -> dict:
+    """Versions, and whether scipy.special has been loaded.
 
-    The scipy version comes from the top-level package, which loads neither
-    scipy.ndimage nor scipy.special.  Within kplane only bessel_j loads one
-    (scipy.special), so scipy_loaded turns true through it, hankel_profile,
-    inverse_radial_profile, isotropic_kplane or `kplane verify`.
+    The scipy version comes from the top-level package, which does not load
+    scipy.special.  Within kplane only bessel_j loads it, so scipy_loaded
+    turns true through bessel_j, hankel_profile, inverse_radial_profile,
+    isotropic_kplane or `kplane verify`.
     """
     import scipy
 
@@ -193,15 +194,14 @@ def _env(threads: int) -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "python": ".".join(map(str, sys.version_info[:3])),
-        "threads": threads,
-        "scipy_loaded": any(m in sys.modules for m in ("scipy.ndimage", "scipy.special")),
+        "scipy_loaded": "scipy.special" in sys.modules,
     }
 
 
-def _write_report(path: Path, report: dict, threads: int) -> None:
+def _write_report(path: Path, report: dict) -> None:
     """A command report ("warnings": [] unless it has some), stamped with schema and env."""
     _write_json(path, {"warnings": [], **report, "schema_version": REPORT_SCHEMA_VERSION,
-                       "env": _env(threads)})
+                       "env": _env()})
 
 
 def _write_slice_csv(path: Path, fld: GridField) -> None:
@@ -226,7 +226,7 @@ def _read_kind(path: Path, kind: type):
 # --- commands -------------------------------------------------------------------
 
 
-def cmd_phantom(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
+def cmd_phantom(cfg: dict, out_dir: str | None, seed: int | None) -> int:
     grid = _grid_from(cfg)
     t0 = time.perf_counter()
     fld = _phantom_field(cfg, grid)
@@ -236,18 +236,18 @@ def cmd_phantom(cfg: dict, out_dir: str | None, seed: int | None, threads: int |
         "timings_ms": {"phantom": 1000 * (time.perf_counter() - t0)},
         "mass": integrate(fld),
     }
-    _write_report(path.with_suffix(".report.json"), report, threads)
+    _write_report(path.with_suffix(".report.json"), report)
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_forward(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
+def cmd_forward(cfg: dict, out_dir: str | None, seed: int | None) -> int:
     grid, frames, t_grid, quad, order = _projection_from(cfg, seed, 3)
     fld = _read_kind(_out_path(cfg, out_dir, "phantom", "phantom.kpt"), GridField)
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
-        sino = transform.forward(fld, frames, t_grid, quad, order=order, threads=threads)
+        sino = transform.forward(fld, frames, t_grid, quad, order=order)
     elapsed = 1000 * (time.perf_counter() - t0)
     sino_path = _out_path(cfg, out_dir, "sinogram", "sinogram.kpt")
     write_kpt(sino_path, sino)
@@ -256,12 +256,12 @@ def cmd_forward(cfg: dict, out_dir: str | None, seed: int | None, threads: int |
         "rule": transform.forward_rule(fld.spec, frames, t_grid, quad),
         "warnings": [str(w.message) for w in caught],
     }
-    _write_report(sino_path.with_suffix(".report.json"), report, threads)
+    _write_report(sino_path.with_suffix(".report.json"), report)
     print(f"wrote {sino_path}")
     return EXIT_OK
 
 
-def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
+def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None) -> int:
     grid = _grid_from(cfg)
     pad = _get(_get(cfg, "filter", dict, {}), "pad_factor", float, 2.0)
     sino = _read_kind(_out_path(cfg, out_dir, "sinogram", "sinogram.kpt"), Sinogram)
@@ -270,7 +270,7 @@ def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None, threads: int | Non
         warnings.simplefilter("always", TruncationWarning)
         filtered = filters.ramp_filter(sino, sino.d, sino.k, pad)  # transform.fbp, timed by stage
         t1 = time.perf_counter()
-        recon = transform.backproject(filtered, grid, threads=threads)
+        recon = transform.backproject(filtered, grid)
     t2 = time.perf_counter()
     timings = {"fbp": 1000 * (t2 - t0), "ramp": 1000 * (t1 - t0), "backproject": 1000 * (t2 - t1)}
     recon_path = _out_path(cfg, out_dir, "reconstruction", "recon.kpt")
@@ -287,30 +287,30 @@ def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None, threads: int | Non
         report["gain"] = (
             float((recon.values * reference.values).sum()) / denom if denom else None
         )
-    _write_report(_out_path(cfg, out_dir, "report", "report.json"), report, threads)
+    _write_report(_out_path(cfg, out_dir, "report", "report.json"), report)
     print(f"wrote {recon_path}")
     return EXIT_OK
 
 
-def cmd_calibrate(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
+def cmd_calibrate(cfg: dict, out_dir: str | None, seed: int | None) -> int:
     grid, frames, t_grid, quad, order = _projection_from(cfg, seed, 1)
     pad = _get(_get(cfg, "filter", dict, {}), "pad_factor", float, 2.0)
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         gain = transform.calibrate_gain(frames.d, frames.k, frames, grid, t_grid, quad,
-                                        order=order, pad_factor=pad, threads=threads)
+                                        order=order, pad_factor=pad)
     report = {
         "timings_ms": {"calibrate": 1000 * (time.perf_counter() - t0)},
         "rule": transform.backproject_rule(grid, t_grid),
         "gain": gain,
     }
-    _write_report(_out_path(cfg, out_dir, "report", "report.json"), report, threads)
+    _write_report(_out_path(cfg, out_dir, "report", "report.json"), report)
     print(f"gain = {gain:.6f}")
     return EXIT_OK
 
 
-def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: int | None) -> int:
+def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None) -> int:
     sp = _get(cfg, "sparse", dict)
     d, k = _get(cfg, "d", int), _get(cfg, "k", int)
     if (d, k) != (2, 1):
@@ -397,7 +397,7 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None, threads: i
         "counters": {**problem.stats, **dico.table.counts},
         "support_size": len(solution["support"]),
     }
-    _write_report(_out_path(cfg, out_dir, "report", "report.json"), report, threads)
+    _write_report(_out_path(cfg, out_dir, "report", "report.json"), report)
     print(f"wrote {recon_path} (support {len(solution['support'])})")
     return EXIT_OK
 
@@ -523,7 +523,7 @@ def _run_verify_checks() -> dict[str, float]:
     return values
 
 
-def cmd_verify(cfg: dict | None, out_dir: str | None, seed: int | None, threads: int | None) -> int:
+def cmd_verify(cfg: dict | None, out_dir: str | None, seed: int | None) -> int:
     tolerances, overrides = dict(VERIFY_TOLERANCES), _get(cfg or {}, "tolerances", dict, {})
     for name in overrides:
         if name not in tolerances:
@@ -564,19 +564,16 @@ _PARSER.add_argument("command", choices=[*COMMANDS, "verify"])
 _PARSER.add_argument("--config", help="path to a JSON run configuration")
 _PARSER.add_argument("--out", help="output directory override")
 _PARSER.add_argument("--seed", type=int, help="override the config's frame seed")
-_PARSER.add_argument("--threads", type=int, help="worker threads for frame loops "
-                     "(default: env KPLANE_THREADS, else 1)")
+_PARSER.add_argument("--threads", type=int, help="ignored: every run is serial")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
 
     try:
-        with _reading():
-            threads = transform._thread_count(args.threads)
         cfg = _load_config(args.config) if args.config or args.command != "verify" else None
         with np.errstate(over="raise"):  # a float overflow is a numeric error, not a warning
-            return COMMANDS.get(args.command, cmd_verify)(cfg, args.out, args.seed, threads)
+            return COMMANDS.get(args.command, cmd_verify)(cfg, args.out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -197,7 +197,7 @@ class TGrid(GridSpec):
         return float(self.spacing**self.m)
 
 
-@dataclass
+@dataclass(eq=False)
 class Sinogram:
     """Samples of a function on Xi_k: one t-block per frame on a shared t-grid.
 

@@ -116,11 +116,11 @@ def pk_project(
 
     Fixes sinograms in the range of the forward transform and annihilates
     their anti-isotropic complement; the grid is the intermediate domain for
-    the backprojection.
+    the backprojection.  threads is ignored: every run is serial.
     """
     filtered = ramp_filter(sino, sino.d, sino.k, pad_factor)
-    fld = backproject(filtered, grid, threads=threads)
-    return forward(fld, sino.frames, sino.t_grid, quad, order=order, threads=threads)
+    fld = backproject(filtered, grid)
+    return forward(fld, sino.frames, sino.t_grid, quad, order=order)
 
 
 @dataclass(eq=False)

@@ -18,13 +18,14 @@ the same kernel taps, spread instead of gathered, one padded FFT and the
 same deapodization); for d - k >= 2 it reads the sinogram in blocks of
 frames by one vectorised multilinear gather that is exactly 0 outside the
 t-grid, through the kernel forward_at's order-1 reads use (fields.lerp_t).
-Everything is pure and runs in blocks of frames.
+Everything is pure and serial.  Work runs in blocks of whole frames of fixed
+size, which bound peak memory and keep a block's arrays within the core's
+cache.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import warnings
 
 import numpy as np
@@ -56,38 +57,6 @@ def frameset_haar(d: int, k: int, n: int, seed: RngSeed) -> FrameSet:
     return FrameSet(_haar_rows(d, k, n, seed), "monte-carlo", seed)
 
 
-def _thread_count(threads: int | None) -> int:
-    """An explicit count >= 1, else KPLANE_THREADS; unset, empty or < 1 means 1.
-
-    A KPLANE_THREADS value that is not an integer raises ValueError.
-    """
-    if threads is not None and threads >= 1:
-        return int(threads)
-    env = os.environ.get("KPLANE_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"KPLANE_THREADS must be an integer, got {env!r}") from None
-
-
-def _pool_map(fn, items, n_threads: int) -> list:
-    """[fn(x) for x in items], on a pool of n_threads if n_threads > 1, each task
-    under the caller's numpy error state, which worker threads do not inherit."""
-    if n_threads == 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor  # loaded only where a pool starts
-    err = np.geterr()
-
-    def task(x):
-        with np.errstate(**err):
-            return fn(x)
-
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(task, items))
-
-
 _SUPPORT_FLOOR = 1e-6  # values at most this times the peak count as negligible
 
 
@@ -104,8 +73,8 @@ def _support_radius(fld: GridField) -> float:
 
 
 # Tensor quadrature nodes per forward_at block of whole frames (at least one
-# frame).  Fixed, so results do not depend on the thread count; larger blocks
-# raise peak RSS and, once their arrays outgrow the core's cache, cost time.
+# frame).  Larger blocks raise peak RSS and, once their arrays outgrow the
+# core's cache, cost time.
 _BLOCK_NODES = 1 << 15
 
 
@@ -115,17 +84,15 @@ def _block_frames(n_t: int, quad: QuadSpec, k: int) -> int:
 
 
 def forward_at(
-    interp: FieldInterpolator, rows: np.ndarray, t_pts: np.ndarray, quad: QuadSpec,
-    b: np.ndarray | None = None,
+    interp: FieldInterpolator, rows: np.ndarray, t_pts: np.ndarray, quad: QuadSpec
 ) -> np.ndarray:
     """Quadrature of the field over the planes {x : A x = t} for each t point.
 
     rows is one (d-k) x d frame matrix A, or an (n, d-k, d) stack of them, and
     the result has shape t_pts.shape[:-1], or (n,) + that; t_pts has shape
     (..., d-k).  Each plane is parameterized as x = B y + A^T t with B the
-    orthonormal completion of A (complete_frame, unless the caller passes it,
-    or the (n, d, k) stack, as b), and y running over tensor trapezoid nodes
-    in [-L, L]^k.
+    orthonormal completion of A (complete_frame) and y running over tensor
+    trapezoid nodes in [-L, L]^k.
 
     The work runs in the field's index coordinates u = (x - o) / h, in blocks
     of whole frames holding up to 2^15 tensor nodes (one frame, if it holds
@@ -145,9 +112,7 @@ def forward_at(
     m, d = np.shape(rows)[-2:]
     k = d - m
     rows = np.asarray(rows, dtype=float).reshape(-1, m, d)
-    if b is None:
-        b = complete_frame(rows)
-    b = np.reshape(b, (-1, d, k))
+    b = np.reshape(complete_frame(rows), (-1, d, k))
     nodes, weights = quad.nodes_weights(k)
     n = quad.nodes_per_axis
     t_pts = np.asarray(t_pts, dtype=float).reshape(-1, m)
@@ -524,14 +489,15 @@ def forward(
 
     For d - k = 1 (hyperplanes) the values come from the Fourier slice
     identity (_slice_generator: one padded FFT, a kernel gather per frame and
-    a direct sum over the sigma samples); quad, order and threads are unused
-    there.  A t-grid that does not hold the field's support, projected on
-    every frame, raises a TruncationWarning.
+    a direct sum over the sigma samples); quad and order are unused there.
+    A t-grid that does not hold the field's support, projected on every
+    frame, raises a TruncationWarning.
 
     For d - k >= 2 all frames go through one forward_at call (plane
-    quadrature), or with threads > 1 one call per 64 of its blocks, so the
-    values do not depend on the thread count; a quadrature halfwidth below
-    the field's support radius raises a TruncationWarning.
+    quadrature); a quadrature halfwidth below the field's support radius
+    raises a TruncationWarning.
+
+    threads is ignored: every run is serial.
 
     The returned sinogram carries a generator handle so its underlying
     function can be re-evaluated exactly at rotated frame coordinates; it is
@@ -568,17 +534,7 @@ def forward(
             stacklevel=2,
         )
     interp = FieldInterpolator(fld, order=order)
-    t_pts = t_grid.points()
-    rows, completions = frames.rows, complete_frame(frames)
-    n_threads = _thread_count(threads)
-    if n_threads > 1:
-        chunk = 64 * _block_frames(len(t_pts), quad, k)  # frames per task: whole blocks
-        values = np.concatenate(_pool_map(
-            lambda f0: forward_at(interp, rows[f0:f0 + chunk], t_pts, quad,
-                                  completions[f0:f0 + chunk]),
-            range(0, len(frames), chunk), n_threads))
-    else:
-        values = forward_at(interp, rows, t_pts, quad, completions)
+    values = forward_at(interp, frames.rows, t_grid.points(), quad)
     return Sinogram(d, k, frames, t_grid, values,
                     lambda rows, pts: forward_at(interp, rows, pts, quad))
 
@@ -606,17 +562,17 @@ def backproject(
     For d - k = 1 it is the exact transpose of forward()'s Fourier slice rule
     on grid, with respect to sino_dot and field_dot (_slice_transpose: the
     sinogram's sigma coefficients, one spread of the same ES-kernel taps, one
-    padded FFT and the same deapodization); threads is unused there.  A grid
-    box whose projection leaves the t-grid on some frame raises a truncation
-    warning.
+    padded FFT and the same deapodization).  A grid box whose projection
+    leaves the t-grid on some frame raises a truncation warning.
 
     For d - k >= 2 it reads g multilinearly in t, never across frames.  A
     block of about 2^14 frames x grid points is read at once: its t-grid index
     coordinates u = (A x - o) / h come from one small matrix product with the
     grid's index points and are read by one gather (fields.lerp_t).  Grid
     points whose A x leaves the t-grid on any axis read exactly 0 and raise a
-    truncation warning.  Blocks add into fixed 64-frame partial sums, so
-    threads do not change the result.
+    truncation warning.
+
+    threads is ignored: every run is serial.
     """
     d, tg = grid.d, sino.t_grid
     if d != sino.d:
@@ -644,28 +600,16 @@ def backproject(
     shift = ((rows @ grid.origin - tg.origin[:, None]) / tg.spacing)[..., None]
     cells = np.indices(grid.shape, dtype=float).reshape(d, -1)
     flat = sino.values.reshape(-1)
-    chunk = 64  # frames per partial sum; fixed so results are reproducible
     block = max(1, (1 << 14) // grid.size)  # frames per gather; larger blocks raise peak RSS
-
-    def run_chunk(first: int) -> tuple[np.ndarray, int]:
-        partial = np.zeros(grid.size)
-        outside = 0
-        stop = min(first + chunk, sino.n_frames)
-        for f0 in range(first, stop, block):
-            f = slice(f0, min(f0 + block, stop))
-            u = coef[:, f] @ cells
-            u += shift[:, f]
-            base = (tg.size * np.arange(f.start, f.stop, dtype=float))[:, None]
-            vals, out = lerp_t(flat, tg.shape, u, base)
-            partial += vals.sum(axis=0)
-            outside += out
-        return partial, outside
-
-    results = _pool_map(run_chunk, range(0, sino.n_frames, chunk), _thread_count(threads))
     total = np.zeros(grid.size)
     truncated = 0
-    for partial, outside in results:
-        total += partial
+    for f0 in range(0, sino.n_frames, block):
+        f = slice(f0, min(f0 + block, sino.n_frames))
+        u = coef[:, f] @ cells
+        u += shift[:, f]
+        base = (tg.size * np.arange(f.start, f.stop, dtype=float))[:, None]
+        vals, outside = lerp_t(flat, tg.shape, u, base)
+        total += vals.sum(axis=0)
         truncated += outside
     if truncated:
         warnings.warn(
@@ -681,8 +625,8 @@ def fbp(sino: Sinogram, d: int, k: int, grid: GridSpec,
         pad_factor: float = 2.0, threads: int | None = None) -> GridField:
     """Filtered backprojection: backproject the ramp-filtered sinogram, by the
     transpose of the slice forward at d - k = 1 and the multilinear gather
-    at d - k >= 2 (backproject_rule)."""
-    return backproject(ramp_filter(sino, d, k, pad_factor), grid, threads=threads)
+    at d - k >= 2 (backproject_rule).  threads is ignored: every run is serial."""
+    return backproject(ramp_filter(sino, d, k, pad_factor), grid)
 
 
 def calibrate_gain(
@@ -700,11 +644,12 @@ def calibrate_gain(
 
     Runs forward + fbp on the standard Gaussian density and returns the
     least-squares scalar s minimizing ||s * fbp - truth||; s should be 1 up
-    to discretization error.  Guards the Haar-mass convention.
+    to discretization error.  Guards the Haar-mass convention.  threads is
+    ignored: every run is serial.
     """
     fld = gaussian_field(grid)
-    sino = forward(fld, frames, t_grid, quad, order=order, threads=threads)
-    recon = fbp(sino, d, k, grid, pad_factor, threads=threads)
+    sino = forward(fld, frames, t_grid, quad, order=order)
+    recon = fbp(sino, d, k, grid, pad_factor)
     num = float((recon.values * fld.values).sum())
     den = float((recon.values**2).sum())
     if den == 0.0:

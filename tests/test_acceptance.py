@@ -25,8 +25,6 @@ from kplane import (
 from kplane.cli import main as cli_main
 from kplane.transform import sino_dot, sino_norm
 
-pytestmark = pytest.mark.filterwarnings("ignore::kplane.errors.TruncationWarning")
-
 
 def report(name: str, detail: str) -> None:
     print(f"PASS {name}: {detail}")

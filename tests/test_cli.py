@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kplane
-from kplane import FormatError, integrate, read_kpt, transform, write_kpt
+from kplane import FormatError, integrate, read_kpt, write_kpt
 from kplane.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
 
 
@@ -413,29 +413,24 @@ def test_forward_rejects_wrong_input_kind(tmp_path):
     assert main(["forward", "--config", path]) == EXIT_IO
 
 
-def test_help_ignores_bad_threads_env(monkeypatch):
-    monkeypatch.setenv("KPLANE_THREADS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
-
-
-def test_bad_threads_env_exit_2(monkeypatch, capsys):
-    monkeypatch.setenv("KPLANE_THREADS", "abc")
-    assert main(["verify"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "KPLANE_THREADS" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("value,expected", [(None, 1), ("", 1), (" ", 1), ("0", 1), ("3", 3)])
-def test_threads_env_default(monkeypatch, value, expected):
-    if value is None:
-        monkeypatch.delenv("KPLANE_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("KPLANE_THREADS", value)
-    assert transform._thread_count(None) == expected
-    assert transform._thread_count(2) == 2
+def test_threads_flag_and_env_are_ignored(tmp_path, monkeypatch):
+    # --threads parses and is ignored, and KPLANE_THREADS is not read: the
+    # same KPT bytes as a run without either, with exit 0
+    cfg = base_config(tmp_path / "out")
+    cfg["frames"] = {"mode": "monte-carlo", "count": 24, "seed": 11, "stream": 2}
+    blobs = []
+    for name, extra, env in (("plain", [], None), ("flag", ["--threads", "3"], None),
+                             ("env", [], "abc")):
+        out = tmp_path / name
+        path = write_config(tmp_path, {**cfg, "output": {"dir": str(out)}}, name=f"{name}.json")
+        if env is None:
+            monkeypatch.delenv("KPLANE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("KPLANE_THREADS", env)
+        for command in ("phantom", "forward", "fbp"):
+            assert main([command, "--config", path, *extra]) == 0, (name, command)
+        blobs.append([(out / f).read_bytes() for f in ("phantom.kpt", "sinogram.kpt", "recon.kpt")])
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_kpt_header_without_origin_exit_3(tmp_path, capsys):
@@ -518,10 +513,9 @@ def test_fbp_on_sinogram_with_one_bad_frame_exits_3(tmp_path, capsys, bad_row):
     assert err.startswith("i/o error:") and "Traceback" not in err
 
 
-def test_fbp_overflow_fails_alike_on_one_and_two_threads(tmp_path, capsys):
-    # the backprojection's pool workers keep the command's overflow check: a
-    # sinogram that the ramp filter keeps finite (alternating in t) but whose
-    # 200-frame sum overflows exits 4 with the same message at either count
+def test_fbp_overflow_exits_4(tmp_path, capsys):
+    # a sinogram that the ramp filter keeps finite (alternating in t) but whose
+    # 200-frame sum overflows exits 4 with an overflow message
     out = tmp_path / "out"
     cfg = small_config(out)
     cfg["frames"]["count"] = 200
@@ -531,13 +525,10 @@ def test_fbp_overflow_fails_alike_on_one_and_two_threads(tmp_path, capsys):
     sino = read_kpt(out / "sinogram.kpt")
     alternating = 1e307 * (-1.0) ** np.arange(sino.values.shape[-1])
     write_kpt(out / "sinogram.kpt", sino.copy_with(np.broadcast_to(alternating, sino.values.shape)))
-    errs = []
-    for threads in ("1", "2"):
-        capsys.readouterr()
-        assert main(["fbp", "--config", path, "--threads", threads]) == EXIT_NUMERIC
-        errs.append(capsys.readouterr().err)
-    assert errs[0] == errs[1]
-    assert errs[0].startswith("numeric error: overflow") and "Traceback" not in errs[0]
+    capsys.readouterr()
+    assert main(["fbp", "--config", path]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: overflow") and "Traceback" not in err
 
 
 def test_forward_overflow_in_the_plane_sums_exits_4(tmp_path, capsys):
@@ -849,13 +840,11 @@ def test_d_minus_k_1_pipelines_run_without_scipy(tmp_path):
     # O(1) projector rendering, the CLI pipeline), the order-3 forward at (3, 1)
     # with the Monte-Carlo and range projectors on it, and order-3 interpolation
     # run on numpy alone; only bessel_j loads scipy (scipy.special), on first
-    # use, in a fresh interpreter.  On one thread no path loads the thread
-    # pool's module (concurrent.futures).
+    # use, in a fresh interpreter.  No path loads concurrent.futures.
     src = str(Path(kplane.__file__).resolve().parent.parent)
     cfg = write_config(tmp_path, small_config(tmp_path / "out"))
-    env = {key: value for key, value in os.environ.items() if key != "KPLANE_THREADS"}
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, src, cfg],
-                          capture_output=True, text=True, timeout=300, cwd=tmp_path, env=env)
+                          capture_output=True, text=True, timeout=300, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded["import"] == loaded["pipelines"] == []
@@ -893,14 +882,14 @@ def test_every_command_report_is_stamped(tmp_path):
     path = write_config(tmp_path, small_config(out))
     reports = {}
     for command in ("phantom", "forward", "fbp", "calibrate", "reconstruct"):
-        assert main([command, "--config", path, "--threads", "2"]) == 0
+        assert main([command, "--config", path]) == 0
         name = {"phantom": "phantom.report.json", "forward": "sinogram.report.json"}
         reports[command] = json.loads((out / name.get(command, "report.json")).read_text())
     for command, report in reports.items():
-        assert report["schema_version"] == 2, command
+        assert report["schema_version"] == 3, command
         assert report["env"] == {
             "kplane": kplane.__version__, "numpy": np.__version__, "scipy": scipy.__version__,
-            "python": platform.python_version(), "threads": 2,
+            "python": platform.python_version(),
             "scipy_loaded": report["env"]["scipy_loaded"],
         }, command
         assert isinstance(report["env"]["scipy_loaded"], bool)

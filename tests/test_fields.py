@@ -223,6 +223,16 @@ def test_sinogram_validation():
             Sinogram(3, 1, sino.frames, sino.t_grid, values)
 
 
+def test_sinogram_equality_is_identity():
+    # a sinogram holds arrays, so == is identity (as for every array-holding
+    # class): equal values do not make two sinograms equal, and `in` and hashing work
+    a = make_sinogram()
+    b = Sinogram(a.d, a.k, a.frames, a.t_grid, a.values.copy())
+    assert a == a and a != b and not (a == b)
+    assert a in [b, a] and b not in [a]
+    assert len({a, b, a}) == 2
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [_FINITE_BLOCK - 1, _FINITE_BLOCK, -1],
                          ids=["block-end", "block-start", "last"])
