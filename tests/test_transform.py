@@ -426,9 +426,11 @@ def test_rotation_pair_consistency_k2():
         assert np.abs(flipped - sino.values[i].ravel()).max() <= 2e-3
 
 
-def test_overflow_raises_under_the_callers_error_state():
-    # an overflow raises under the caller's numpy error state: in backproject's
-    # frame sum, and in forward's multilinear reads of a +-1.7e308 checkerboard
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pooled_work_keeps_the_callers_error_state(threads):
+    # an overflow raises under the caller's numpy error state, whatever threads
+    # says: in backproject's frame sum, and in forward's multilinear reads of a
+    # +-1.7e308 checkerboard
     sino = Sinogram(2, 1, frameset_circle(200), TGrid.centered(1, 16, 0.5),
                     np.full((200, 16), 1.7e308))
     fld = GridField(np.zeros(3), 0.5, (8, 8, 8), 1.7e308 * (-1.0) ** np.indices((8, 8, 8)).sum(0))
@@ -436,9 +438,9 @@ def test_overflow_raises_under_the_callers_error_state():
     with np.errstate(over="raise"), warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         with pytest.raises(FloatingPointError):
-            backproject(sino, GridSpec.centered(2, 6, 0.5))
+            backproject(sino, GridSpec.centered(2, 6, 0.5), threads=threads)
         with pytest.raises(FloatingPointError):
-            forward(fld, frames, TGrid.centered(2, 4, 0.5), order=1)
+            forward(fld, frames, TGrid.centered(2, 4, 0.5), order=1, threads=threads)
 
 
 def test_threads_is_ignored():
