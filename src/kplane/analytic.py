@@ -55,6 +55,8 @@ def slice_pair(
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (frame.m,):
         raise DomainError(f"omega must have shape ({frame.m},)")
+    if fld.d != frame.d:
+        raise DomainError(f"field dimension {fld.d} != frame d = {frame.d}")
     spec = fld.spec
     if t_grid is None:
         diag = spec.spacing * float(np.linalg.norm(np.array(spec.shape) - 1))

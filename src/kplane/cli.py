@@ -243,7 +243,10 @@ def cmd_phantom(cfg: dict, out_dir: str | None, seed: int | None) -> int:
 
 def cmd_forward(cfg: dict, out_dir: str | None, seed: int | None) -> int:
     grid, frames, t_grid, quad, order = _projection_from(cfg, seed, 3)
-    fld = _read_kind(_out_path(cfg, out_dir, "phantom", "phantom.kpt"), GridField)
+    phantom_path = _out_path(cfg, out_dir, "phantom", "phantom.kpt")
+    fld = _read_kind(phantom_path, GridField)
+    if not transform.same_grid(fld, grid):
+        raise DomainError(f"phantom {phantom_path} does not lie on the config grid")
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
@@ -268,7 +271,7 @@ def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None) -> int:
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
-        filtered = filters.ramp_filter(sino, sino.d, sino.k, pad)  # transform.fbp, timed by stage
+        filtered = filters.ramp_filter(sino, pad_factor=pad)  # transform.fbp, timed by stage
         t1 = time.perf_counter()
         recon = transform.backproject(filtered, grid)
     t2 = time.perf_counter()
@@ -277,7 +280,7 @@ def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None) -> int:
     write_kpt(recon_path, recon)
     _write_slice_csv(recon_path.with_suffix(".slice.csv"), recon)
 
-    report = {"timings_ms": timings, "rule": transform.backproject_rule(grid, filtered),
+    report = {"timings_ms": timings, "rule": transform.backproject_rule(grid, sino.t_grid),
               "warnings": [str(w.message) for w in caught]}
     phantom_path = _out_path(cfg, out_dir, "phantom", "phantom.kpt")
     if phantom_path.exists():
@@ -298,8 +301,7 @@ def cmd_calibrate(cfg: dict, out_dir: str | None, seed: int | None) -> int:
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        gain = transform.calibrate_gain(frames.d, frames.k, frames, grid, t_grid, quad,
-                                        order=order, pad_factor=pad)
+        gain = transform.calibrate_gain(frames, grid, t_grid, quad, order=order, pad_factor=pad)
     report = {
         "timings_ms": {"calibrate": 1000 * (time.perf_counter() - t0)},
         "rule": transform.backproject_rule(grid, t_grid),
@@ -342,7 +344,7 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None) -> int:
     angles = np.pi * np.arange(n_frames) / n_frames
     frames = geometry.FrameSet(np.stack([np.cos(angles), np.sin(angles)], -1)[:, None], "explicit")
     t_dict = time.perf_counter()
-    dico = sparse.build_dictionary(frames, offsets, s, d, k)
+    dico = sparse.build_dictionary(frames, offsets, s)
     timings = {"dictionary": 1000 * (time.perf_counter() - t_dict)}
 
     pts = grid.points()
@@ -355,7 +357,7 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None) -> int:
     meas = sparse.MeasurementSet(functionals)
 
     t0 = time.perf_counter()
-    gram = sparse.assemble(dico, meas, grid)
+    gram = sparse.assemble(dico, meas)
     timings["assemble"] = 1000 * (time.perf_counter() - t0)
     if planted:
         a_true = np.zeros(len(dico))
@@ -365,6 +367,8 @@ def cmd_reconstruct(cfg: dict, out_dir: str | None, seed: int | None) -> int:
     else:
         phantom_path = _out_path(cfg, out_dir, "phantom", "phantom.kpt")
         fld = _read_kind(phantom_path, GridField)
+        if not transform.same_grid(fld, grid):
+            raise DomainError(f"phantom {phantom_path} does not lie on the config grid")
         cell = grid.spacing**grid.d
         y = np.array([cell * (h.values * fld.values).sum() for h in functionals])
 
@@ -477,9 +481,9 @@ def _run_verify_checks() -> dict[str, float]:
     frames_fbp = transform.frameset_circle(180)
     t_fbp = TGrid.centered(1, 128, 0.2)
     sino_fbp = transform.forward(mix, frames_fbp, t_fbp, quad_wide, order=1)
-    recon = transform.fbp(sino_fbp, 2, 1, grid)
+    recon = transform.fbp(sino_fbp, grid)
     values["fbp_rel_l2_2d"] = transform.rel_l2_error(recon, mix)
-    gain = transform.calibrate_gain(2, 1, frames_fbp, grid, t_fbp, quad)
+    gain = transform.calibrate_gain(frames_fbp, grid, t_fbp, quad)
     values["inversion_gain_2d"] = abs(gain - 1.0)
     # backproject at d - k = 1 is the transpose of forward: <F f, g> = <f, B g>
     probe = sino_fbp.copy_with(np.exp(-((t_fbp.axes()[0] - 0.7 * frames_fbp.rows[:, 0, :1]) ** 2)))

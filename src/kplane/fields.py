@@ -201,15 +201,13 @@ class TGrid(GridSpec):
 class Sinogram:
     """Samples of a function on Xi_k: one t-block per frame on a shared t-grid.
 
-    ``frames`` is held as given if a ``FrameSet``, else wrapped once as
-    ``FrameSet(frames, "explicit")``.  ``generator``, when present, evaluates
-    the underlying function at arbitrary (frame, t) pairs; sinograms produced
-    by the forward transform carry one so that frame-rotated coordinates can
-    be re-rendered exactly.  It is never serialized.
+    ``frames``, a ``FrameSet``, fixes (d, k), read as ``d`` and ``k``.
+    ``generator``, when present, evaluates the underlying function at
+    arbitrary (frame, t) pairs; sinograms produced by the forward transform
+    carry one so that frame-rotated coordinates can be re-rendered exactly.
+    It is never serialized.
     """
 
-    d: int
-    k: int
     frames: FrameSet
     t_grid: TGrid
     values: np.ndarray
@@ -217,17 +215,21 @@ class Sinogram:
 
     def __post_init__(self):
         if not isinstance(self.frames, FrameSet):
-            self.frames = FrameSet(self.frames, "explicit")
-        if (self.frames.d, self.frames.k) != (self.d, self.k):
-            raise DomainError("all frames must share the sinogram's (d, k)")
-        if self.t_grid.m != self.d - self.k:
-            raise DomainError(
-                f"t-grid dimension {self.t_grid.m} != d-k = {self.d - self.k}"
-            )
+            raise TypeError(f"frames must be a FrameSet, got {type(self.frames)!r}")
+        if self.t_grid.m != self.m:
+            raise DomainError(f"t-grid dimension {self.t_grid.m} != d-k = {self.m}")
         vals = np.asarray(self.values, dtype=float).reshape((len(self.frames),) + self.t_grid.shape)
         if not all_finite(vals):
             raise DomainError("sinogram values must be finite")
         self.values = vals
+
+    @property
+    def d(self) -> int:
+        return self.frames.d
+
+    @property
+    def k(self) -> int:
+        return self.frames.k
 
     @property
     def m(self) -> int:
@@ -238,7 +240,7 @@ class Sinogram:
         return len(self.frames)
 
     def copy_with(self, values: np.ndarray, generator=None) -> "Sinogram":
-        return Sinogram(self.d, self.k, self.frames, self.t_grid, values, generator)
+        return Sinogram(self.frames, self.t_grid, values, generator)
 
 
 def _into_box(uj: np.ndarray, n: int, inside: np.ndarray | None):
@@ -470,11 +472,13 @@ def read_kpt(path) -> GridField | Sinogram:
     d, k, shape = header["d"], header.get("k", 0), tuple(header["shape"])
     try:
         origin = np.array(header["origin"], dtype=float)
-        frames = np.array(header.get("frames", []), dtype=float)  # Sinogram checks the stack
+        frames = np.array(header.get("frames", []), dtype=float)  # FrameSet checks the stack
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad header origin or frame rows ({exc})", offset=8) from exc
     if not origin.shape == (len(shape),) == (d - k,) or not all(isinstance(n, int) for n in shape):
         raise FormatError(f"header origin {origin} and shape {shape} disagree", offset=8)
+    if kind == "sinogram" and frames.ndim == 3 and frames.shape[1:] != (d - k, d):
+        raise FormatError(f"header (d, k) = {(d, k)} but frame rows {frames.shape[1:]}", offset=8)
 
     payload_offset = 8 + hlen
     payload = blob[payload_offset:]
@@ -490,6 +494,7 @@ def read_kpt(path) -> GridField | Sinogram:
     try:
         if kind == "grid":
             return GridField(origin, header["spacing"], shape, values)
-        return Sinogram(d, k, frames, TGrid(origin, header["spacing"], shape), values)
+        return Sinogram(FrameSet(frames, "explicit"), TGrid(origin, header["spacing"], shape),
+                        values)
     except DomainError as exc:
         raise FormatError(f"header does not describe a valid {kind} ({exc})", offset=8) from exc

@@ -60,7 +60,7 @@ class Frame:
 
 @dataclass(frozen=True, eq=False)
 class FrameSet:
-    """Discretization of the Haar integral over V_{d-k}(R^d).
+    """Discretization of the Haar integral over V_{d-k}(R^d); its rows fix (d, k).
 
     ``rows``, the read-only (n, d-k, d) stack of frame rows, is given as such or as
     ``Frame``s sharing (d, k) and checked once; ``frames`` is built on first read.
@@ -231,16 +231,16 @@ def haar_orthogonal_sample(m: int, rng) -> Rotation:
     return Rotation(m, _haar_stack(1, m, m, rng)[0])
 
 
-def complete_frame(frame: Frame | FrameSet | np.ndarray) -> np.ndarray:
+def complete_frame(rows: np.ndarray) -> np.ndarray:
     """Orthonormal basis B (d x k) of the k-plane direction space A^perp.
 
     Columns of B complete the rows of A to an orthonormal basis of R^d;
-    deterministic given A (full QR of A^T).  A FrameSet, or a bare (n, d-k, d)
-    rows array, is completed by one batched QR into an (n, d, k) stack, frame
-    by frame bit-identical to the single-frame completion; a bare (d-k, d)
-    array is one frame.  Bare rows are taken as orthonormal, not checked.
+    deterministic given A (full QR of A^T).  rows is one (d-k, d) frame, or an
+    (n, d-k, d) stack completed by one batched QR into an (n, d, k) stack,
+    frame by frame bit-identical to the single-frame completion.  The rows
+    are taken as orthonormal, not checked.
     """
-    rows = frame.rows if isinstance(frame, (Frame, FrameSet)) else np.asarray(frame, dtype=float)
+    rows = np.asarray(rows, dtype=float)
     d, m = rows.shape[-1], rows.shape[-2]
     q, _ = np.linalg.qr(np.swapaxes(rows, -1, -2), mode="complete")
     b = q[..., m:]
@@ -261,14 +261,12 @@ def rotate_pair(frame: Frame, t: np.ndarray, rot: Rotation) -> tuple[Frame, np.n
     return Frame(frame.d, frame.k, rot.mat @ frame.rows), rot.mat @ t
 
 
-def frobenius_distance(a: np.ndarray | Frame, b: np.ndarray | Frame) -> float:
+def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Plain embedded (chordal) distance ||A - B||_F between Stiefel points."""
-    ra = a.rows if isinstance(a, Frame) else np.asarray(a)
-    rb = b.rows if isinstance(b, Frame) else np.asarray(b)
-    return float(np.linalg.norm(ra - rb))
+    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
-def orbit_distance(a: np.ndarray | Frame, b: np.ndarray | Frame) -> float:
+def orbit_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Rotation-invariant distance min_U ||U A - B||_F.
 
     Evaluated as the direct residual ||V A - B||_F with V = align_rotation(A, B),
@@ -276,18 +274,14 @@ def orbit_distance(a: np.ndarray | Frame, b: np.ndarray | Frame) -> float:
     reads about 1e-15 for equal planes.  The closed form sqrt(2m - 2 sum sigma)
     cancels to a floor near sqrt(eps) ~ 1.5e-8 instead.
     """
-    ra = a.rows if isinstance(a, Frame) else np.asarray(a)
-    rb = b.rows if isinstance(b, Frame) else np.asarray(b)
-    return float(np.linalg.norm(align_rotation(ra, rb) @ ra - rb))
+    return float(np.linalg.norm(align_rotation(a, b) @ a - b))
 
 
-def align_rotation(src: np.ndarray | Frame, dst: np.ndarray | Frame) -> np.ndarray:
+def align_rotation(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Orthogonal V minimizing ||V A_src - A_dst||_F (orthogonal Procrustes).
 
-    src or dst may be an (n, m, d) stack of frame rows; the result is then the
-    (n, m, m) stack of rotations from one batched SVD.
+    src and dst are (m, d) frame rows; either may be an (n, m, d) stack, and
+    the result is then the (n, m, m) stack of rotations from one batched SVD.
     """
-    ra = src.rows if isinstance(src, Frame) else np.asarray(src)
-    rb = dst.rows if isinstance(dst, Frame) else np.asarray(dst)
-    p, _, qt = np.linalg.svd(ra @ np.swapaxes(rb, -1, -2))
+    p, _, qt = np.linalg.svd(np.asarray(src) @ np.swapaxes(dst, -1, -2))
     return np.swapaxes(qt, -1, -2) @ np.swapaxes(p, -1, -2)

@@ -118,7 +118,7 @@ def pk_project(
     their anti-isotropic complement; the grid is the intermediate domain for
     the backprojection.  threads is ignored: every run is serial.
     """
-    filtered = ramp_filter(sino, sino.d, sino.k, pad_factor)
+    filtered = ramp_filter(sino, pad_factor=pad_factor)
     fld = backproject(filtered, grid)
     return forward(fld, sino.frames, sino.t_grid, quad, order=order)
 
@@ -208,4 +208,4 @@ def render_delta_iso(
                 bump = (bump[:, :, None] * g[:, None, :]).reshape(len(bump), -1)
             vals[f] += bump
 
-    return Sinogram(d, k, frames, t_grid, vals)
+    return Sinogram(frames, t_grid, vals)

@@ -23,7 +23,7 @@ from . import geometry
 from .errors import DomainError
 from .fields import GridField, GridSpec, all_finite
 from .filters import RadialTable, green_rbf
-from .geometry import Frame, FrameSet
+from .geometry import FrameSet
 from .transform import same_grid
 
 DEDUP_TOL = 1e-9
@@ -49,7 +49,7 @@ class Dictionary:
 
 @dataclass(eq=False)
 class MeasurementSet:
-    """Linear functionals h_1..h_M given as grid fields; pairing is quadrature."""
+    """Linear functionals h_1..h_M given as grid fields on one grid; pairing is quadrature."""
 
     functionals: list[GridField]
 
@@ -57,11 +57,17 @@ class MeasurementSet:
         if not self.functionals:
             raise DomainError("need at least one measurement functional")
         for h in self.functionals:
+            if not same_grid(h, self.functionals[0]):
+                raise DomainError("measurement functionals must lie on one grid")
             if not all_finite(h.values):
                 raise DomainError("measurement functionals must be finite")
 
     def __len__(self) -> int:
         return len(self.functionals)
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.functionals[0].spec
 
 
 @dataclass(eq=False)
@@ -87,29 +93,25 @@ class LassoProblem:
             raise DomainError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
-def build_dictionary(frame_grid, offset_grid, s: float, d: int, k: int) -> Dictionary:
+def build_dictionary(frames: FrameSet, offset_grid, s: float) -> Dictionary:
     """Cartesian product of frames and offsets, frame-major, duplicates rejected.
 
-    ``frame_grid`` is a ``FrameSet``, or a sequence of ``Frame`` or rows, of this
-    (d, k); offsets have d - k entries.  Atoms (A_i, t_p) and (A_j, t_q) are
-    duplicates when ||V A_i - A_j||_F and ||V t_p - t_q|| are both <= DEDUP_TOL,
-    V = ``geometry.align_rotation(A_i, A_j)``: one batched alignment per frame j
-    against frames 0..j, then offsets compared only for equivalent pairs.  The
-    ``DomainError`` names the first duplicate (frame-major).
+    Offsets have m = d - k entries, (d, k) being the frame set's.  Atoms
+    (A_i, t_p) and (A_j, t_q) are duplicates when ||V A_i - A_j||_F and
+    ||V t_p - t_q|| are both <= DEDUP_TOL, V = ``geometry.align_rotation(A_i,
+    A_j)``: one batched alignment per frame j against frames 0..j, then
+    offsets compared only for equivalent pairs.  The ``DomainError`` names
+    the first duplicate (frame-major).
     """
-    if not isinstance(frame_grid, FrameSet):
-        frame_grid = FrameSet([fr if isinstance(fr, Frame) else Frame(d, k, np.atleast_2d(fr))
-                               for fr in frame_grid], "explicit")
-    if (frame_grid.d, frame_grid.k) != (d, k):
-        raise DomainError(f"frames have (d, k) = {(frame_grid.d, frame_grid.k)}, not {(d, k)}")
+    m = frames.d - frames.k
     offs = [np.atleast_1d(np.asarray(t, dtype=float)) for t in offset_grid]
     if not offs:
         raise DomainError("offset grid must be nonempty")
-    if not d - k < s < math.inf:
-        raise DomainError(f"need finite s > d-k = {d - k}, got s={s}")
-    if any(t.shape != (d - k,) for t in offs):
-        raise DomainError(f"offsets must have shape ({d - k},)")
-    rows, offs = frame_grid.rows, np.stack(offs)
+    if not m < s < math.inf:
+        raise DomainError(f"need finite s > d-k = {m}, got s={s}")
+    if any(t.shape != (m,) for t in offs):
+        raise DomainError(f"offsets must have shape ({m},)")
+    rows, offs = frames.rows, np.stack(offs)
     if not all_finite(offs):
         raise DomainError("offsets must be finite")
     for j in range(len(rows)):
@@ -123,18 +125,17 @@ def build_dictionary(frame_grid, offset_grid, s: float, d: int, k: int) -> Dicti
         if dup.any():
             t = offs[int(np.argmax(dup))]
             raise DomainError(f"duplicate atom at frame {rows[j].tolist()}, offset {t.tolist()}")
-    return Dictionary(rows, offs, float(s), green_rbf(s, d - k))
+    return Dictionary(rows, offs, float(s), green_rbf(s, m))
 
 
-def assemble(dictionary: Dictionary, meas: MeasurementSet, field_grid: GridSpec) -> np.ndarray:
-    """Gram matrix G[m, j] = h^d sum_x h_m(x) * atom_j(x) over the grid.
+def assemble(dictionary: Dictionary, meas: MeasurementSet) -> np.ndarray:
+    """Gram matrix G[m, j] = h^d sum_x h_m(x) * atom_j(x) over the measurements' grid.
 
     The atoms stream through ``_atom_blocks`` and each block's columns are one
     product with the M x N measurement matrix, so memory is O(M J + M N): no
-    J x N atom matrix exists.  Every functional must lie on ``field_grid``.
+    J x N atom matrix exists.
     """
-    if not all(same_grid(h, field_grid) for h in meas.functionals):
-        raise DomainError("measurement functionals must lie on the field grid")
+    field_grid = meas.grid
     h_mat = np.stack([h.values.ravel() for h in meas.functionals])             # M x N
     cell = field_grid.spacing**field_grid.d
     gram = np.empty((len(meas), len(dictionary)))

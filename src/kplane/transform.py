@@ -485,7 +485,7 @@ def forward(
     order: int = 3,
     threads: int | None = None,
 ) -> Sinogram:
-    """k-plane transform of a grid field, sampled on frames x t-grid.
+    """k-plane transform of a grid field of the frames' dimension d, on frames x t-grid.
 
     For d - k = 1 (hyperplanes) the values come from the Fourier slice
     identity (_slice_generator: one padded FFT, a kernel gather per frame and
@@ -507,6 +507,8 @@ def forward(
     d, k = frames.d, frames.k
     if t_grid.m != d - k:
         raise DomainError(f"t-grid dimension {t_grid.m} != d-k = {d - k}")
+    if fld.d != d:
+        raise DomainError(f"field dimension {fld.d} != frame d = {d}")
     support_radius = _support_radius(fld)
     if d - k == 1:
         center = fld.origin + 0.5 * fld.spacing * (np.array(fld.shape) - 1)
@@ -522,8 +524,7 @@ def forward(
                 stacklevel=2,
             )
         generator = _slice_generator(fld, t_grid.spacing)
-        return Sinogram(d, k, frames, t_grid, generator(frames.rows, t_grid.points()),
-                        generator)
+        return Sinogram(frames, t_grid, generator(frames.rows, t_grid.points()), generator)
     if quad is None:
         quad = QuadSpec.default_for(fld.spec)
     if quad.halfwidth < support_radius:
@@ -535,18 +536,15 @@ def forward(
         )
     interp = FieldInterpolator(fld, order=order)
     values = forward_at(interp, frames.rows, t_grid.points(), quad)
-    return Sinogram(d, k, frames, t_grid, values,
-                    lambda rows, pts: forward_at(interp, rows, pts, quad))
+    return Sinogram(frames, t_grid, values, lambda rows, pts: forward_at(interp, rows, pts, quad))
 
 
-def backproject_rule(grid: GridSpec, sino: Sinogram | TGrid) -> dict:
-    """The rule backproject() applies to sino on grid; the rule depends only on
-    sino's t-grid, which may be passed instead.
+def backproject_rule(grid: GridSpec, t_grid: TGrid) -> dict:
+    """The rule backproject() applies on grid to a sinogram on t_grid.
 
     "fourier-slice-transpose" (d - k = 1) with its count of sigma samples,
     sigma_0 = 0 included, and kernel width W; else "multilinear-gather".
     """
-    t_grid = sino.t_grid if isinstance(sino, Sinogram) else sino
     if t_grid.m == 1:
         top = _slice_lattice(grid, t_grid.spacing)[1]
         return {"name": "fourier-slice-transpose", "sigma_samples": top + 1,
@@ -621,35 +619,24 @@ def backproject(
     return GridField(grid.origin, grid.spacing, grid.shape, (mass / sino.n_frames) * total)
 
 
-def fbp(sino: Sinogram, d: int, k: int, grid: GridSpec,
-        pad_factor: float = 2.0, threads: int | None = None) -> GridField:
+def fbp(sino: Sinogram, grid: GridSpec, pad_factor: float = 2.0) -> GridField:
     """Filtered backprojection: backproject the ramp-filtered sinogram, by the
     transpose of the slice forward at d - k = 1 and the multilinear gather
-    at d - k >= 2 (backproject_rule).  threads is ignored: every run is serial."""
-    return backproject(ramp_filter(sino, d, k, pad_factor), grid)
+    at d - k >= 2 (backproject_rule)."""
+    return backproject(ramp_filter(sino, pad_factor=pad_factor), grid)
 
 
-def calibrate_gain(
-    d: int,
-    k: int,
-    frames: FrameSet,
-    grid: GridSpec,
-    t_grid: TGrid,
-    quad: QuadSpec | None = None,
-    order: int = 1,
-    pad_factor: float = 2.0,
-    threads: int | None = None,
-) -> float:
+def calibrate_gain(frames: FrameSet, grid: GridSpec, t_grid: TGrid, quad: QuadSpec | None = None,
+                   order: int = 1, pad_factor: float = 2.0) -> float:
     """End-to-end scale check of the inversion identity on the unit Gaussian.
 
-    Runs forward + fbp on the standard Gaussian density and returns the
-    least-squares scalar s minimizing ||s * fbp - truth||; s should be 1 up
-    to discretization error.  Guards the Haar-mass convention.  threads is
-    ignored: every run is serial.
+    Runs forward + fbp on the standard Gaussian density on grid and returns
+    the least-squares scalar s minimizing ||s * fbp - truth||; s should be 1
+    up to discretization error.  Guards the Haar-mass convention.
     """
     fld = gaussian_field(grid)
     sino = forward(fld, frames, t_grid, quad, order=order)
-    recon = fbp(sino, d, k, grid, pad_factor)
+    recon = fbp(sino, grid, pad_factor)
     num = float((recon.values * fld.values).sum())
     den = float((recon.values**2).sum())
     if den == 0.0:
@@ -684,7 +671,7 @@ def same_grid(a: GridSpec | GridField, b: GridSpec | GridField) -> bool:
 def sino_dot(a: Sinogram, b: Sinogram) -> float:
     """Discrete pairing on Xi_k: Haar mass x frame mean of the t-grid sums."""
     same_frames = a.frames is b.frames or np.array_equal(a.frames.rows, b.frames.rows)
-    if (a.d, a.k) != (b.d, b.k) or not same_frames or not same_grid(a.t_grid, b.t_grid):
+    if not same_frames or not same_grid(a.t_grid, b.t_grid):
         raise DomainError("sinograms must share frames and t-grid")
     mass = stiefel_total_mass(a.d, a.k)
     per_frame = (a.values * b.values).reshape(a.n_frames, -1).sum(axis=1)

@@ -82,9 +82,9 @@ def test_criterion_03_inversion_2d():
     t_grid = TGrid.centered(1, 128, 0.2)
     quad = QuadSpec(9.0, 128)
     sino = kp.forward(mix, frames, t_grid, quad, order=1)
-    recon = kp.fbp(sino, 2, 1, spec)
+    recon = kp.fbp(sino, spec)
     err = kp.rel_l2_error(recon, mix)
-    gain = kp.calibrate_gain(2, 1, frames, spec, t_grid, quad)
+    gain = kp.calibrate_gain(frames, spec, t_grid, quad)
     assert err <= 0.05
     assert abs(gain - 1.0) <= 0.05
     report("criterion-3 inversion d2k1", f"rel L2 {err:.3f}, gain {gain:.3f}")
@@ -97,9 +97,9 @@ def test_criterion_03_inversion_3d_xray():
     t_grid = TGrid.centered(2, 48, 0.35)
     quad = QuadSpec(8.0, 48)
     sino = kp.forward(mix, frames, t_grid, quad, order=1)
-    recon = kp.fbp(sino, 3, 1, spec)
+    recon = kp.fbp(sino, spec)
     err = kp.rel_l2_error(recon, mix)
-    gain = kp.calibrate_gain(3, 1, frames, spec, t_grid, quad)
+    gain = kp.calibrate_gain(frames, spec, t_grid, quad)
     assert err <= 0.10
     assert abs(gain - 1.0) <= 0.05
     report("criterion-3 inversion d3k1", f"rel L2 {err:.3f}, gain {gain:.3f}")
@@ -112,9 +112,9 @@ def test_criterion_03_inversion_3d_radon():
     t_grid = TGrid.centered(1, 64, 0.3)
     quad = QuadSpec(8.0, 48)
     sino = kp.forward(mix, frames, t_grid, quad, order=1)
-    recon = kp.fbp(sino, 3, 2, spec)
+    recon = kp.fbp(sino, spec)
     err = kp.rel_l2_error(recon, mix)
-    gain = kp.calibrate_gain(3, 2, frames, spec, t_grid, quad)
+    gain = kp.calibrate_gain(frames, spec, t_grid, quad)
     assert err <= 0.10
     assert abs(gain - 1.0) <= 0.05
     report("criterion-3 inversion d3k2", f"rel L2 {err:.3f}, gain {gain:.3f}")
@@ -255,7 +255,7 @@ def _haar_closure_sinogram(n_frames, delta, seed):
         sq = ((pts - (rows @ x1)[..., None, :]) ** 2).sum(axis=-1)
         return np.exp(-sq / 2.0) * (1.0 + delta * rows[..., 0, 0, None])
 
-    return Sinogram(3, 1, frames, t_grid, gen(frames.rows, t_grid.points()), gen)
+    return Sinogram(frames, t_grid, gen(frames.rows, t_grid.points()), gen)
 
 
 def test_criterion_07_projector_suite():
@@ -288,7 +288,7 @@ def test_criterion_07_projector_suite():
         sq = ((pts - (rows @ x2)[..., None, :]) ** 2).sum(axis=-1)
         return np.exp(-sq / 1.5) * (1.0 + 0.3 * rows[..., 1, 2, None])
 
-    g2 = Sinogram(3, 1, f.frames, f.t_grid, gen2(f.frames.rows, f.t_grid.points()), gen2)
+    g2 = Sinogram(f.frames, f.t_grid, gen2(f.frames.rows, f.t_grid.points()), gen2)
     pf = kp.project_iso(f, 64, RngSeed(7))
     pg = kp.project_iso(g2, 64, RngSeed(7))
     adj_resid = abs(sino_dot(pf, g2) - sino_dot(f, pg)) / (sino_norm(f) * sino_norm(g2))
@@ -305,7 +305,7 @@ def test_criterion_07_projector_suite():
         sq = ((pts - center) ** 2).sum(axis=-1)
         return np.exp(-sq / 2.0) * (1.0 + 0.5 * a[..., 0, None])
 
-    g_aniso = Sinogram(2, 1, frames, t_grid, gen_aniso(frames.rows, t_grid.points()), gen_aniso)
+    g_aniso = Sinogram(frames, t_grid, gen_aniso(frames.rows, t_grid.points()), gen_aniso)
     iso_part = kp.project_iso(g_aniso)
     anti = g_aniso.copy_with(g_aniso.values - iso_part.values, None)
     anti_out = kp.pk_project(anti, spec, quad, order=1)
@@ -365,9 +365,10 @@ def test_criterion_09_hankel_and_green():
 def test_criterion_10_planted_recovery():
     grid = GridSpec.centered(2, 64, 0.2)
     angles = np.pi * np.arange(12) / 12
-    frames = [kp.Frame(2, 1, np.array([[math.cos(a), math.sin(a)]])) for a in angles]
+    frames = kp.FrameSet(tuple(kp.Frame(2, 1, np.array([[math.cos(a), math.sin(a)]]))
+                               for a in angles), "explicit")
     offsets = np.linspace(-3, 3, 16)
-    dico = kp.build_dictionary(frames, offsets, 2.0, 2, 1)
+    dico = kp.build_dictionary(frames, offsets, 2.0)
 
     gen = RngSeed(123).generator()
     pts = grid.points()
@@ -377,7 +378,7 @@ def test_criterion_10_planted_recovery():
         v = np.exp(-((pts - c) ** 2).sum(-1) / (2 * 0.8**2))
         functionals.append(kp.GridField(grid.origin, grid.spacing, grid.shape,
                                         v.reshape(grid.shape)))
-    gram = kp.assemble(dico, kp.MeasurementSet(functionals), grid)
+    gram = kp.assemble(dico, kp.MeasurementSet(functionals))
 
     j1, j2 = 3 * 16 + 5, 9 * 16 + 11
     a_true = np.zeros(len(dico))

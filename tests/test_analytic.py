@@ -84,6 +84,12 @@ def test_slice_pair_shift_phase():
         assert abs(rhs - expected) <= 1e-3
 
 
+def test_slice_pair_rejects_field_of_other_dimension():
+    fr = haar_frame_sample(3, 1, RngSeed(1))
+    with pytest.raises(DomainError, match=r"field dimension 2 != frame d = 3"):
+        slice_pair(MIX_2D, fr, np.zeros(2), quad=QUAD_WIDE)
+
+
 def gauss_radial(step=0.002, extent=12.0):
     t = np.arange(0.0, extent, step)
     return t, np.exp(-(t**2) / 2) / (2 * np.pi) ** 1.5
@@ -130,7 +136,7 @@ def test_ridge_eval_constant_along_plane_directions():
     gen = RngSeed(10).generator()
     fr = haar_frame_sample(3, 1, gen)
     atom = RidgeAtom(1.3, fr, np.array([0.2, 0.4]), profile="gaussian")
-    b = complete_frame(fr)
+    b = complete_frame(fr.rows)
     x = gen.normal(size=3)
     base = ridge_eval(atom, x)
     for _ in range(5):

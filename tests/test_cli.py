@@ -406,7 +406,7 @@ def test_forward_rejects_wrong_input_kind(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     frames = frameset_circle(4)
-    sino = Sinogram(2, 1, list(frames.frames), TGrid.centered(1, 8, 0.5), np.zeros((4, 8)))
+    sino = Sinogram(frames, TGrid.centered(1, 8, 0.5), np.zeros((4, 8)))
     write_kpt(out / "phantom.kpt", sino)
     cfg = base_config(out)
     path = write_config(tmp_path, cfg)
@@ -587,6 +587,30 @@ def small_config(out_dir):
                    "planted": [{"frame_index": 1, "offset_index": 2, "weight": 1.0}]},
         "output": {"dir": str(out_dir)},
     }
+
+
+@pytest.mark.parametrize("stale", [
+    {"d": 3, "grid": {"origin": [-2.0] * 3, "spacing": 0.5, "shape": [5] * 3},
+     "t_grid": {"origin": [-3.0] * 2, "spacing": 0.5, "shape": [13] * 2},
+     "phantom": {"kind": "gaussian"}},
+    {"grid": {"origin": [-4.0, -4.0], "spacing": 0.5, "shape": [17, 17]}},
+    {"grid": {"origin": [-1.0, -1.0], "spacing": 0.25, "shape": [9, 9]}},
+], ids=["d3", "shape", "spacing"])
+def test_stale_inputs_exit_3_or_4_without_traceback(tmp_path, capsys, stale):
+    # a phantom and a sinogram left in the output dir by a config of another d or
+    # grid: each command that reads them stops with its error prefix
+    out = tmp_path / "out"
+    other = write_config(tmp_path, {**small_config(out), **stale}, name="other.json")
+    assert main(["phantom", "--config", other]) == 0
+    assert main(["forward", "--config", other]) == 0
+    cfg = small_config(out)
+    del cfg["sparse"]["planted"]  # reconstruct then measures the phantom
+    path = write_config(tmp_path, cfg)
+    for command in ("forward", "fbp", "reconstruct"):
+        capsys.readouterr()
+        assert main([command, "--config", path]) in (EXIT_IO, EXIT_NUMERIC), command
+        err = capsys.readouterr().err
+        assert err.startswith(("i/o error:", "numeric error:")) and "Traceback" not in err
 
 
 def _cases_exit_2():

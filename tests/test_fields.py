@@ -14,6 +14,7 @@ from kplane import (
     FieldInterpolator,
     FormatError,
     Frame,
+    FrameSet,
     GridField,
     GridSpec,
     QuadSpec,
@@ -141,10 +142,10 @@ def test_grid_field_is_a_grid_spec():
 
 def make_sinogram(seed=3):
     gen = RngSeed(seed).generator()
-    frames = [haar_frame_sample(3, 1, gen) for _ in range(4)]
+    frames = FrameSet(tuple(haar_frame_sample(3, 1, gen) for _ in range(4)), "explicit")
     t_grid = TGrid.centered(2, 6, 0.4)
     values = gen.normal(size=(4, 6, 6))
-    return Sinogram(3, 1, frames, t_grid, values)
+    return Sinogram(frames, t_grid, values)
 
 
 def test_kpt_roundtrip_grid(tmp_path):
@@ -212,22 +213,24 @@ def test_field_validation():
 def test_sinogram_validation():
     sino = make_sinogram()
     with pytest.raises(DomainError):
-        Sinogram(3, 1, [], sino.t_grid, np.zeros((0, 6, 6)))
+        Sinogram(FrameSet(np.zeros((0, 2, 3)), "explicit"), sino.t_grid, np.zeros((0, 6, 6)))
     bad_frame = Frame(3, 2, haar_frame_sample(3, 2, RngSeed(0)).rows)
     with pytest.raises(DomainError):
-        Sinogram(3, 1, [bad_frame], sino.t_grid, np.zeros((1, 6, 6)))
+        Sinogram(FrameSet((bad_frame,), "explicit"), sino.t_grid, np.zeros((1, 6, 6)))
+    with pytest.raises(TypeError, match="FrameSet"):  # frames enter only as a FrameSet
+        Sinogram(list(sino.frames.frames), sino.t_grid, sino.values)
     for bad in (np.nan, np.inf, -np.inf):
         values = sino.values.copy()
         values[2, 3, 1] = bad
         with pytest.raises(DomainError, match="finite"):
-            Sinogram(3, 1, sino.frames, sino.t_grid, values)
+            Sinogram(sino.frames, sino.t_grid, values)
 
 
 def test_sinogram_equality_is_identity():
     # a sinogram holds arrays, so == is identity (as for every array-holding
     # class): equal values do not make two sinograms equal, and `in` and hashing work
     a = make_sinogram()
-    b = Sinogram(a.d, a.k, a.frames, a.t_grid, a.values.copy())
+    b = Sinogram(a.frames, a.t_grid, a.values.copy())
     assert a == a and a != b and not (a == b)
     assert a in [b, a] and b not in [a]
     assert len({a, b, a}) == 2
@@ -246,7 +249,7 @@ def test_all_finite_reads_every_block(bad, where):
     with pytest.raises(DomainError, match="field values must be finite"):
         GridField(np.zeros(2), 0.1, shape, values)
     with pytest.raises(DomainError, match="sinogram values must be finite"):
-        Sinogram(2, 1, [Frame(2, 1, np.array([[1.0, 0.0]]))],
+        Sinogram(FrameSet(np.array([[[1.0, 0.0]]]), "explicit"),
                  TGrid(np.zeros(1), 0.1, (len(values),)), values[None])
 
 
@@ -482,6 +485,20 @@ def test_kpt_header_schema(tmp_path, mutate):
     assert err.value.offset == 8
 
 
+def test_kpt_header_dk_must_match_frame_rows(tmp_path):
+    # a (2, 1) sinogram whose header claims (3, 2): the t-grid dimension d - k
+    # agrees, so only the frame rows tell the header wrong
+    path = tmp_path / "dk.kpt"
+    frames = FrameSet(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]), "explicit")
+    write_kpt(path, Sinogram(frames, TGrid.centered(1, 5, 0.5), np.ones((2, 5))))
+    header, payload = _kpt_parts(path)
+    assert (header["d"], header["k"]) == (2, 1)
+    _write_parts(path, {**header, "d": 3, "k": 2}, payload)
+    with pytest.raises(FormatError, match=r"\(d, k\) = \(3, 2\)") as err:
+        read_kpt(path)
+    assert err.value.offset == 8
+
+
 @pytest.mark.parametrize("patch,n_values", [
     ({"frames": []}, 0),
     ({"spacing": 0}, 4 * 36),
@@ -522,7 +539,7 @@ def sinograms(draw):
     frames = frameset_haar(d, k, n, RngSeed(draw(st.integers(0, 2**32))))
     t_grid = TGrid(*_axes(draw, d - k))
     values = draw(hnp.arrays(np.float64, (n,) + t_grid.shape, elements=_FINITE))
-    return Sinogram(d, k, frames, t_grid, values)
+    return Sinogram(frames, t_grid, values)
 
 
 def _kpt_round_trip(obj):

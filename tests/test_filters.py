@@ -9,6 +9,7 @@ from scipy import integrate, special
 
 from kplane import (
     DomainError,
+    FrameSet,
     GridField,
     GridSpec,
     RngSeed,
@@ -75,11 +76,11 @@ def test_gaussian_multiplier_nonexpansive():
 
 def make_sino(n_frames=5, seed=2):
     gen = RngSeed(seed).generator()
-    frames = [haar_frame_sample(2, 1, gen) for _ in range(n_frames)]
+    frames = FrameSet(tuple(haar_frame_sample(2, 1, gen) for _ in range(n_frames)), "explicit")
     t_grid = TGrid.centered(1, 64, 0.25)
     t = t_grid.axes()[0]
     values = np.stack([np.exp(-((t - 0.3 * i) ** 2) / 2) for i in range(n_frames)])
-    return Sinogram(2, 1, frames, t_grid, values)
+    return Sinogram(frames, t_grid, values)
 
 
 def test_ramp_filter_linearity():
@@ -94,9 +95,8 @@ def test_ramp_filter_linearity():
 def test_ramp_filter_commutes_with_frame_reordering():
     sino = make_sino()
     perm = [3, 1, 4, 0, 2]
-    reordered = Sinogram(
-        sino.d, sino.k, [sino.frames[i] for i in perm], sino.t_grid, sino.values[perm]
-    )
+    reordered = Sinogram(FrameSet(sino.frames.rows[perm], "explicit"), sino.t_grid,
+                         sino.values[perm])
     out1 = ramp_filter(sino)
     out2 = ramp_filter(reordered)
     assert np.array_equal(out2.values, out1.values[perm])
@@ -111,7 +111,7 @@ def test_ramp_filter_is_linear_convolution_with_band_limited_kernel(d, k):
     frames = frameset_haar(d, k, 3, RngSeed(d))
     t = TGrid.centered(1, n, h).axes()[0]
     values = np.stack([np.exp(-((t - 0.7 * i) ** 2) / 2) + 0.1 * (t > 2) for i in range(3)])
-    sino = Sinogram(d, k, frames, TGrid.centered(1, n, h), values)
+    sino = Sinogram(frames, TGrid.centered(1, n, h), values)
     lags = np.arange(n)
     ker = np.array([integrate.quad(lambda u: u**k, 0, np.pi, weight="cos", wvar=r)[0]
                     for r in lags]) / (np.pi * h ** (k + 1))
@@ -147,7 +147,7 @@ def test_apply_radial_sinogram_is_per_frame_array_bitwise(d, k, n_frames, n_t, s
     frames = frameset_haar(d, k, n_frames, RngSeed(d + k))
     t_grid = TGrid.centered(d - k, n_t, 0.2)
     vals = RngSeed(7).generator().normal(size=(n_frames,) + t_grid.shape)
-    out = apply_radial(Sinogram(d, k, list(frames.frames), t_grid, vals), spec)
+    out = apply_radial(Sinogram(frames, t_grid, vals), spec)
     ref = np.stack([apply_radial_array(v, 0.2, spec) for v in vals])
     assert np.array_equal(out.values, ref)
 

@@ -124,7 +124,7 @@ def test_haar_orthogonal_det_split():
 
 def test_complete_frame_plane():
     fr = Frame(2, 1, np.array([[1.0, 0.0]]))
-    b = complete_frame(fr)
+    b = complete_frame(fr.rows)
     assert b.shape == (2, 1)
     assert abs(abs(b[1, 0]) - 1.0) <= 1e-12 and abs(b[0, 0]) <= 1e-12
 
@@ -134,7 +134,7 @@ def test_complete_frame_properties(d, k):
     gen = RngSeed(6, 6).generator()
     for _ in range(10):
         fr = haar_frame_sample(d, k, gen)
-        b = complete_frame(fr)
+        b = complete_frame(fr.rows)
         assert np.linalg.norm(fr.rows @ b) <= 1e-12
         full = np.hstack([fr.rows.T, b])
         assert np.linalg.norm(full @ full.T - np.eye(d)) <= 1e-12
@@ -146,11 +146,9 @@ def test_complete_frame_properties(d, k):
 def test_complete_frame_of_frame_set_matches_per_frame_bitwise(d, k):
     gen = RngSeed(d, k).generator()
     frames = FrameSet(tuple(haar_frame_sample(d, k, gen) for _ in range(12)), "explicit")
-    stack = complete_frame(frames)
+    stack = complete_frame(frames.rows)
     assert stack.shape == (12, d, k)
-    assert np.array_equal(stack, np.stack([complete_frame(fr) for fr in frames]))
-    # a bare row stack, or one frame's rows, completes to the same bits
-    assert np.array_equal(complete_frame(frames.rows), stack)
+    assert np.array_equal(stack, np.stack([complete_frame(fr.rows) for fr in frames]))
     assert np.array_equal(complete_frame(frames.rows[5]), stack[5])
 
 
@@ -268,7 +266,7 @@ def test_complement_projector_rotation_invariant():
     fr = haar_frame_sample(3, 1, gen)
     rot = haar_orthogonal_sample(2, gen)
     fr2, _ = rotate_pair(fr, np.zeros(2), rot)
-    b1, b2 = complete_frame(fr), complete_frame(fr2)
+    b1, b2 = complete_frame(fr.rows), complete_frame(fr2.rows)
     assert np.linalg.norm(b1 @ b1.T - b2 @ b2.T) <= 1e-12
 
 
@@ -306,11 +304,11 @@ def test_orbit_distance_and_alignment():
     fr = haar_frame_sample(3, 1, gen)
     rot = haar_orthogonal_sample(2, gen)
     rotated, _ = rotate_pair(fr, np.zeros(2), rot)
-    assert orbit_distance(fr, rotated) <= 1e-7
+    assert orbit_distance(fr.rows, rotated.rows) <= 1e-7
     v = align_rotation(fr.rows, rotated.rows)
     assert np.linalg.norm(v @ fr.rows - rotated.rows) <= 1e-7
     other = haar_frame_sample(3, 1, gen)
-    assert orbit_distance(fr, other) > 1e-3
+    assert orbit_distance(fr.rows, other.rows) > 1e-3
 
 
 def test_orbit_distance_of_equal_planes_is_roundoff():
@@ -318,13 +316,13 @@ def test_orbit_distance_of_equal_planes_is_roundoff():
     gen = RngSeed(7).generator()
     for _ in range(20):
         fr = haar_frame_sample(3, 1, gen)
-        assert orbit_distance(fr, fr) <= 1e-14
+        assert orbit_distance(fr.rows, fr.rows) <= 1e-14
         rotated, _ = rotate_pair(fr, np.zeros(2), haar_orthogonal_sample(2, gen))
-        assert orbit_distance(fr, rotated) <= 1e-14
+        assert orbit_distance(fr.rows, rotated.rows) <= 1e-14
     for angle in (9 * math.pi / 16, 10 * math.pi / 16):
         fr = Frame(2, 1, np.array([[math.cos(angle), math.sin(angle)]]))
-        assert orbit_distance(fr, fr) <= 1e-15
-        assert orbit_distance(fr, -fr.rows) <= 1e-15
+        assert orbit_distance(fr.rows, fr.rows) <= 1e-15
+        assert orbit_distance(fr.rows, -fr.rows) <= 1e-15
 
 
 def test_frame_invariant_rejects_bad_rows():

@@ -42,7 +42,7 @@ def circle_closure_sinogram(n_frames=180, delta=0.5, n_t=63):
         sq = ((pts - center) ** 2).sum(axis=-1)
         return np.exp(-sq / 2.0) * (1.0 + delta * a[..., 0, None])
 
-    return Sinogram(2, 1, frames, tg, gen(frames.rows, tg.points()), gen)
+    return Sinogram(frames, tg, gen(frames.rows, tg.points()), gen)
 
 
 def haar_closure_sinogram(n_frames=240, delta=0.15, seed=21, x1=(0.6, -0.3, 0.2)):
@@ -56,7 +56,7 @@ def haar_closure_sinogram(n_frames=240, delta=0.15, seed=21, x1=(0.6, -0.3, 0.2)
         sq = ((pts - (rows @ x1)[..., None, :]) ** 2).sum(axis=-1)
         return np.exp(-sq / 2.0) * (1.0 + delta * rows[..., 0, 0, None])
 
-    return Sinogram(3, 1, frames, tg, gen(frames.rows, tg.points()), gen)
+    return Sinogram(frames, tg, gen(frames.rows, tg.points()), gen)
 
 
 # --- exact O(1) branch (d - k = 1) -------------------------------------------
@@ -75,7 +75,7 @@ def test_sinograms_hold_their_frame_set():
                project_iso(sino, n_rotations=2), pk_project(sino, grid, quad, order=1),
                render_delta_iso(atom, frames, tg, n_rotations=0)]
     assert all(out.frames is frames for out in derived)
-    wrapped = Sinogram(3, 1, list(frames.frames), tg, sino.values)
+    wrapped = Sinogram(FrameSet(frames.frames, "explicit"), tg, sino.values)
     assert isinstance(wrapped.frames, FrameSet) and wrapped.frames.mode == "explicit"
     assert np.array_equal(wrapped.frames.rows, frames.rows)
     with pytest.raises(DomainError, match="homogeneous"):
@@ -128,7 +128,7 @@ def test_project_iso_lookup_idempotent_on_centered_grids(n, h):
     # without a generator, d-k = 1 reads g(-A, -t) as the stored row reversed;
     # on (127, 0.2) the float -t of an end node lies just past the grid
     vals = RngSeed(n).generator().normal(size=(4, n))
-    once = project_iso(Sinogram(2, 1, frameset_circle(4), TGrid.centered(1, n, h), vals))
+    once = project_iso(Sinogram(frameset_circle(4), TGrid.centered(1, n, h), vals))
     twice = project_iso(once)
     assert np.abs(twice.values - once.values).max() <= 1e-15
 
@@ -136,7 +136,7 @@ def test_project_iso_lookup_idempotent_on_centered_grids(n, h):
 def test_project_iso_constant_is_fixed():
     frames = frameset_circle(180)
     tg = TGrid.centered(1, 63, 0.25)
-    ones = Sinogram(2, 1, list(frames.frames), tg, np.ones((180, 63)))
+    ones = Sinogram(frames, tg, np.ones((180, 63)))
     proj = project_iso(ones)  # free-standing: nearest-frame lookup path
     assert np.abs(proj.values - 1.0).max() <= 1e-12
 
@@ -170,7 +170,7 @@ def test_project_iso_self_adjoint_exact():
 def test_project_iso_requires_symmetric_grid():
     frames = frameset_circle(8)
     tg = TGrid(np.array([0.0]), 0.25, (16,))
-    sino = Sinogram(2, 1, list(frames.frames), tg, np.zeros((8, 16)))
+    sino = Sinogram(frames, tg, np.zeros((8, 16)))
     with pytest.raises(DomainError):
         project_iso(sino)
 
@@ -181,10 +181,10 @@ def test_project_iso_rejects_off_centre_grid():
     frames = frameset_circle(4)
     tg = TGrid(np.array([-1000.004]), 0.25, (8001,))
     with pytest.raises(DomainError):
-        project_iso(Sinogram(2, 1, frames, tg, np.zeros((4, 8001))))
+        project_iso(Sinogram(frames, tg, np.zeros((4, 8001))))
     for n, h in [(8001, 0.25), (2, 0.1), (127, 0.2), (16, 0.45), (4, 1e-7), (5, 1e6)]:
         tg = TGrid.centered(1, n, h)
-        assert project_iso(Sinogram(2, 1, frames, tg, np.ones((4, n)))).values.shape == (4, n)
+        assert project_iso(Sinogram(frames, tg, np.ones((4, n)))).values.shape == (4, n)
 
 
 # --- Monte-Carlo branch (d - k = 2) -------------------------------------------
@@ -224,7 +224,7 @@ def test_project_iso_self_adjoint_mc():
         sq = ((pts - (rows @ x2)[..., None, :]) ** 2).sum(axis=-1)
         return np.exp(-sq / 1.5) * (1.0 + 0.3 * rows[..., 1, 2, None])
 
-    g = Sinogram(3, 1, frames, f.t_grid, gen2(frames.rows, f.t_grid.points()), gen2)
+    g = Sinogram(frames, f.t_grid, gen2(frames.rows, f.t_grid.points()), gen2)
     pf = project_iso(f, 64, RngSeed(7))
     pg = project_iso(g, 64, RngSeed(7))
     resid = abs(sino_dot(pf, g) - sino_dot(f, pg))
@@ -236,7 +236,7 @@ def test_project_iso_lookup_miss_raises():
     # error names the first miss in (rotation, frame) order
     frames = frameset_haar(3, 1, 10, RngSeed(2))
     tg = TGrid.centered(2, 9, 0.5)
-    sino = Sinogram(3, 1, list(frames.frames), tg, np.ones((10, 9, 9)))
+    sino = Sinogram(frames, tg, np.ones((10, 9, 9)))
     gen = RngSeed(3).generator()
     u = haar_orthogonal_sample(2, gen).mat
     nearest = [np.linalg.norm(frames.rows - u @ rows, axis=(1, 2)).min() for rows in frames.rows]
@@ -320,7 +320,7 @@ def test_pk_project_annihilates_anti_isotropic():
 def test_pk_project_zero():
     frames = frameset_circle(16)
     tg = TGrid.centered(1, 63, 0.25)
-    zero = Sinogram(2, 1, list(frames.frames), tg, np.zeros((16, 63)))
+    zero = Sinogram(frames, tg, np.zeros((16, 63)))
     out = pk_project(zero, GridSpec.centered(2, 24, 0.4), QuadSpec(7.0, 48))
     assert np.abs(out.values).max() <= 1e-14
 

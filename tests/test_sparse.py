@@ -33,11 +33,12 @@ from kplane import (
 )
 from kplane.fields import _FINITE_BLOCK
 from kplane.sparse import BLOCK_ATOMS, DEDUP_TOL
+from kplane.transform import same_grid
 
 
 def half_circle_frames(n):
     angles = np.pi * np.arange(n) / n
-    return [Frame(2, 1, np.array([[np.cos(a), np.sin(a)]])) for a in angles]
+    return FrameSet(np.stack([np.cos(angles), np.sin(angles)], -1)[:, None], "explicit")
 
 
 GRID = GridSpec.centered(2, 64, 0.2)
@@ -66,15 +67,16 @@ def gaussian_bumps(m, seed=123, width=0.8, grid=GRID):
 
 
 def test_build_dictionary_product_count():
-    dico = build_dictionary(half_circle_frames(8), np.linspace(-3, 3, 16), 2.0, 2, 1)
+    dico = build_dictionary(half_circle_frames(8), np.linspace(-3, 3, 16), 2.0)
     assert len(dico) == 128
     assert dico.rows.shape == (8, 1, 2) and dico.offsets.shape == (16, 1)
 
 
 def test_build_dictionary_rejects_duplicates():
-    frames = half_circle_frames(4) + [half_circle_frames(4)[0]]
+    rows = half_circle_frames(4).rows
+    frames = FrameSet(np.concatenate([rows, rows[:1]]), "explicit")
     with pytest.raises(DomainError):
-        build_dictionary(frames, [0.0, 1.0], 2.0, 2, 1)
+        build_dictionary(frames, [0.0, 1.0], 2.0)
 
 
 def test_build_dictionary_rejects_orbit_duplicates():
@@ -82,48 +84,39 @@ def test_build_dictionary_rejects_orbit_duplicates():
     fr = Frame(2, 1, np.array([[1.0, 0.0]]))
     fr_neg = Frame(2, 1, np.array([[-1.0, 0.0]]))
     with pytest.raises(DomainError):
-        build_dictionary([fr, fr_neg], [0.5, -0.5], 2.0, 2, 1)
+        build_dictionary(FrameSet((fr, fr_neg), "explicit"), [0.5, -0.5], 2.0)
 
 
 def test_build_dictionary_validation():
     with pytest.raises(DomainError):
-        build_dictionary([], [0.0], 2.0, 2, 1)
+        build_dictionary(FrameSet(np.zeros((0, 1, 2)), "explicit"), [0.0], 2.0)
     with pytest.raises(DomainError):
-        build_dictionary(half_circle_frames(2), [0.0], 1.0, 2, 1)  # s <= d-k
+        build_dictionary(half_circle_frames(2), [0.0], 1.0)  # s <= d-k
     for s in (np.nan, np.inf):
         with pytest.raises(DomainError, match="finite"):
-            build_dictionary(half_circle_frames(2), [0.0], s, 2, 1)
+            build_dictionary(half_circle_frames(2), [0.0], s)
     # offsets are checked before the duplicate scan, which would name [0.0]
-    frames = half_circle_frames(2)[:1] * 2
+    frames = FrameSet(np.repeat(half_circle_frames(2).rows[:1], 2, axis=0), "explicit")
     with pytest.raises(DomainError, match=r"offsets must have shape \(1,\)"):
-        build_dictionary(frames, [0.0, [1.0, 2.0]], 2.0, 2, 1)
+        build_dictionary(frames, [0.0, [1.0, 2.0]], 2.0)
     with pytest.raises(DomainError, match="offsets must be finite"):
-        build_dictionary(frames, [0.0, np.nan], 2.0, 2, 1)
-
-
-@pytest.mark.parametrize("as_stack", [False, True], ids=["frames", "frame-set"])
-def test_build_dictionary_rejects_frames_of_another_dimension(as_stack):
-    # 2-D frames with (d, k) = (3, 1) would check s against the wrong d - k
-    frames = half_circle_frames(2)
-    grid = FrameSet(np.stack([fr.rows for fr in frames]), "explicit") if as_stack else frames
-    with pytest.raises(DomainError, match=r"frames have \(d, k\) = \(2, 1\), not \(3, 1\)"):
-        build_dictionary(grid, [0.0], 2.5, 3, 1)
+        build_dictionary(frames, [0.0, np.nan], 2.0)
 
 
 def test_assemble_zero_functional_row():
-    dico = build_dictionary(half_circle_frames(4), [-1.0, 0.0, 1.0], 2.0, 2, 1)
+    dico = build_dictionary(half_circle_frames(4), [-1.0, 0.0, 1.0], 2.0)
     zero = GridField.zeros(GRID)
     bump = gaussian_bumps(1).functionals[0]
     meas = MeasurementSet([zero, bump])
-    g = assemble(dico, meas, GRID)
+    g = assemble(dico, meas)
     assert np.all(g[0] == 0.0)
     assert np.any(g[1] != 0.0)
 
 
 def test_assemble_column_scales_with_atom_weight():
-    dico = build_dictionary(half_circle_frames(3), [0.0, 1.0], 2.0, 2, 1)
+    dico = build_dictionary(half_circle_frames(3), [0.0, 1.0], 2.0)
     meas = gaussian_bumps(4)
-    g = assemble(dico, meas, GRID)
+    g = assemble(dico, meas)
     scaled = dataclasses.replace(frame_major_atoms(dico)[2], weight=3.0)
     pts = GRID.points()
     col = np.array(
@@ -135,12 +128,12 @@ def test_assemble_column_scales_with_atom_weight():
 
 @pytest.mark.parametrize("other", [GridSpec.centered(2, 64, 0.5),
                                    GridSpec(GRID.origin, 0.2, (32, 128))], ids=["spacing", "shape"])
-def test_assemble_rejects_functionals_from_another_grid(other):
+def test_measurement_set_rejects_functionals_from_another_grid(other):
     # both have GRID's 4096 nodes, so their values would pair without an error
-    dico = build_dictionary(half_circle_frames(2), [0.0], 2.0, 2, 1)
-    meas = MeasurementSet([gaussian_bumps(1).functionals[0], GridField.zeros(other)])
-    with pytest.raises(DomainError, match="measurement functionals must lie on the field grid"):
-        assemble(dico, meas, GRID)
+    bump = gaussian_bumps(1).functionals[0]
+    with pytest.raises(DomainError, match="measurement functionals must lie on one grid"):
+        MeasurementSet([bump, GridField.zeros(other)])
+    assert same_grid(MeasurementSet([bump, GridField.zeros(GRID)]).grid, GRID)
 
 
 def test_assemble_entry_matches_fine_grid_quadrature():
@@ -159,13 +152,13 @@ def test_assemble_entry_matches_fine_grid_quadrature():
 
 def test_assemble_frame_major_matches_dense_product():
     # 260 atoms: four full blocks and one padded block of 4
-    dico, meas = build_dictionary(half_circle_frames(20), np.linspace(-3, 3, 13), 2.0, 2, 1), \
+    dico, meas = build_dictionary(half_circle_frames(20), np.linspace(-3, 3, 13), 2.0), \
         gaussian_bumps(10)
     assert len(dico) % BLOCK_ATOMS != 0
     atom_mat = np.stack([ridge_eval(atom, GRID.points()) for atom in frame_major_atoms(dico)])
     h_mat = np.stack([h.values.ravel() for h in meas.functionals])
     expect = GRID.spacing**2 * (h_mat @ atom_mat.T)
-    assert np.abs(assemble(dico, meas, GRID) - expect).max() <= 1e-15 * np.abs(expect).max()
+    assert np.abs(assemble(dico, meas) - expect).max() <= 1e-15 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("d, n, h, n_frames, reach, s, grows", [
@@ -184,11 +177,11 @@ def test_assemble_and_reconstruct_match_ridge_eval_on_long_rows(d, n, h, n_frame
         frames = half_circle_frames(n_frames)
         offsets = np.arange(-reach, reach + 0.5)
     else:
-        frames = [haar_frame_sample(3, 1, gen) for _ in range(n_frames)]
+        frames = FrameSet(tuple(haar_frame_sample(3, 1, gen) for _ in range(n_frames)), "explicit")
         offsets = list(gen.uniform(-reach, reach, size=(5, 2)))
-    dico, meas = build_dictionary(frames, offsets, s, d, 1), gaussian_bumps(6, grid=grid)
+    dico, meas = build_dictionary(frames, offsets, s), gaussian_bumps(6, grid=grid)
     nodes = len(dico.table.table[0])
-    gram = assemble(dico, meas, grid)
+    gram = assemble(dico, meas)
     assert (len(dico.table.table[0]) > nodes) == grows
     stack = np.stack([ridge_eval(atom, grid.points()) for atom in frame_major_atoms(dico)])
     h_mat = np.stack([h.values.ravel() for h in meas.functionals])
@@ -206,11 +199,11 @@ def test_assemble_and_reconstruct_match_ridge_eval_on_long_rows(d, n, h, n_frame
 
 def test_assemble_peak_memory_without_atom_matrix():
     # 2048 atoms on 64^2 nodes: a dense atom matrix alone would be 64 MiB
-    dico = build_dictionary(half_circle_frames(64), np.linspace(-3, 3, 32), 2.0, 2, 1)
+    dico = build_dictionary(half_circle_frames(64), np.linspace(-3, 3, 32), 2.0)
     meas = gaussian_bumps(10)
     tracemalloc.start()
     try:
-        gram = assemble(dico, meas, GRID)
+        gram = assemble(dico, meas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -290,7 +283,7 @@ def test_reg_cost():
 
 
 def test_reconstruct_zero_and_single_atom():
-    dico = build_dictionary(half_circle_frames(4), [-1.0, 1.0], 2.0, 2, 1)
+    dico = build_dictionary(half_circle_frames(4), [-1.0, 1.0], 2.0)
     grid = GridSpec.centered(2, 24, 0.4)
     zero = reconstruct(np.zeros(len(dico)), dico, grid)
     assert np.all(zero.values == 0.0)
@@ -302,7 +295,7 @@ def test_reconstruct_zero_and_single_atom():
 
 
 def test_coefficients_must_be_finite_and_of_dictionary_length():
-    dico = build_dictionary(half_circle_frames(4), [-1.0, 1.0], 2.0, 2, 1)
+    dico = build_dictionary(half_circle_frames(4), [-1.0, 1.0], 2.0)
     grid = GridSpec.centered(2, 24, 0.4)
     problem = LassoProblem(np.eye(3, len(dico)), np.ones(3), 0.1)
     a = np.zeros(len(dico))
@@ -315,9 +308,9 @@ def test_coefficients_must_be_finite_and_of_dictionary_length():
 
 
 def test_planted_two_atom_recovery():
-    dico = build_dictionary(half_circle_frames(12), np.linspace(-3, 3, 16), 2.0, 2, 1)
+    dico = build_dictionary(half_circle_frames(12), np.linspace(-3, 3, 16), 2.0)
     meas = gaussian_bumps(50)
-    g = assemble(dico, meas, GRID)
+    g = assemble(dico, meas)
     j1, j2 = 3 * 16 + 5, 9 * 16 + 11
     a_true = np.zeros(len(dico))
     a_true[j1], a_true[j2] = 1.5, -2.0
@@ -362,7 +355,7 @@ def reference_first_duplicate(frames, offsets):
     atoms = [(fr, np.atleast_1d(np.asarray(t, dtype=float))) for fr in frames for t in offsets]
     for n, (fr, t) in enumerate(atoms):
         for prev_fr, prev_t in atoms[:n]:
-            if orbit_distance(prev_fr, fr) > DEDUP_TOL:
+            if orbit_distance(prev_fr.rows, fr.rows) > DEDUP_TOL:
                 continue
             v = align_rotation(prev_fr.rows, fr.rows)
             if np.linalg.norm(v @ prev_t - t) <= DEDUP_TOL:
@@ -448,8 +441,8 @@ def reference_polish(problem, a, obj):
 
 
 def criterion_10_problem():
-    dico = build_dictionary(half_circle_frames(12), np.linspace(-3, 3, 16), 2.0, 2, 1)
-    g = assemble(dico, gaussian_bumps(50), GRID)
+    dico = build_dictionary(half_circle_frames(12), np.linspace(-3, 3, 16), 2.0)
+    g = assemble(dico, gaussian_bumps(50))
     a_true = np.zeros(len(dico))
     a_true[3 * 16 + 5], a_true[9 * 16 + 11] = 1.5, -2.0
     y = g @ a_true
@@ -545,9 +538,9 @@ def test_build_dictionary_rejects_exact_duplicates(angle):
     # the closed-form orbit distance read 1.49e-8 > DEDUP_TOL for these frames
     f = Frame(2, 1, np.array([[math.cos(angle), math.sin(angle)]]))
     with pytest.raises(DomainError, match=r"offset \[0\.0\]"):
-        build_dictionary([f, f], [0.0], 2.0, 2, 1)
+        build_dictionary(FrameSet((f, f), "explicit"), [0.0], 2.0)
     with pytest.raises(DomainError, match=r"offset \[0\.5\]"):
-        build_dictionary([f, Frame(2, 1, -f.rows)], [0.5, -0.5], 2.0, 2, 1)
+        build_dictionary(FrameSet((f, Frame(2, 1, -f.rows)), "explicit"), [0.5, -0.5], 2.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -571,26 +564,27 @@ def test_build_dictionary_matches_pairwise_rule(data):
         offsets.append(offsets[data.draw(st.integers(0, len(offsets) - 1))] + 1e-12)
     expect = reference_first_duplicate(frames, offsets)
     if expect is None:
-        dico = build_dictionary(frames, offsets, 2.5, d, 1)
+        dico = build_dictionary(FrameSet(tuple(frames), "explicit"), offsets, 2.5)
         assert len(dico) == len(frames) * len(offsets)
         assert np.array_equal(dico.rows, np.stack([fr.rows for fr in frames]))
         assert np.array_equal(dico.offsets, np.stack(offsets))
     else:
         with pytest.raises(DomainError) as err:
-            build_dictionary(frames, offsets, 2.5, d, 1)
+            build_dictionary(FrameSet(tuple(frames), "explicit"), offsets, 2.5)
         assert str(err.value) == expect
 
 
 @pytest.mark.parametrize("as_stack", [False, True], ids=["frames", "frame-set"])
 def test_build_dictionary_late_orbit_duplicate_message(as_stack):
     # theta + pi after seven other frames: (-A, -t) is the ridge (A, t), and the
-    # error names the same atom as the pairwise rule
-    frames = half_circle_frames(8)
+    # error names the same atom as the pairwise rule, whether the frame set was
+    # built from Frames or from a row stack
+    frames = list(half_circle_frames(8).frames)
     frames.append(Frame(2, 1, -frames[2].rows))
     offsets = [-1.5, -0.5, 0.5, 1.5]
     expect = reference_first_duplicate(frames, offsets)
     assert expect is not None and "offset [-1.5]" in expect
-    grid = FrameSet(np.stack([fr.rows for fr in frames]), "explicit") if as_stack else frames
+    grid = FrameSet(np.stack([fr.rows for fr in frames]) if as_stack else tuple(frames), "explicit")
     with pytest.raises(DomainError) as err:
-        build_dictionary(grid, offsets, 2.0, 2, 1)
+        build_dictionary(grid, offsets, 2.0)
     assert str(err.value) == expect

@@ -222,14 +222,14 @@ def test_backproject_constant_sinogram():
     # Haar mass at every node whose A x stays on the t-grid
     frames = frameset_haar(3, 1, 24, RngSeed(24))
     tg = TGrid.centered(2, 33, 0.25)  # covers ||x|| <= 4 for the small grid below
-    sino = Sinogram(3, 1, frames, tg, np.ones((24, 33, 33)))
+    sino = Sinogram(frames, tg, np.ones((24, 33, 33)))
     fld = backproject(sino, GridSpec.centered(3, 7, 0.5))
     assert np.abs(fld.values - stiefel_total_mass(3, 1)).max() <= 1e-12
     # d-k = 1 is the transpose of the slice forward, which is not exact on a
     # constant (0.98 to 1.06 times the mass here): ones backproject to the
     # t-sums of the forward of each node's impulse
     frames = frameset_circle(24)
-    sino = Sinogram(2, 1, frames, tgrid_1d(64, 0.2), np.ones((24, 64)))
+    sino = Sinogram(frames, tgrid_1d(64, 0.2), np.ones((24, 64)))
     grid = GridSpec.centered(2, 11, 0.5)
     got = backproject(sino, grid).values.ravel()
     ref = _transpose_oracle(sino, grid)
@@ -238,22 +238,31 @@ def test_backproject_constant_sinogram():
 
 def test_backproject_zero():
     frames = frameset_circle(8)
-    sino = Sinogram(2, 1, list(frames.frames), tgrid_1d(), np.zeros((8, 64)))
+    sino = Sinogram(frames, tgrid_1d(), np.zeros((8, 64)))
     fld = backproject(sino, GridSpec.centered(2, 12, 0.3))
     assert np.all(fld.values == 0.0)
 
 
 def test_backproject_empty_frames_rejected():
     with pytest.raises(DomainError):
-        Sinogram(2, 1, [], tgrid_1d(), np.zeros((0, 64)))
+        Sinogram(FrameSet(np.zeros((0, 1, 2)), "explicit"), tgrid_1d(), np.zeros((0, 64)))
 
 
 def test_backproject_rejects_grid_of_other_dimension():
     frames = frameset_haar(3, 1, 4, RngSeed(2))
-    sino = Sinogram(3, 1, list(frames.frames), TGrid.centered(2, 8, 0.5), np.ones((4, 8, 8)))
+    sino = Sinogram(frames, TGrid.centered(2, 8, 0.5), np.ones((4, 8, 8)))
     for grid in (GridSpec.centered(2, 6, 0.5), GridSpec.centered(4, 6, 0.5)):
         with pytest.raises(DomainError, match="grid dimension"):
             backproject(sino, grid)
+
+
+def test_forward_rejects_field_of_other_dimension():
+    # checked before any work, at both rules; both dimensions are named
+    fld = gaussian_field(GridSpec.centered(3, 6, 0.5))
+    with pytest.raises(DomainError, match=r"field dimension 3 != frame d = 2"):
+        forward(fld, frameset_circle(4), tgrid_1d())
+    with pytest.raises(DomainError, match=r"field dimension 3 != frame d = 4"):
+        forward(fld, frameset_haar(4, 2, 3, RngSeed(1)), TGrid.centered(2, 8, 0.5))
 
 
 def test_backproject_mollified_atom_is_ridge():
@@ -273,7 +282,7 @@ def test_fbp_gaussian_2d():
     fld = gaussian_field(GRID_2D)
     frames = frameset_circle(180)
     sino = forward(fld, frames, tgrid_1d(128), QUAD_2D, order=1)
-    rec = fbp(sino, 2, 1, GRID_2D)
+    rec = fbp(sino, GRID_2D)
     assert rel_l2_error(rec, fld) <= 0.05
 
 
@@ -281,20 +290,20 @@ def test_fbp_mixture_2d():
     mix = mixture_field(GRID_2D, [[1.6, 0.8], [-1.2, -0.4]], [1.0, 0.7])
     frames = frameset_circle(180)
     sino = forward(mix, frames, tgrid_1d(128), QUAD_2D_WIDE, order=1)
-    rec = fbp(sino, 2, 1, GRID_2D)
+    rec = fbp(sino, GRID_2D)
     assert rel_l2_error(rec, mix) <= 0.05
 
 
 def test_fbp_zero_sinogram():
     frames = frameset_circle(12)
-    sino = Sinogram(2, 1, list(frames.frames), tgrid_1d(), np.zeros((12, 64)))
-    rec = fbp(sino, 2, 1, GridSpec.centered(2, 10, 0.4))
+    sino = Sinogram(frames, tgrid_1d(), np.zeros((12, 64)))
+    rec = fbp(sino, GridSpec.centered(2, 10, 0.4))
     assert np.abs(rec.values).max() <= 1e-14
 
 
 def test_calibrate_gain_2d():
     frames = frameset_circle(180)
-    gain = calibrate_gain(2, 1, frames, GRID_2D, tgrid_1d(128), QUAD_2D)
+    gain = calibrate_gain(frames, GRID_2D, tgrid_1d(128), QUAD_2D)
     assert gain == pytest.approx(1.0, abs=0.02)
 
 
@@ -325,7 +334,7 @@ def test_moment_first_order_is_centroid_slice():
 
 def test_moment_zero_sinogram_and_domain():
     frames = frameset_circle(4)
-    sino = Sinogram(2, 1, list(frames.frames), tgrid_1d(), np.zeros((4, 64)))
+    sino = Sinogram(frames, tgrid_1d(), np.zeros((4, 64)))
     assert np.all(moment_integral(sino, 1, 0) == 0.0)
     with pytest.raises(DomainError):
         moment_integral(sino, 1, 2)
@@ -359,7 +368,7 @@ def test_adjointness_of_forward_and_backproject():
     g_vals = np.stack(
         [np.exp(-((t - 0.7 * fr.rows[0, 0]) ** 2) / 1.5) for fr in frames]
     )
-    g = Sinogram(2, 1, list(frames.frames), tg, g_vals)
+    g = Sinogram(frames, tg, g_vals)
     lhs = sino_dot(sino_f, g)
     rhs = field_dot(mix, backproject(g, GRID_2D))
     assert abs(lhs - rhs) / abs(rhs) <= 1e-13
@@ -431,7 +440,7 @@ def test_pooled_work_keeps_the_callers_error_state(threads):
     # an overflow raises under the caller's numpy error state, whatever threads
     # says: in backproject's frame sum, and in forward's multilinear reads of a
     # +-1.7e308 checkerboard
-    sino = Sinogram(2, 1, frameset_circle(200), TGrid.centered(1, 16, 0.5),
+    sino = Sinogram(frameset_circle(200), TGrid.centered(1, 16, 0.5),
                     np.full((200, 16), 1.7e308))
     fld = GridField(np.zeros(3), 0.5, (8, 8, 8), 1.7e308 * (-1.0) ** np.indices((8, 8, 8)).sum(0))
     frames = frameset_haar(3, 1, 200, RngSeed(1))
@@ -445,7 +454,7 @@ def test_pooled_work_keeps_the_callers_error_state(threads):
 
 def test_threads_is_ignored():
     # the threads keyword is accepted and has no effect: the same bits as
-    # without it, for both rules of forward and of backproject
+    # without it, for both rules of forward, backproject and pk_project
     grid_3d = GridSpec.centered(3, 12, 0.4)
     mix_3d = mixture_field(grid_3d, [[0.5, -0.3, 0.2]], [1.0])
     mix_2d = mixture_field(GRID_2D, [[0.5, -0.3]], [1.0])
@@ -458,13 +467,8 @@ def test_threads_is_ignored():
                               sino.values)
         assert np.array_equal(backproject(sino, fld.spec, threads=4).values,
                               backproject(sino, fld.spec).values)
-        d, k = frames.d, frames.k
-        assert np.array_equal(fbp(sino, d, k, fld.spec, threads=4).values,
-                              fbp(sino, d, k, fld.spec).values)
         assert np.array_equal(pk_project(sino, fld.spec, quad, order=1, threads=4).values,
                               pk_project(sino, fld.spec, quad, order=1).values)
-        args = (d, k, frames, fld.spec, tg, quad)
-        assert calibrate_gain(*args, threads=4) == calibrate_gain(*args)
 
 
 @pytest.mark.parametrize("d,k", [(3, 1), (4, 2)])
@@ -605,7 +609,7 @@ def test_adjointness_shared_mc_frames_3d():
         [np.exp(-((t_pts - fr.rows @ np.array([0.3, 0.3, -0.4])) ** 2).sum(-1) / 2.0)
          .reshape(tg.shape) for fr in frames]
     )
-    g = Sinogram(3, 1, list(frames.frames), tg, g_vals)
+    g = Sinogram(frames, tg, g_vals)
     lhs = sino_dot(sino_f, g)
     # the grid box's corners project past the t-grid: those reads are 0
     with pytest.warns(TruncationWarning, match="fell outside the t-grid"):
@@ -631,7 +635,7 @@ def test_calibrate_gain_3d_radon_1000_frames():
     spec = GridSpec.centered(3, 24, 0.4)
     frames = frameset_haar(3, 2, 1000, RngSeed(1))
     tg = TGrid.centered(1, 64, 0.3)
-    gain = calibrate_gain(3, 2, frames, spec, tg, QuadSpec(8.0, 48))
+    gain = calibrate_gain(frames, spec, tg, QuadSpec(8.0, 48))
     assert gain == pytest.approx(1.0, abs=0.05)
 
 
@@ -659,14 +663,14 @@ def test_fbp_error_decreases_under_refinement():
         frames = frameset_circle(240)
         tg = TGrid.centered(1, nt, h)
         sino = forward(mix, frames, tg, QuadSpec(9.0, 2 * n), order=1)
-        errors.append(rel_l2_error(fbp(sino, 2, 1, spec), mix))
+        errors.append(rel_l2_error(fbp(sino, spec), mix))
     assert max(errors) <= 1e-3
 
 
 def test_sino_dot_requires_matching_grids():
     frames = frameset_circle(4)
-    a = Sinogram(2, 1, list(frames.frames), tgrid_1d(16, 0.5), np.ones((4, 16)))
-    b = Sinogram(2, 1, list(frames.frames), tgrid_1d(16, 0.25), np.ones((4, 16)))
+    a = Sinogram(frames, tgrid_1d(16, 0.5), np.ones((4, 16)))
+    b = Sinogram(frames, tgrid_1d(16, 0.25), np.ones((4, 16)))
     with pytest.raises(DomainError):
         sino_dot(a, b)
 
@@ -676,22 +680,22 @@ def test_sino_dot_requires_matching_frames():
     circle = frameset_circle(8)
     haar = frameset_haar(2, 1, 8, RngSeed(3))
     tg = tgrid_1d(16, 0.5)
-    a = Sinogram(2, 1, list(circle.frames), tg, np.ones((8, 16)))
-    b = Sinogram(2, 1, list(haar.frames), tg, np.ones((8, 16)))
+    a = Sinogram(circle, tg, np.ones((8, 16)))
+    b = Sinogram(haar, tg, np.ones((8, 16)))
     with pytest.raises(DomainError, match="share frames"):
         sino_dot(a, b)
-    reordered = Sinogram(2, 1, list(circle.frames)[::-1], tg, np.ones((8, 16)))
+    reordered = Sinogram(FrameSet(circle.rows[::-1], "explicit"), tg, np.ones((8, 16)))
     with pytest.raises(DomainError, match="share frames"):
         sino_dot(a, reordered)
-    # equal rows held by distinct Frame objects still pair
-    c = Sinogram(2, 1, [Frame(2, 1, fr.rows.copy()) for fr in circle.frames], tg, np.ones((8, 16)))
+    # equal rows held by a distinct frame set still pair
+    c = Sinogram(FrameSet(circle.rows.copy(), "explicit"), tg, np.ones((8, 16)))
     assert sino_dot(a, c) == sino_dot(a, a)
 
 
 def _dense_forward_at(interp, rows, t_pts, quad):
     """The unclipped rule: interpolate every tensor node, then a weighted sum."""
     m, d = rows.shape
-    b = complete_frame(Frame(d, d - m, rows))
+    b = complete_frame(Frame(d, d - m, rows).rows)
     nodes, weights = quad.nodes_weights(d - m)
     t_pts = np.asarray(t_pts, dtype=float)
     base = t_pts.reshape(-1, m) @ rows
@@ -852,10 +856,10 @@ def test_backproject_matches_per_frame_map_coordinates(d, k, n_frames):
     # frames put grid points exactly on the t-grid's end nodes and past them
     tg = TGrid(np.full(m, -2.0), 0.25, (17,) * m)
     grid = GridSpec.centered(d, 11, 0.5)
-    frames = list(frameset_haar(d, k, n_frames - 2, RngSeed(d, k)).frames)
-    frames += [Frame(d, k, np.eye(d)[:m]), Frame(d, k, -np.eye(d)[::-1][:m])]
+    rows = frameset_haar(d, k, n_frames - 2, RngSeed(d, k)).rows
+    frames = FrameSet(np.concatenate([rows, [np.eye(d)[:m], -np.eye(d)[::-1][:m]]]), "explicit")
     rng = np.random.default_rng(d + 10 * k)
-    sino = Sinogram(d, k, frames, tg, rng.random((n_frames,) + tg.shape) - 0.3)
+    sino = Sinogram(frames, tg, rng.random((n_frames,) + tg.shape) - 0.3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
         got = backproject(sino, grid, threads=1)
@@ -896,7 +900,7 @@ def test_backproject_far_outside_t_grid_is_fast():
     # along t, so rounding in A x, amplified 1e10 times, cannot move a read
     frames = frameset_haar(3, 1, 2, RngSeed(31))
     tg = TGrid.centered(2, 9, 1e-10)
-    sino = Sinogram(3, 1, frames, tg, np.repeat([[1.0], [3.0]], 81, axis=1))
+    sino = Sinogram(frames, tg, np.repeat([[1.0], [3.0]], 81, axis=1))
     grid = GridSpec.centered(3, 3, 1.0)
     ref, ref_outside = _loop_backproject(sino, grid)
     with warnings.catch_warnings(record=True) as caught:
@@ -909,7 +913,7 @@ def test_backproject_far_outside_t_grid_is_fast():
     assert np.array_equal(got.values, ref)
     # d-k = 1 spreads the sigma coefficients of the t-grid, whatever the box's
     # distance from it; the result is the transpose of the forward
-    sino = Sinogram(2, 1, frameset_circle(2), TGrid.centered(1, 9, 1e-10),
+    sino = Sinogram(frameset_circle(2), TGrid.centered(1, 9, 1e-10),
                     np.repeat([[1.0], [3.0]], 9, axis=1))
     grid = GridSpec.centered(2, 3, 1.0)
     with warnings.catch_warnings(record=True) as caught:
@@ -926,14 +930,13 @@ def test_backproject_far_outside_t_grid_is_fast():
 def test_backproject_rule_names_the_rule_that_runs():
     # the transpose uses the forward's sigma samples; the rule needs only the t-grid
     tg = tgrid_1d(128)
-    sino = Sinogram(2, 1, frameset_circle(4), tg, np.zeros((4, 128)))
+    sino = Sinogram(frameset_circle(4), tg, np.zeros((4, 128)))
     rule = {"name": "fourier-slice-transpose", "sigma_samples": 45, "kernel_width": 6}
-    assert transform.backproject_rule(GRID_2D, sino) == rule
     assert transform.backproject_rule(GRID_2D, tg) == rule
     assert transform.forward_rule(GRID_2D, sino.frames, tg)["sigma_samples"] == 45
     tg2 = TGrid.centered(2, 8, 0.5)
-    sino2 = Sinogram(3, 1, frameset_haar(3, 1, 4, RngSeed(2)), tg2, np.ones((4, 8, 8)))
-    assert transform.backproject_rule(GridSpec.centered(3, 6, 0.5), sino2) == {
+    sino2 = Sinogram(frameset_haar(3, 1, 4, RngSeed(2)), tg2, np.ones((4, 8, 8)))
+    assert transform.backproject_rule(GridSpec.centered(3, 6, 0.5), sino2.t_grid) == {
         "name": "multilinear-gather"}
 
 
@@ -946,16 +949,16 @@ def test_backproject_truncation_warning_is_geometric_at_hyperplanes():
     frames = frameset_circle(8)
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
-        backproject(Sinogram(2, 1, frames, tgrid_1d(27, 0.2), np.zeros((8, 27))), spec)
+        backproject(Sinogram(frames, tgrid_1d(27, 0.2), np.zeros((8, 27))), spec)
     with pytest.warns(TruncationWarning, match="grid box projects outside the t-grid"):
-        backproject(Sinogram(2, 1, frames, tgrid_1d(23, 0.2), np.zeros((8, 23))), spec)
+        backproject(Sinogram(frames, tgrid_1d(23, 0.2), np.zeros((8, 23))), spec)
     shifted = GridSpec(spec.origin + [3.0, 0.0], spec.spacing, spec.shape)
-    vertical = np.array([[[0.0, 1.0]], [[0.0, -1.0]]])
+    vertical = FrameSet(np.array([[[0.0, 1.0]], [[0.0, -1.0]]]), "explicit")
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
-        backproject(Sinogram(2, 1, vertical, tgrid_1d(27, 0.2), np.ones((2, 27))), shifted)
+        backproject(Sinogram(vertical, tgrid_1d(27, 0.2), np.ones((2, 27))), shifted)
     with pytest.warns(TruncationWarning, match="grid box projects outside the t-grid"):
-        backproject(Sinogram(2, 1, frames, tgrid_1d(27, 0.2), np.ones((8, 27))), shifted)
+        backproject(Sinogram(frames, tgrid_1d(27, 0.2), np.ones((8, 27))), shifted)
 
 
 def test_field_pairings_require_matching_grids():
