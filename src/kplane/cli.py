@@ -276,20 +276,19 @@ def cmd_fbp(cfg: dict, out_dir: str | None, seed: int | None) -> int:
         recon = transform.backproject(filtered, grid)
     t2 = time.perf_counter()
     timings = {"fbp": 1000 * (t2 - t0), "ramp": 1000 * (t1 - t0), "backproject": 1000 * (t2 - t1)}
-    recon_path = _out_path(cfg, out_dir, "reconstruction", "recon.kpt")
-    write_kpt(recon_path, recon)
-    _write_slice_csv(recon_path.with_suffix(".slice.csv"), recon)
-
     report = {"timings_ms": timings, "rule": transform.backproject_rule(grid, sino.t_grid),
               "warnings": [str(w.message) for w in caught]}
     phantom_path = _out_path(cfg, out_dir, "phantom", "phantom.kpt")
-    if phantom_path.exists():
+    if phantom_path.exists():  # compared before any write: a failure keeps the old outputs
         reference = _read_kind(phantom_path, GridField)
         report["rel_l2_vs_reference"] = transform.rel_l2_error(recon, reference)
         denom = float((recon.values**2).sum())
         report["gain"] = (
             float((recon.values * reference.values).sum()) / denom if denom else None
         )
+    recon_path = _out_path(cfg, out_dir, "reconstruction", "recon.kpt")
+    write_kpt(recon_path, recon)
+    _write_slice_csv(recon_path.with_suffix(".slice.csv"), recon)
     _write_report(_out_path(cfg, out_dir, "report", "report.json"), report)
     print(f"wrote {recon_path}")
     return EXIT_OK

@@ -248,7 +248,9 @@ def inverse_radial_profile(omega: np.ndarray, prof: np.ndarray, n: int,
 class RadialTable:
     """Cached radial profile on the nodes j * step, read by ``fields.lerp_t`` (0
     beyond a table that cannot extend, and at non-finite r) and extended on
-    demand from integer indices, so r / step lands exactly on the nodes.
+    demand from integer indices, so r / step lands exactly on the nodes.  It
+    grows by whole doublings, one extend call each, so that the value of node j
+    does not depend on the radii read before.
 
     ``table`` is one (radii, values) tuple that growth replaces in a single
     assignment.  One reentrant lock (an extend callback may read the table)
@@ -274,11 +276,12 @@ class RadialTable:
             self.counts["table_lookups"] += u.size
             radii, values = self.table
             if umax > radii.size - 1 and self._extend is not None:  # extend to cover it
-                check_size(umax, f"a radial table cannot extend to radius {umax * radii[1]}")
-                new_r = radii[1] * np.arange(radii.size, math.ceil(umax) + 4)
-                radii = np.concatenate([radii, new_r])
-                values = np.concatenate([values, self._extend(new_r)])
-                self.table = (radii, values)
+                check_size(2 * umax, f"a radial table cannot extend to radius {umax * radii[1]}")
+                while radii.size < math.ceil(umax) + 4:
+                    new_r = radii[1] * np.arange(radii.size, 2 * radii.size)
+                    radii = np.concatenate([radii, new_r])
+                    values = np.concatenate([values, self._extend(new_r)])
+                    self.table = (radii, values)
         return lerp_t(values, values.shape, [np.atleast_1d(u)])[0].reshape(u.shape)
 
 

@@ -2,105 +2,106 @@
 
 The pairs (A, t) and (U A, U t) index the same k-plane, so functions in the
 range of the forward transform are isotropic: invariant under that joint
-rotation.  project_iso extracts the isotropic part of a sinogram by
-averaging over the orthogonal group O(d-k); pk_project realizes the range
-projector forward . backproject . ramp; render_delta_iso builds a mollified
-rendering of the isotropically projected Dirac impulse, whose backprojection
-is a ridge.
+rotation.  project_iso extracts the isotropic part of a sinogram by averaging
+over a finite group G in O(d-k), a projector since G G = G; pk_project realizes
+the range projector forward . backproject . ramp; render_delta_iso builds a
+mollified rendering of the isotropically projected Dirac impulse, whose
+backprojection is a ridge.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .fields import GridSpec, QuadSpec, Sinogram, TGrid, interp_t_block
+from .fields import GridSpec, QuadSpec, Sinogram, TGrid
 from .filters import ramp_filter
-from .geometry import (
-    Frame,
-    FrameSet,
-    RngSeed,
-    _haar_stack,
-    align_rotation,
-    stiefel_total_mass,
-)
+from .geometry import FRAME_TOL, Frame, FrameSet, RngSeed, align_rotation, stiefel_total_mass
 from .transform import backproject, forward
 
-DEFAULT_CHORDAL_TOL = 0.15
 DEFAULT_N_ROTATIONS = 64
 
 
-def _eval_at(sino: Sinogram, rows: np.ndarray, t_pts: np.ndarray, tol: float) -> np.ndarray:
+def rotation_group(m: int, n_rotations: int = DEFAULT_N_ROTATIONS) -> np.ndarray:
+    """(|G|, m, m) stack of a finite group G in O(m), the identity first: O(1) = {1, -1};
+    at m = 2 the dihedral group of 2N = ``n_rotations`` elements (N turns by 2 pi j / N,
+    then their reflections), whose average converges to the O(2) one exponentially in N
+    for smooth g, as the trapezoid rule on the circle does (Trefethen & Weideman 2014);
+    at m >= 3 the 2^m m! signed permutation matrices (48 at m = 3), n_rotations unread.
+    """
+    if m == 1:
+        return np.array([[[1.0]], [[-1.0]]])
+    if m == 2:
+        if n_rotations < 2 or n_rotations % 2:
+            raise DomainError(f"need an even n_rotations >= 2 at d-k = 2, got {n_rotations}")
+        angle = 2.0 * np.pi * np.arange(n_rotations // 2) / (n_rotations // 2)
+        cos, sin = np.cos(angle), np.sin(angle)
+        turns = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+        return np.concatenate([turns, turns * [1.0, -1.0]])  # turn, then turn @ diag(1, -1)
+    perms = np.eye(m)[list(itertools.permutations(range(m)))]  # (m!, m, m) row permutations
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=m)))
+    return (signs[:, None, :, None] * perms).reshape(-1, m, m)
+
+
+def _eval_at(sino: Sinogram, rows: np.ndarray, t_pts: np.ndarray) -> np.ndarray:
     """Sinogram values at an (n, d-k, d) frame stack and shared t points, (n, P).
 
-    One generator call when the sinogram has one; else the t-blocks of each
-    frame's nearest stored frame (Frobenius metric, first on a tie), which must
-    lie within ``tol``.  For d-k = 1 the points are project_iso's -t, read
-    exactly as the stored row reversed on its symmetric grid; for d-k >= 2 U t
-    falls off the nodes, so one interp_t_block call reads it, and reads near
-    the grid's edge (0 outside it) are inherent there.
+    One generator call when the sinogram has one.  Without one only d-k = 1 is
+    served, where project_iso asks for g(-A, -t): the stored row of the frame
+    equal to -A within FRAME_TOL (the first on a tie), reversed, which is exact
+    on the symmetric t-grid.  Any frame without its antipode raises.
     """
     if sino.generator is not None:
         return sino.generator(rows, t_pts)
+    if sino.m != 1:
+        raise DomainError("project_iso at d-k >= 2 needs a sinogram with a generator")
     stored = sino.frames.rows
     block = max(1, (1 << 14) // len(stored))  # frames per search: <= 2^14 distances at once
     nearest = np.concatenate([
         np.linalg.norm(stored - rows[f0:f0 + block, None], axis=(2, 3)).argmin(axis=1)
         for f0 in range(0, len(rows), block)])
     dist = np.linalg.norm(stored[nearest] - rows, axis=(1, 2))
-    if np.any(miss := dist > tol):
-        raise DomainError(
-            f"no stored frame within chordal tolerance {tol} (nearest {dist[miss][0]:.3f}) "
-            "and the sinogram has no generator"
-        )
-    if sino.m == 1:
-        return sino.values[nearest][..., ::-1]
-    return interp_t_block(sino.values[nearest], sino.t_grid, t_pts)
-
-
-def _haar_rotations(m: int, n_rotations: int, rng: RngSeed | None) -> np.ndarray:
-    """(n, m, m) stack of Haar draws from O(m), one draw of rng (None: RngSeed(0, 0))."""
-    if n_rotations < 1:
-        raise DomainError(f"need n_rotations >= 1 for Haar rotations, got {n_rotations}")
-    return _haar_stack(n_rotations, m, m, RngSeed(0, 0) if rng is None else rng)
+    if np.any(miss := dist > FRAME_TOL):
+        raise DomainError(f"no stored frame within {FRAME_TOL} of -A (nearest "
+                          f"{dist[miss][0]:.3e}) and the sinogram has no generator")
+    return sino.values[nearest][..., ::-1]
 
 
 def project_iso(
     sino: Sinogram,
     n_rotations: int = DEFAULT_N_ROTATIONS,
     rng: RngSeed | None = None,
-    chordal_tol: float = DEFAULT_CHORDAL_TOL,
 ) -> Sinogram:
-    """Isotropic part of a sinogram: average of g(U A, U t) over Haar O(d-k).
+    """Isotropic part of a sinogram: average of g(U A, U t) over U in G.
 
-    For d-k = 1 the average is exact over O(1) = {+1, -1}; otherwise it is a
-    Monte-Carlo average over ``n_rotations`` >= 1 Haar draws.  Each rotation U
-    is one _eval_at call on the whole frame stack U A.  The result's generator
-    is the same average over the base generator, on one frame or a stack.
-    The t-grid must be symmetric about 0.  Without a generator the d-k = 1
-    term is exact, so that projection is idempotent (see _eval_at).
+    G = rotation_group(d-k, n_rotations) is finite, so the projection is
+    idempotent to rounding.  The identity term is the stored values; each other
+    U is one _eval_at call on the whole frame stack U A at the points U t, and
+    the sum is divided by |G|.  The result's generator is the same average over
+    the base generator, on one frame or a stack.  The t-grid must be symmetric
+    about 0; without a generator only d-k = 1 is served (see _eval_at).  rng is
+    ignored: the group is fixed.
     """
-    tg, m = sino.t_grid, sino.m
+    tg = sino.t_grid
     if not np.allclose(tg.origin, -(tg.origin + tg.spacing * (np.array(tg.shape) - 1)),
                        rtol=0.0, atol=1e-9 * tg.spacing):
         raise DomainError("project_iso needs a t-grid symmetric about 0")
-    rotations = -np.eye(1)[None] if m == 1 else _haar_rotations(m, n_rotations, rng)
+    group = rotation_group(sino.m, n_rotations)
     base_gen = sino.generator
 
     def average(first, evaluate, rows, pts):
-        # for d-k = 1 the identity term comes first: stored values or the base generator
-        for u in rotations:
+        for u in group[1:]:
             first = first + evaluate(u @ rows, pts @ u.T)
-        return first / (2 if m == 1 else n_rotations)
+        return first / len(group)
 
     def generator(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return average(base_gen(rows, pts) if m == 1 else 0.0, base_gen, rows, pts)
+        return average(base_gen(rows, pts), base_gen, rows, pts)
 
-    values = average(sino.values.reshape(sino.n_frames, -1) if m == 1 else 0.0,
-                     lambda rows, pts: _eval_at(sino, rows, pts, chordal_tol),
-                     sino.frames.rows, tg.points())
+    values = average(sino.values.reshape(sino.n_frames, -1),
+                     lambda rows, pts: _eval_at(sino, rows, pts), sino.frames.rows, tg.points())
     return sino.copy_with(values, generator if base_gen is not None else None)
 
 
@@ -139,10 +140,11 @@ class MollifiedAtom:
 
     def __post_init__(self):
         self.offset = np.asarray(self.offset, dtype=float)
-        if self.offset.shape != (self.frame.m,):
-            raise DomainError(f"offset must have shape ({self.frame.m},)")
-        if self.frame_width <= 0 or self.t_width <= 0:
-            raise DomainError("mollification widths must be positive")
+        if self.offset.shape != (self.frame.m,) or not np.all(np.isfinite(self.offset)):
+            raise DomainError(f"offset must be {self.frame.m} finite values")
+        for name in ("frame_width", "t_width"):
+            if not 0.0 < getattr(self, name) < np.inf:  # also rejects NaN
+                raise DomainError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
 
 def render_delta_iso(
@@ -150,14 +152,13 @@ def render_delta_iso(
     frames: FrameSet,
     t_grid: TGrid,
     n_rotations: int = DEFAULT_N_ROTATIONS,
-    rng: RngSeed | None = None,
 ) -> Sinogram:
     """Sinogram rendering of the isotropically projected, mollified Dirac.
 
     Averages product bumps centered at the rotated pairs (U A0, U t0): a
     Gaussian frame factor of unit discrete mass over the frame set times a
-    normalized Gaussian t factor.  U runs over O(1) = {+1, -1} exactly for
-    d-k = 1, else over n_rotations >= 1 Haar draws; 0 uses alignment transport
+    normalized Gaussian t factor.  U runs over rotation_group(d-k, n_rotations),
+    as in project_iso.  At d-k >= 2, n_rotations = 0 uses alignment transport
     instead (the bump at frame A is centered at V t0 with V the rotation best
     aligning A0 to A, all V from one batched SVD), which is exactly isotropic.
 
@@ -177,13 +178,10 @@ def render_delta_iso(
     mass, n_fr, axes = stiefel_total_mass(d, k), len(frames), t_grid.axes()
     rows = frames.rows  # (n, m, d)
     # each rotation list entry is one U, or an (n, m, m) stack of one U per frame
-    if m == 1:
-        rotations = [np.eye(1), -np.eye(1)]
-    elif n_rotations == 0:
-        # alignment transport: exactly isotropic, no Monte-Carlo noise
+    if m >= 2 and n_rotations == 0:  # alignment transport: exactly isotropic
         rotations = [align_rotation(atom.frame.rows, rows)]
     else:
-        rotations = _haar_rotations(m, n_rotations, rng)
+        rotations = rotation_group(m, n_rotations)
 
     vals = np.zeros((n_fr, t_grid.size))
     tw2 = atom.t_width**2

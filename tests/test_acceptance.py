@@ -272,15 +272,16 @@ def test_criterion_07_projector_suite():
     assert exact_defect <= 1e-12
     assert sino_norm(p1) <= sino_norm(sino) * (1 + 1e-6)
 
-    # Monte-Carlo branch
-    g_mc = _haar_closure_sinogram(240, 0.15, 21)
-    q1 = kp.project_iso(g_mc, n_rotations=64, rng=RngSeed(5))
-    q2 = kp.project_iso(q1, n_rotations=64, rng=RngSeed(6))
-    mc_defect = sino_norm(q1.copy_with(q2.values - q1.values, None)) / sino_norm(q1)
-    assert mc_defect <= 2e-2
-    assert sino_norm(q1) <= sino_norm(g_mc) * (1 + 1e-6)
+    # dihedral branch (d - k = 2): an average over D_32, so idempotent to rounding
+    g_group = _haar_closure_sinogram(240, 0.15, 21)
+    q1 = kp.project_iso(g_group, n_rotations=64)
+    q2 = kp.project_iso(q1, n_rotations=64)
+    group_defect = sino_norm(q1.copy_with(q2.values - q1.values, None)) / sino_norm(q1)
+    assert group_defect <= 1e-13
+    assert sino_norm(q1) <= sino_norm(g_group) * (1 + 1e-6)
 
-    # self-adjointness (MC tolerance)
+    # self-adjointness: the discrete pairing over Haar frames and a square t-grid
+    # is not invariant under the group, so this stays at the 1e-2 level
     f = _haar_closure_sinogram(240, 0.3, 21)
     x2 = np.array([-0.4, 0.5, 0.1])
 
@@ -289,8 +290,8 @@ def test_criterion_07_projector_suite():
         return np.exp(-sq / 1.5) * (1.0 + 0.3 * rows[..., 1, 2, None])
 
     g2 = Sinogram(f.frames, f.t_grid, gen2(f.frames.rows, f.t_grid.points()), gen2)
-    pf = kp.project_iso(f, 64, RngSeed(7))
-    pg = kp.project_iso(g2, 64, RngSeed(7))
+    pf = kp.project_iso(f, 64)
+    pg = kp.project_iso(g2, 64)
     adj_resid = abs(sino_dot(pf, g2) - sino_dot(f, pg)) / (sino_norm(f) * sino_norm(g2))
     assert adj_resid <= 2e-2
 
@@ -314,7 +315,7 @@ def test_criterion_07_projector_suite():
 
     report(
         "criterion-7 projector suite",
-        f"idempotence exact {exact_defect:.1e} / mc {mc_defect:.1e}, "
+        f"idempotence exact {exact_defect:.1e} / group {group_defect:.1e}, "
         f"self-adjoint {adj_resid:.1e}, fix {fix_rel:.1e}, anti {anti_rel:.1e}",
     )
 
@@ -329,7 +330,7 @@ def test_criterion_08_ridge_atom_identity():
     eps_t = 1.25
     atom = MollifiedAtom(a0, t0, frame_width=0.1, t_width=eps_t)
     t_grid = TGrid.centered(2, 48, 0.35)
-    sino = kp.render_delta_iso(atom, frames, t_grid, n_rotations=64, rng=RngSeed(3))
+    sino = kp.render_delta_iso(atom, frames, t_grid, n_rotations=64)
     grid = GridSpec.centered(3, 16, 0.4)
     recon = kp.backproject(sino, grid)
     pts = grid.points()

@@ -459,6 +459,9 @@ def test_fbp_grid_mismatch_exit_4(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["phantom", "--config", path]) == 0
     assert main(["forward", "--config", path]) == 0
+    assert main(["fbp", "--config", path]) == 0
+    outputs = [out / name for name in ("recon.kpt", "recon.slice.csv", "report.json")]
+    before = [f.read_bytes() for f in outputs]
     cfg["grid"] = {"origin": [-1.5, -1.5], "spacing": 0.2, "shape": [16, 16]}
     small = write_config(tmp_path, cfg, name="small.json")
     capsys.readouterr()
@@ -466,6 +469,8 @@ def test_fbp_grid_mismatch_exit_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric error:") and "share a grid" in err
     assert "Traceback" not in err
+    # the comparison fails before any write: the previous outputs are untouched
+    assert [f.read_bytes() for f in outputs] == before
 
 
 def test_fbp_rejects_wrong_input_kinds(tmp_path, capsys):

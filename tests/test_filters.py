@@ -303,6 +303,21 @@ def test_green_rbf_extends_on_demand():
         table(1e300)
 
 
+def test_green_rbf_nodes_do_not_depend_on_read_order():
+    # the integration limits follow each extension's radii, so the table grows by
+    # whole doublings: the nodes two read orders share hold the same values
+    one, two = green_rbf(2.0, 1), green_rbf(2.0, 1)
+    one(np.array([12.5, 13.0, 20.9]))
+    two(np.array([12.5, 13.0]))
+    two(np.array([12.5, 13.0, 20.9]))
+    three = green_rbf(2.0, 1)
+    three(np.array([40.0]))
+    (r1, v1), (r2, v2), (r3, v3) = one.table, two.table, three.table
+    shared = min(r1.size, r2.size)
+    assert np.array_equal(r1[:shared], r2[:shared]) and np.array_equal(v1[:shared], v2[:shared])
+    assert np.array_equal(v3[:v1.size], v1)
+
+
 def test_radial_table_extension_keeps_readers_consistent():
     # a reader that arrives while the table grows must see one whole (radii, values) pair
     radii = np.arange(0.0, 2.01, 0.02)

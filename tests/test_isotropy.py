@@ -15,15 +15,14 @@ from kplane import (
     frameset_circle,
     frameset_haar,
     forward,
-    haar_orthogonal_sample,
     mixture_field,
     pk_project,
     project_iso,
     ramp_filter,
     render_delta_iso,
 )
-from kplane.fields import interp_t_block
 from kplane.geometry import align_rotation, stiefel_total_mass
+from kplane.isotropy import rotation_group
 from kplane.transform import sino_dot, sino_norm
 
 GRID_2D = GridSpec.centered(2, 64, 0.2)
@@ -57,6 +56,20 @@ def haar_closure_sinogram(n_frames=240, delta=0.15, seed=21, x1=(0.6, -0.3, 0.2)
         return np.exp(-sq / 2.0) * (1.0 + delta * rows[..., 0, 0, None])
 
     return Sinogram(frames, tg, gen(frames.rows, tg.points()), gen)
+
+
+def anisotropic_closure_sinogram():
+    """g(A, t) = exp(-c_0^2 / 0.3 - c_1^2 / 2) exp(2 A_00), c = t - A x1, on the
+    frames and t-grid of haar_closure_sinogram: far from isotropic in A and t."""
+    base = haar_closure_sinogram()
+    x1 = np.array([0.6, -0.3, 0.2])
+
+    def gen(rows, pts):
+        c = pts - (rows @ x1)[..., None, :]
+        return np.exp(-c[..., 0] ** 2 / 0.3 - c[..., 1] ** 2 / 2.0
+                      + 2.0 * rows[..., 0, 0, None])
+
+    return Sinogram(base.frames, base.t_grid, gen(base.frames.rows, base.t_grid.points()), gen)
 
 
 # --- exact O(1) branch (d - k = 1) -------------------------------------------
@@ -187,15 +200,50 @@ def test_project_iso_rejects_off_centre_grid():
         assert project_iso(Sinogram(frames, tg, np.ones((4, n)))).values.shape == (4, n)
 
 
-# --- Monte-Carlo branch (d - k = 2) -------------------------------------------
+# --- finite-group branch (d - k >= 2) -----------------------------------------
 
 
-def test_project_iso_idempotent_mc():
+@pytest.mark.parametrize("m,n_rotations,size", [(1, 64, 2), (2, 8, 8), (2, 64, 64), (3, 64, 48)])
+def test_rotation_group_is_a_group_identity_first(m, n_rotations, size):
+    group = rotation_group(m, n_rotations)
+    assert group.shape == (size, m, m) and np.array_equal(group[0], np.eye(m))
+    assert np.abs(group @ np.swapaxes(group, 1, 2) - np.eye(m)).max() <= 1e-15
+    for u in group:  # G G = G: each product is an element, to rounding
+        gap = np.abs((u @ group)[:, None] - group[None]).max(axis=(2, 3)).min(axis=1)
+        assert gap.max() <= 1e-14
+
+
+def test_project_iso_idempotent_group():
     sino = haar_closure_sinogram()
-    p1 = project_iso(sino, n_rotations=64, rng=RngSeed(5))
-    p2 = project_iso(p1, n_rotations=64, rng=RngSeed(6))
+    p1 = project_iso(sino, n_rotations=64)
+    p2 = project_iso(p1, n_rotations=64)
     defect = sino_norm(p1.copy_with(p2.values - p1.values)) / sino_norm(p1)
-    assert defect <= 2e-2
+    assert defect <= 1e-13
+
+
+def test_project_iso_dihedral_matches_fine_reference():
+    # D_32 (64 evaluations) against D_2048 on a far-from-isotropic g; to stay
+    # quick, the reference averages on every 8th frame only
+    sino = anisotropic_closure_sinogram()
+    few = Sinogram(FrameSet(sino.frames.rows[::8], "explicit"), sino.t_grid, sino.values[::8],
+                   sino.generator)
+    ref = project_iso(few, n_rotations=4096).values
+    proj = project_iso(sino, n_rotations=64).values[::8]
+    assert np.abs(proj - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+def test_project_iso_fixes_forward_and_is_idempotent_at_codimension_3():
+    # (d, k) = (4, 1) averages over the 48 signed permutations of R^3; the line
+    # quadrature's points do not move under (U A, U t), so forward(f) is isotropic
+    mix = mixture_field(GridSpec.centered(4, 8, 0.6), [[0.6, -0.3, 0.2, 0.1],
+                                                       [-0.8, 0.5, -0.4, 0.3]], [1.0, 0.7])
+    sino = forward(mix, frameset_haar(4, 1, 4, RngSeed(4)), TGrid.centered(3, 5, 0.6),
+                   QuadSpec(6.0, 16), order=1)
+    p1 = project_iso(sino)
+    p2 = project_iso(p1)
+    peak = np.abs(sino.values).max()
+    assert np.abs(p1.values - sino.values).max() <= 1e-13 * peak
+    assert np.abs(p2.values - p1.values).max() <= 1e-13 * peak
 
 
 def test_project_iso_fixes_plane_quadrature_forward_3d():
@@ -209,13 +257,15 @@ def test_project_iso_fixes_plane_quadrature_forward_3d():
     assert np.abs(proj.values - sino.values).max() <= 1e-13 * np.abs(sino.values).max()
 
 
-def test_project_iso_nonexpansive_mc():
+def test_project_iso_nonexpansive_group():
     sino = haar_closure_sinogram(delta=0.5)
-    proj = project_iso(sino, n_rotations=48, rng=RngSeed(9))
+    proj = project_iso(sino, n_rotations=48)
     assert sino_norm(proj) <= sino_norm(sino) * (1 + 1e-6)
 
 
-def test_project_iso_self_adjoint_mc():
+def test_project_iso_self_adjoint_group():
+    # the pairing sums over Haar frames and a square t-grid, neither of them
+    # invariant under the group, so the residual stays at the 1e-2 level
     f = haar_closure_sinogram(delta=0.3)
     frames = f.frames
     x2 = np.array([-0.4, 0.5, 0.1])
@@ -225,55 +275,50 @@ def test_project_iso_self_adjoint_mc():
         return np.exp(-sq / 1.5) * (1.0 + 0.3 * rows[..., 1, 2, None])
 
     g = Sinogram(frames, f.t_grid, gen2(frames.rows, f.t_grid.points()), gen2)
-    pf = project_iso(f, 64, RngSeed(7))
-    pg = project_iso(g, 64, RngSeed(7))
+    pf = project_iso(f, 64)
+    pg = project_iso(g, 64)
     resid = abs(sino_dot(pf, g) - sino_dot(f, pg))
     assert resid <= 2e-2 * sino_norm(f) * sino_norm(g)
 
 
 def test_project_iso_lookup_miss_raises():
-    # sparse free-standing Haar frames cannot resolve rotated coordinates; the
-    # error names the first miss in (rotation, frame) order
-    frames = frameset_haar(3, 1, 10, RngSeed(2))
-    tg = TGrid.centered(2, 9, 0.5)
-    sino = Sinogram(frames, tg, np.ones((10, 9, 9)))
-    gen = RngSeed(3).generator()
-    u = haar_orthogonal_sample(2, gen).mat
-    nearest = [np.linalg.norm(frames.rows - u @ rows, axis=(1, 2)).min() for rows in frames.rows]
-    first = next(dist for dist in nearest if dist > 0.15)
-    with pytest.raises(DomainError, match=rf"tolerance 0.15 \(nearest {first:.3f}\) and the"):
-        project_iso(sino, n_rotations=8, rng=RngSeed(3))
+    # without a generator d-k = 1 needs each frame's antipode -A among the stored
+    # frames; the error names the first miss in frame order
+    frames = frameset_haar(2, 1, 10, RngSeed(2))
+    sino = Sinogram(frames, TGrid.centered(1, 9, 0.5), np.ones((10, 9)))
+    nearest = [np.linalg.norm(frames.rows + rows, axis=(1, 2)).min() for rows in frames.rows]
+    with pytest.raises(DomainError, match=rf"within 1e-10 of -A \(nearest {nearest[0]:.3e}\)"):
+        project_iso(sino)
+    # and d-k >= 2 needs the generator
+    bare = haar_closure_sinogram(n_frames=10)
+    with pytest.raises(DomainError, match="needs a sinogram with a generator"):
+        project_iso(bare.copy_with(bare.values, None), n_rotations=8)
 
 
 def _project_iso_per_frame(sino, rotations):
-    """Reference rule: one evaluation per (rotation, frame), in that order."""
+    """Reference rule: the stored values, then one evaluation per (rotation, frame)."""
     tg, t_pts = sino.t_grid, sino.t_grid.points()
-    acc = sino.values.copy() if sino.m == 1 else np.zeros_like(sino.values)
-    for u in rotations:
+    acc = sino.values.copy()
+    for u in rotations[1:]:
         for i, rows in enumerate(sino.frames.rows):
             rows_u, pts_u = u @ rows, t_pts @ u.T
             if sino.generator is not None:
                 vals = sino.generator(rows_u, pts_u)
             else:
                 j = int(np.argmin(np.linalg.norm(sino.frames.rows - rows_u, axis=(1, 2))))
-                block = sino.values[j]
-                vals = block[::-1] if sino.m == 1 else interp_t_block(block, tg, pts_u)
+                vals = sino.values[j][::-1]
             acc[i] += vals.reshape(tg.shape)
-    return acc / (2 if sino.m == 1 else len(rotations))
+    return acc / len(rotations)
 
 
-@pytest.mark.parametrize("m,route", [(1, "generator"), (1, "lookup"), (2, "generator"),
-                                     (2, "lookup")])
+@pytest.mark.parametrize("m,route", [(1, "generator"), (1, "lookup"), (2, "generator")])
 def test_project_iso_matches_per_frame_loop_bitwise(m, route):
     if m == 1:
-        sino = circle_closure_sinogram(n_frames=60)
-        rotations, kwargs = [-np.eye(1)], {}
+        sino, kwargs = circle_closure_sinogram(n_frames=60), {}
+        rotations = [np.eye(1), -np.eye(1)]
     else:
-        # dense frames and a wide tolerance, so every rotated frame has a match
-        sino = haar_closure_sinogram(n_frames=600 if route == "lookup" else 30, seed=4)
-        gen = RngSeed(3).generator()
-        rotations = [haar_orthogonal_sample(2, gen).mat for _ in range(5)]
-        kwargs = {"n_rotations": 5, "rng": RngSeed(3), "chordal_tol": 1.0}
+        sino, kwargs = haar_closure_sinogram(n_frames=30, seed=4), {"n_rotations": 10}
+        rotations = rotation_group(2, 10)
     if route == "lookup":
         sino = sino.copy_with(sino.values, None)
     proj = project_iso(sino, **kwargs)
@@ -287,11 +332,12 @@ def test_project_iso_matches_per_frame_loop_bitwise(m, route):
 @pytest.mark.parametrize("call", [
     pytest.param(lambda sino, atom: project_iso(sino, n_rotations=0), id="project-0"),
     pytest.param(lambda sino, atom: project_iso(sino, n_rotations=-1), id="project-negative"),
+    pytest.param(lambda sino, atom: project_iso(sino, n_rotations=7), id="project-odd"),
     pytest.param(lambda sino, atom: render_delta_iso(atom, sino.frames, sino.t_grid,
                                                      n_rotations=-3), id="render-negative"),
 ])
 def test_rotation_count_below_minimum_raises(call):
-    # at d-k = 2 these returned all-zero sinograms (or failed on a finiteness check)
+    # at d-k = 2 the dihedral group needs an even count >= 2
     sino = haar_closure_sinogram(n_frames=8)
     atom = MollifiedAtom(sino.frames[0], np.zeros(2), frame_width=0.5, t_width=1.0)
     with pytest.raises(DomainError, match="n_rotations"):
@@ -342,7 +388,7 @@ def test_render_delta_iso_unit_mass():
     a0 = frames.frames[0]
     atom = MollifiedAtom(a0, np.array([0.8, -0.5]), frame_width=0.15, t_width=1.0)
     tg = TGrid.centered(2, 41, 0.4)
-    sino = render_delta_iso(atom, frames, tg, n_rotations=32, rng=RngSeed(5))
+    sino = render_delta_iso(atom, frames, tg, n_rotations=32)
     ones = sino.copy_with(np.ones_like(sino.values))
     assert sino_dot(sino, ones) == pytest.approx(1.0, abs=1e-3)
 
@@ -369,6 +415,21 @@ def test_render_delta_iso_two_bump_closed_form():
         )
         expect += 0.5 * w[:, None] * tb[None, :]
     assert np.abs(sino.values.reshape(24, 41) - expect).max() <= 1e-14
+
+
+@pytest.mark.parametrize("field,value", [
+    ("frame_width", 0.0), ("frame_width", -1.0), ("frame_width", np.nan),
+    ("frame_width", np.inf), ("t_width", 0.0), ("t_width", np.inf), ("t_width", np.nan),
+    ("offset", np.array([0.1, np.nan])), ("offset", np.array([np.inf, 0.0])),
+    ("offset", np.zeros(3)),
+], ids=lambda v: v if isinstance(v, str) else str(np.asarray(v).tolist()))
+def test_mollified_atom_rejects_bad_inputs(field, value):
+    # a NaN width passed the old "<= 0" test and failed late, as "sinogram values
+    # must be finite", and an infinite t width rendered an all-zero sinogram
+    frame = frameset_haar(3, 1, 1, RngSeed(1))[0]
+    args = {"offset": np.zeros(2), "frame_width": 0.5, "t_width": 1.0} | {field: value}
+    with pytest.raises(DomainError, match=field):
+        MollifiedAtom(frame, **args)
 
 
 def test_render_delta_iso_resolvability_check():
@@ -431,7 +492,7 @@ def test_render_delta_iso_peak_allocation(n_rotations):
     tg = TGrid.centered(2, 48, 0.35)
     tracemalloc.start()
     try:
-        sino = render_delta_iso(atom, frames, tg, n_rotations=n_rotations, rng=RngSeed(2))
+        sino = render_delta_iso(atom, frames, tg, n_rotations=n_rotations)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
